@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVector, RestrictedSolver
 from .hgp import CheckSet, HgpCode, QubitSet, qnbhd, supp_check
+from .reduction import _bits_of
 
 __all__ = ["DecodeVerdict", "erase_decode_quantum", "verify_coset"]
 
@@ -45,7 +46,7 @@ def verify_coset(code: HgpCode, correction: QubitSet, true_error: QubitSet) -> b
     """True iff the correction and the true error differ by a sum of
     generator supports — i.e. they act identically on the code space."""
     return code.generator_basis().contains(
-        _qubit_bits(code, correction ^ true_error)
+        _bits_of(code, correction ^ true_error)
     )
 
 
@@ -72,9 +73,10 @@ def erase_decode_quantum(
     when solutions from distinct stabilizer cosets exist.  Meant for small
     codes; it triangulates the full generator matrix on first use.
 
-    Factorizations are cached on the code, keyed by the (rows, columns) pair,
-    so repeated solves against the same envelope shape only pay for
-    back-substitution.
+    The last factorization is kept on the code with its (rows, columns) pair,
+    so consecutive solves against the same rows and columns only pay for
+    back-substitution.  Every eager-mode solve hits it: the envelope is the
+    whole code.
     """
     cols = tuple(envelope.to_indices(code))
     sigma_rows = set(sigma.to_indices(code))
@@ -106,32 +108,22 @@ def erase_decode_quantum(
     return DecodeVerdict(correction, status, equivalent, len(rows))
 
 
-def _qubit_bits(code: HgpCode, qubits: QubitSet) -> int:
-    bits = 0
-    for q in qubits.to_indices(code):
-        bits |= 1 << q
-    return bits
-
-
 def _restricted_solver(
     code: HgpCode, rows: tuple[int, ...], cols: tuple[int, ...]
 ) -> RestrictedSolver:
-    cache = getattr(code, "_erasure_solvers", None)
-    if cache is None:
-        cache = {}
-        code._erasure_solvers = cache
-    solver = cache.get((rows, cols))
-    if solver is None:
-        col_pos = {q: p for p, q in enumerate(cols)}
-        supports = (
-            [
-                col_pos[q]
-                for q in supp_check(code, x).to_indices(code)
-                if q in col_pos
-            ]
-            for x in rows
-        )
-        sub = BitMatrix.from_row_supports(len(rows), len(cols), supports)
-        solver = RestrictedSolver(sub, range(len(cols)))
-        cache[(rows, cols)] = solver
+    cached = getattr(code, "_erasure_solver", None)
+    if cached is not None and cached[0] == (rows, cols):
+        return cached[1]
+    col_pos = {q: p for p, q in enumerate(cols)}
+    supports = (
+        [
+            col_pos[q]
+            for q in supp_check(code, x).to_indices(code)
+            if q in col_pos
+        ]
+        for x in rows
+    )
+    sub = BitMatrix.from_row_supports(len(rows), len(cols), supports)
+    solver = RestrictedSolver(sub, range(len(cols)))
+    code._erasure_solver = ((rows, cols), solver)
     return solver

@@ -18,6 +18,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
+from .gf2 import BitVector
 from .hgp import HgpCode, QubitSet, supp_generator
 
 __all__ = [
@@ -108,13 +109,6 @@ def mask_to_qubitset(code: HgpCode, generator: int, mask: int) -> QubitSet:
     return QubitSet.of(vv, cc)
 
 
-def _support_bits(code: HgpCode, generator: int) -> int:
-    acc = 0
-    for q in supp_generator(code, generator).to_indices(code):
-        acc |= 1 << q
-    return acc
-
-
 def _bits_of(code: HgpCode, qubits: QubitSet) -> int:
     acc = 0
     for q in qubits.to_indices(code):
@@ -141,15 +135,6 @@ def _adjacent_generators(code: HgpCode, bits: int) -> list[int]:
     return sorted(gens)
 
 
-def _sorted_indices(bits: int) -> tuple[int, ...]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(out)
-
-
 def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitSet:
     """A lower-weight coset representative of ``error`` modulo generator toggles.
 
@@ -159,31 +144,35 @@ def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitS
     toggle improves, a local minimum reachable at any scale.
     """
     bits = _bits_of(code, error)
+
+    def indices(b: int) -> list[int]:
+        return BitVector(code.num_qubits, b).support()
+
     if mode == "exact":
         if code.num_gens > 20:
             raise ValueError(
                 f"exact reduction needs <= 20 generators, code has {code.num_gens}"
             )
-        supports = [_support_bits(code, g) for g in range(code.num_gens)]
+        supports = [_bits_of(code, supp_generator(code, g)) for g in range(code.num_gens)]
         best = bits
-        best_key = (bits.bit_count(), _sorted_indices(bits))
+        best_key = (bits.bit_count(), indices(bits))
         cur = bits
         for step in range(1, 1 << code.num_gens):
             # Gray-code walk: one toggle per step visits every combination.
             cur ^= supports[(step & -step).bit_length() - 1]
             w = cur.bit_count()
             if w <= best_key[0]:
-                key = (w, _sorted_indices(cur))
+                key = (w, indices(cur))
                 if key < best_key:
                     best, best_key = cur, key
-        return QubitSet.from_indices(code, _sorted_indices(best))
+        return QubitSet.from_indices(code, indices(best))
     if mode != "greedy":
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     while True:
         for g in _adjacent_generators(code, bits):
-            flipped = bits ^ _support_bits(code, g)
+            flipped = bits ^ _bits_of(code, supp_generator(code, g))
             if flipped.bit_count() < bits.bit_count():
                 bits = flipped
                 break
         else:
-            return QubitSet.from_indices(code, _sorted_indices(bits))
+            return QubitSet.from_indices(code, indices(bits))

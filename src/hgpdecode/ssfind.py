@@ -12,9 +12,9 @@ covered cells are pure functions of its local mask, precomputed once per
 degree pair.  A per-generator bitmask of suspicious grid cells is then the
 entire mutable score state: rescoring batches over dirty generators as a
 handful of vectorized bitwise ops, and candidate selection is an argmin over
-per-generator bests.  Scores compare exactly — integer cross-multiplication
-on the fast path, Fractions on the fallback path (degree pairs whose grid or
-denominator LCM overflows 63 bits).
+per-generator bests.  Scores compare exactly for every degree pair: each
+possible score num/den is replaced by its rank among all of the degree pair's
+possible scores, so comparing ranks is comparing the fractions themselves.
 
 Scoring thresholds, tie-breaking (lowest score, then generator index, then
 mask) and retirement (candidates sharing a qubit with the envelope never
@@ -24,8 +24,8 @@ config) alone.
 
 from __future__ import annotations
 
+import bisect
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,8 +51,12 @@ __all__ = [
     "trace_to_text",
 ]
 
-_BIG = np.int64(1) << np.int64(62)
-_INT_GUARD = 1 << 40
+# Rank key of a candidate that is retired or scores above 2*epsilon.
+_NO_KEY = np.iinfo(np.int32).max
+_WORD = (1 << 64) - 1
+# (generator, mask) pairs scored per numpy pass: keeps a rescore's temporaries
+# to a few MiB however wide the view (an (8, 8) view has 39 202 masks).
+_CHUNK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,12 @@ class _ViewTables:
     Grid cell (i, j) = bit i*delta_v + j pairs the i-th VV qubit with the j-th
     CC qubit of a local view; a mask's unique cells are those covering exactly
     one of the pair, its covered cells those covering at least one.
+
+    A score num/den has num <= delta_v*delta_c and den one of a few values, so
+    every possible score is sorted once into ``scores``.  ``ranks[den_off[p] +
+    num]`` is the index in ``scores`` of the score num/den[p]: equal fractions
+    share a rank, and ranks order exactly as the fractions do.  The unique-cell
+    masks are split into 64-bit words, low word first, for ``np.bitwise_count``.
     """
 
     def __init__(self, delta_v: int, delta_c: int):
@@ -178,13 +188,29 @@ class _ViewTables:
             Fraction(d - 2 * part_sizes(m, delta_c)[0] * part_sizes(m, delta_c)[1], d)
             for m, d in zip(masks, den)
         )
-        lcm = math.lcm(*den)
-        self.fast_ok = self.grid_bits <= 63 and lcm <= _INT_GUARD
-        if self.fast_ok:
-            self.np_masks = np.array(masks, dtype=np.int64)
-            self.np_uq = np.array(uq, dtype=np.int64)
-            self.np_den = np.array(den, dtype=np.int64)
-            self.np_mult = np.array([lcm // d for d in den], dtype=np.int64)
+        nums = range(self.grid_bits + 1)
+        dens = sorted(set(den))
+        self.scores = sorted({Fraction(k, d) for d in dens for k in nums})
+        rank = {v: r for r, v in enumerate(self.scores)}
+        self.ranks = np.array(
+            [rank[Fraction(k, d)] for d in dens for k in nums], dtype=np.int32
+        )
+        offset = {d: i * len(nums) for i, d in enumerate(dens)}
+        self.den_off = np.array([offset[d] for d in den], dtype=np.int32)
+        # int32 holds every mask: a view of 32 or more qubits would have over
+        # 2^31 masks to tabulate.
+        self.np_masks = np.array(masks, dtype=np.int32)
+        self.words = -(-self.grid_bits // 64)
+        self.np_uq = self.split_words(uq)
+
+    def split_words(self, grids: list[int]) -> list[np.ndarray]:
+        """One uint64 array per 64-bit word of the grid masks, low word first."""
+        if self.words == 1:
+            return [np.array(grids, dtype=np.uint64)]
+        return [
+            np.array([x >> (64 * w) & _WORD for x in grids], dtype=np.uint64)
+            for w in range(self.words)
+        ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -381,11 +407,13 @@ class _Engine:
         self.config = config
         self.tables = _view_tables(code.delta_v, code.delta_c)
         self.maps = _code_maps(code)
-        eps = config.epsilon
-        self.eps_num = eps.numerator
-        self.eps_den = eps.denominator
-        self.fast = self.tables.fast_ok and self.eps_den <= _INT_GUARD
-        self.mode = "eager" if 2 * eps >= self.tables.min_untouched else "lazy"
+        twoeps = 2 * config.epsilon
+        self.mode = "eager" if twoeps >= self.tables.min_untouched else "lazy"
+        # Rank key of every (den, num) slot; slots scoring above 2*epsilon
+        # never qualify.
+        cutoff = bisect.bisect_right(self.tables.scores, twoeps) - 1
+        ranks = self.tables.ranks
+        self.keys = np.where(ranks <= cutoff, ranks, _NO_KEY)
         g_count = code.num_gens
         sigma_idx = sigma.to_indices(code)
         self.state = SsfindState(
@@ -399,15 +427,8 @@ class _Engine:
             rmask=[0] * g_count,
         )
         self.dirty: set[int] = set(range(g_count)) if self.mode == "eager" else set()
-        if self.fast:
-            self.np_retired = np.zeros(g_count, dtype=np.int64)
-            self.np_rmask = np.zeros(g_count, dtype=np.int64)
-            self.best_key = np.full(g_count, _BIG, dtype=np.int64)
-            self.best_pos = np.zeros(g_count, dtype=np.int64)
-            self.thr = 2 * self.eps_num * self.tables.np_den
-        else:
-            self.best_score: list[Fraction | None] = [None] * g_count
-            self.best_pos_py: list[int] = [0] * g_count
+        self.best_key = np.full(g_count, _NO_KEY, dtype=np.int32)
+        self.best_pos = np.zeros(g_count, dtype=np.intp)
         for chk in sigma_idx:
             self._mark_suspicious_cells(chk)
 
@@ -417,8 +438,6 @@ class _Engine:
         st = self.state
         for g, cellbit in self.maps.gens_of_check(chk):
             st.rmask[g] |= cellbit
-            if self.fast:
-                self.np_rmask[g] |= cellbit
             st.seeded[g] = True
             self.dirty.add(g)
 
@@ -426,57 +445,38 @@ class _Engine:
         st = self.state
         for g, posbit in self.maps.gens_of_qubit(q):
             st.retired[g] |= posbit
-            if self.fast:
-                self.np_retired[g] |= posbit
             if st.seeded[g]:
                 self.dirty.add(g)
 
     # -- scoring --
 
     def _rescore(self, gens: list[int]) -> None:
-        if self.fast:
-            d = np.array(gens, dtype=np.int64)
-            not_r = self.np_rmask[d] ^ self.tables.gridfull
-            num = np.bitwise_count(self.tables.np_uq[None, :] & not_r[:, None]).astype(
-                np.int64
-            )
-            alive = (self.tables.np_masks[None, :] & self.np_retired[d][:, None]) == 0
-            qual = alive & (num * self.eps_den <= self.thr[None, :])
-            key = np.where(qual, num * self.tables.np_mult[None, :], _BIG)
-            pos = np.argmin(key, axis=1)
-            self.best_key[d] = key[np.arange(len(d)), pos]
-            self.best_pos[d] = pos
-            return
+        """Best qualifying candidate of each generator: lowest rank key, then
+        lowest table position (argmin keeps the first minimum)."""
         t = self.tables
-        twoeps = Fraction(2 * self.eps_num, self.eps_den)
-        for g in gens:
-            retired = self.state.retired[g]
-            not_r = ~self.state.rmask[g] & t.gridfull
-            best: Fraction | None = None
-            best_p = 0
-            for p, mask in enumerate(t.masks):
-                if mask & retired:
-                    continue
-                s = Fraction((t.py_uq[p] & not_r).bit_count(), t.py_den[p])
-                if s <= twoeps and (best is None or s < best):
-                    best, best_p = s, p
-            self.best_score[g] = best
-            self.best_pos_py[g] = best_p
+        st = self.state
+        step = max(1, _CHUNK_PAIRS // len(t.masks))
+        for lo in range(0, len(gens), step):
+            chunk = gens[lo : lo + step]
+            slot = t.den_off
+            for uq, r in zip(t.np_uq, t.split_words([st.rmask[g] for g in chunk])):
+                slot = slot + np.bitwise_count(uq & ~r[:, None])
+            retired = np.array([st.retired[g] for g in chunk], dtype=np.int32)
+            # Every slot is in range; "clip" only skips np.take's bounds check.
+            key = np.take(self.keys, slot, mode="clip")
+            key = np.where(t.np_masks & retired[:, None], _NO_KEY, key)
+            pos = key.argmin(axis=1)
+            d = np.array(chunk)
+            self.best_key[d] = key[np.arange(len(chunk)), pos]
+            self.best_pos[d] = pos
 
     def _select(self) -> tuple[int, int] | None:
-        """(generator, table position) of the lowest-scoring qualifier."""
-        if self.fast:
-            g = int(np.argmin(self.best_key))
-            if self.best_key[g] == _BIG:
-                return None
-            return g, int(self.best_pos[g])
-        found: tuple[Fraction, int, int] | None = None
-        for g, s in enumerate(self.best_score):
-            if s is not None and (found is None or s < found[0]):
-                found = (s, g, self.best_pos_py[g])
-        if found is None:
+        """(generator, table position) of the lowest-scoring qualifier; ties go
+        to the lowest generator."""
+        g = int(self.best_key.argmin())
+        if self.best_key[g] == _NO_KEY:
             return None
-        return found[1], found[2]
+        return g, int(self.best_pos[g])
 
     # -- main loop --
 
@@ -554,7 +554,7 @@ class _Engine:
         untouched and cannot qualify by the mode precondition."""
         st = self.state
         t = self.tables
-        twoeps = Fraction(2 * self.eps_num, self.eps_den)
+        twoeps = 2 * self.config.epsilon
         if self.mode == "lazy" and not twoeps < t.min_untouched:
             raise AssertionError("lazy mode ran although untouched sets qualify")
         for g in range(self.code.num_gens):

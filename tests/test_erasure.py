@@ -149,15 +149,18 @@ def test_factorization_cache_and_determinism(mid_code):
     error = _random_error(mid_code, rng, 5)
     sigma = syndrome(mid_code, error)
     first = erase_decode_quantum(mid_code, sigma, error)
-    cache_size = len(mid_code._erasure_solvers)
+    solver = mid_code._erasure_solver[1]
     second = erase_decode_quantum(mid_code, sigma, error)
     assert first == second
-    assert len(mid_code._erasure_solvers) == cache_size
-    # A different syndrome against the same envelope reuses the factorization.
-    other = syndrome(mid_code, _random_error(mid_code, rng, 2))
+    assert mid_code._erasure_solver[1] is solver
+    # A different syndrome against the same envelope reuses the factorization
+    # (its flagged checks all neighbour the envelope, so the rows match).
     sub = QubitSet.of(vv=list(error.vv_part)[:1])
+    erase_decode_quantum(mid_code, syndrome(mid_code, sub), error)
+    assert mid_code._erasure_solver[1] is solver
+    # A different envelope replaces the single cached factorization.
     erase_decode_quantum(mid_code, syndrome(mid_code, sub), sub)
-    assert len(mid_code._erasure_solvers) == cache_size + 1
+    assert mid_code._erasure_solver[1] is not solver
 
 
 def test_full_envelope_ambiguity_split(path_code, single_edge_code):

@@ -253,16 +253,52 @@ def test_rescore_scope(mid_code):
         assert set(res.rescored[k + 1]) <= allowed
 
 
-def test_slow_path_matches_fast_path(mid_code):
-    # A denominator past the integer guard forces the exact-Fraction engine;
-    # with 2*eps below any positive score it must agree with eps = 0.
+@pytest.mark.parametrize(
+    "degrees, n, graph_seed, eps, weight, exit_gens, tie, same_as",
+    [
+        # 2*eps = 1/3 = 3/9 is a reachable score: picks at the threshold.
+        pytest.param((3, 6), 12, 5, "1/6", 2, None, True, None, id="3-6-tie"),
+        # 2*eps sits below every positive score, so the decode is eps = 0's.
+        pytest.param(
+            (3, 6), 12, 5, "1/2199023255552", 2, None, False, "0", id="3-6-eps-2^-41"
+        ),
+        # 2*eps = 1/4 = 2/8 is a reachable score.
+        pytest.param((4, 4), 8, 0, "1/8", 2, None, True, None, id="4-4-tie"),
+        # A 64-cell grid fills one word; 72 cells need two.
+        pytest.param((8, 8), 16, 1, "1/20", 1, 3, False, None, id="8-8-one-word"),
+        pytest.param((8, 9), 18, 1, "1/20", 1, 3, False, None, id="8-9-two-words"),
+    ],
+)
+def test_engine_matches_exact_oracle(degrees, n, graph_seed, eps, weight, exit_gens, tie, same_as):
+    """The rank-keyed engine agrees with the exhaustive Fraction scorer."""
+    code = build_hgp(gen_biregular(n, *degrees, seed=graph_seed))
     rng = random.Random(44)
-    e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 2))
-    sig = syndrome(mid_code, e)
-    slow = ssfind(mid_code, sig, DecoderConfig(epsilon=Fraction(1, 2**41)))
-    fast = ssfind(mid_code, sig, DecoderConfig(epsilon=Fraction(0)))
-    assert slow.trace == fast.trace
-    assert slow.envelope == fast.envelope
+    e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), weight))
+    sig = syndrome(code, e)
+    cfg = lazy_config(eps)
+    twoeps = 2 * cfg.epsilon
+    res = ssfind(code, sig, cfg)
+    replay(code, sig, res, twoeps)
+    state = res.state
+    seeded = [g for g in range(code.num_gens) if state.seeded[g]]
+    for g in rng.sample(seeded, min(3, len(seeded))):
+        alive = state.alive_masks(g)
+        for mask in rng.sample(alive, min(40, len(alive))):
+            cand = Candidate.build(code, g, mask)
+            assert state.cached_score(g, mask) == score(code, cand, res.suspicious)
+    # At exit nothing alive may still qualify.  A wide view has tens of
+    # thousands of masks per generator, so there only a few are swept.
+    if exit_gens is None:
+        assert state.buckets()["at_or_below"] == []
+    else:
+        for g in rng.sample(seeded, exit_gens):
+            assert all(state.cached_score(g, m) > twoeps for m in state.alive_masks(g))
+    if tie:
+        assert any(Fraction(t.score_num, t.score_den) == twoeps for t in res.trace)
+    if same_as is not None:
+        twin = ssfind(code, sig, DecoderConfig(epsilon=Fraction(same_as)))
+        assert res.trace == twin.trace
+        assert res.envelope == twin.envelope
 
 
 def test_trace_text_roundtrip():
