@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVector, RestrictedSolver
-from .hgp import CheckSet, HgpCode, QubitSet, qnbhd, supp_check
+from .hgp import CheckSet, HgpCode, QubitSet
 from .reduction import _bits_of
 
 __all__ = ["DecodeVerdict", "erase_decode_quantum", "verify_coset"]
@@ -80,7 +80,7 @@ def erase_decode_quantum(
     """
     cols = tuple(envelope.to_indices(code))
     sigma_rows = set(sigma.to_indices(code))
-    rows = tuple(sorted(set(qnbhd(code, envelope).to_indices(code)) | sigma_rows))
+    rows = tuple(sorted(sigma_rows.union(*map(code.qubit_checks, cols))))
     solver = _restricted_solver(code, rows, cols)
 
     b_bits = 0
@@ -116,12 +116,7 @@ def _restricted_solver(
         return cached[1]
     col_pos = {q: p for p, q in enumerate(cols)}
     supports = (
-        [
-            col_pos[q]
-            for q in supp_check(code, x).to_indices(code)
-            if q in col_pos
-        ]
-        for x in rows
+        [col_pos[q] for q in code.check_qubits(x) if q in col_pos] for x in rows
     )
     sub = BitMatrix.from_row_supports(len(rows), len(cols), supports)
     solver = RestrictedSolver(sub, range(len(cols)))

@@ -6,10 +6,15 @@ checks on (left x right), stabilizer generators on (right x left).  With a
 exactly delta_v + delta_c qubits, and a generator meets a check in 0 or 2
 qubits — the orthogonality that makes the pair a CSS code.
 
-Adjacency is computed on demand from the base graph; nothing of size N² is
-materialized (N = n² + m² can reach 18,000+ here while every neighborhood has
-constant size).  Norms and all threshold comparisons downstream are exact
-rationals, never floats.
+``HgpCode`` owns the integer incidence the decoder uses: which generators
+and checks touch a qubit index, and which qubits and checks a generator or
+check touches, each in a fixed local order.  It is computed on demand from two
+slot tables the size of the base graph; nothing of size N² is materialized
+(N = n² + m² reaches 72,000 here while every neighborhood has constant size).
+The coordinate-pair functions below (``supp_generator``, ``supp_check``,
+``qnbhd``, ...) are the public set-level API and the reference the integer
+methods are tested against.  Norms and all threshold comparisons downstream
+are exact rationals, never floats.
 """
 
 from __future__ import annotations
@@ -120,6 +125,11 @@ class HgpCode:
     Derived quantities that need linear algebra (logical count ``k``, the tiny
     brute-force distance hint) are computed lazily and cached; everything else
     is O(1) index arithmetic plus base-graph lookups.
+
+    A generator (c, v) has a local view of delta_c + delta_v qubits: bit i is
+    the VV qubit (adj_c[c][i], v), bit delta_c + j the CC qubit
+    (c, adj_v[v][j]).  Its check grid has cell i*delta_v + j = the check
+    (adj_c[c][i], adj_v[v][j]), the one check those two qubits share.
     """
 
     def __init__(self, base: BipartiteGraph):
@@ -137,6 +147,21 @@ class HgpCode:
         self._x_matrix: BitMatrix | None = None
         self._gen_matrix: BitMatrix | None = None
         self._gen_basis: RowBasis | None = None
+        # Slot tables.  Base bit nu sits at position i of adj_c[c] for each
+        # neighbor c: (c*n, view bit 1<<i, grid-row bit 1<<(i*delta_v)).  Base
+        # check zeta sits at position j of adj_v[v] for each neighbor v:
+        # (v, view bit 1<<(delta_c+j), grid-column bit 1<<j).
+        dv, dc = self.delta_v, self.delta_c
+        bit_slots: list[list] = [[] for _ in range(self.n)]
+        for c, bits in enumerate(base.adj_c):
+            for i, nu in enumerate(bits):
+                bit_slots[nu].append((c * self.n, 1 << i, 1 << (i * dv)))
+        check_slots: list[list] = [[] for _ in range(self.m)]
+        for v, checks in enumerate(base.adj_v):
+            for j, zeta in enumerate(checks):
+                check_slots[zeta].append((v, 1 << (dc + j), 1 << j))
+        self._bit_slots = tuple(map(tuple, bit_slots))
+        self._check_slots = tuple(map(tuple, check_slots))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HgpCode) and self.base == other.base
@@ -185,14 +210,63 @@ class HgpCode:
             raise IndexError(f"generator index {g} out of range [0, {self.num_gens})")
         return g // self.n, g % self.n
 
+    # --- integer incidence (indices must be in range; nothing is cached) ---
+
+    def qubit_gens(self, q: int) -> list[tuple[int, int]]:
+        """(generator, local-view bit) of every generator whose support holds q."""
+        nn = self.n * self.n
+        if q < nn:
+            nu, v = divmod(q, self.n)
+            return [(cn + v, bit) for cn, bit, _ in self._bit_slots[nu]]
+        c, zeta = divmod(q - nn, self.m)
+        cn = c * self.n
+        return [(cn + v, bit) for v, bit, _ in self._check_slots[zeta]]
+
+    def check_gens(self, x: int) -> list[tuple[int, int]]:
+        """(generator, grid-cell bit) of every generator whose grid holds x."""
+        nu, zeta = divmod(x, self.m)
+        cols = self._check_slots[zeta]
+        return [(cn + v, row * col) for cn, _, row in self._bit_slots[nu] for v, _, col in cols]
+
+    def gen_checks(self, g: int) -> list[int]:
+        """The checks of generator g's grid, in cell-bit order."""
+        c, v = divmod(g, self.n)
+        m = self.m
+        cols = self.base.adj_v[v]
+        return [nu * m + zeta for nu in self.base.adj_c[c] for zeta in cols]
+
+    def gen_qubits(self, g: int, mask: int = -1) -> list[int]:
+        """The qubits a local-view mask of generator g selects, VV part first."""
+        c, v = divmod(g, self.n)
+        n = self.n
+        out = [nu * n + v for i, nu in enumerate(self.base.adj_c[c]) if mask >> i & 1]
+        cc, dc = n * n + c * self.m, self.delta_c
+        out += [cc + zeta for j, zeta in enumerate(self.base.adj_v[v]) if mask >> (dc + j) & 1]
+        return out
+
+    def check_qubits(self, x: int) -> list[int]:
+        """The support of check x: its VV row, then its CC column, ascending."""
+        nu, zeta = divmod(x, self.m)
+        row, nn, m = nu * self.n, self.n * self.n, self.m
+        out = [row + v for v in self.base.adj_c[zeta]]
+        out += [nn + c * m + zeta for c in self.base.adj_v[nu]]
+        return out
+
+    def qubit_checks(self, q: int) -> list[int]:
+        """The checks incident to qubit q, ascending."""
+        nn, m = self.n * self.n, self.m
+        if q < nn:
+            nu, v = divmod(q, self.n)
+            return [nu * m + zeta for zeta in self.base.adj_v[v]]
+        c, zeta = divmod(q - nn, m)
+        return [nu * m + zeta for nu in self.base.adj_c[c]]
+
     # --- derived matrices and parameters ---
 
     def x_check_matrix(self) -> BitMatrix:
         """Checks-by-qubits parity matrix (built once, cached)."""
         if self._x_matrix is None:
-            supports = (
-                supp_check(self, x).to_indices(self) for x in range(self.num_checks)
-            )
+            supports = map(self.check_qubits, range(self.num_checks))
             self._x_matrix = BitMatrix.from_row_supports(
                 self.num_checks, self.num_qubits, supports
             )
@@ -201,9 +275,7 @@ class HgpCode:
     def generator_matrix(self) -> BitMatrix:
         """Generators-by-qubits support matrix; its row space is the stabilizer span."""
         if self._gen_matrix is None:
-            supports = (
-                supp_generator(self, g).to_indices(self) for g in range(self.num_gens)
-            )
+            supports = map(self.gen_qubits, range(self.num_gens))
             self._gen_matrix = BitMatrix.from_row_supports(
                 self.num_gens, self.num_qubits, supports
             )

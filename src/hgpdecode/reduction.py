@@ -33,8 +33,20 @@ __all__ = [
 ]
 
 
+# Widest local view whose candidate catalog is enumerated: a 20-qubit view
+# already has over 600 000 locally reduced masks.
+MAX_VIEW_WIDTH = 20
+
+
 class ReductionConfigError(ValueError):
     """Local view too wide to enumerate (memory guard)."""
+
+
+def check_view_width(width: int) -> None:
+    if width > MAX_VIEW_WIDTH:
+        raise ReductionConfigError(
+            f"local view has {width} qubits, above the enumeration cap {MAX_VIEW_WIDTH}"
+        )
 
 
 def part_sizes(mask: int, delta_c: int) -> tuple[int, int]:
@@ -86,13 +98,9 @@ def locally_reduced_masks(delta_v: int, delta_c: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_minsets(code: HgpCode, generator: int, cap: int = 20) -> Iterator[Candidate]:
+def enumerate_minsets(code: HgpCode, generator: int) -> Iterator[Candidate]:
     """Stream the candidate catalog for one generator, ascending mask order."""
-    width = code.delta_v + code.delta_c
-    if width > cap:
-        raise ReductionConfigError(
-            f"local view has {width} qubits, above the enumeration cap {cap}"
-        )
+    check_view_width(code.delta_v + code.delta_c)
     code.gen_coords(generator)
     for mask in locally_reduced_masks(code.delta_v, code.delta_c):
         a_v, a_c = part_sizes(mask, code.delta_c)
@@ -116,25 +124,6 @@ def _bits_of(code: HgpCode, qubits: QubitSet) -> int:
     return acc
 
 
-def _adjacent_generators(code: HgpCode, bits: int) -> list[int]:
-    """Generators whose support meets the given qubit set (only these can
-    strictly shrink it when toggled)."""
-    gens: set[int] = set()
-    q = bits
-    while q:
-        low = q & -q
-        idx = low.bit_length() - 1
-        kind, i, j = code.qubit_coords(idx)
-        if kind == "VV":
-            for c in code.base.adj_v[i]:
-                gens.add(code.gen_index(c, j))
-        else:
-            for v in code.base.adj_c[j]:
-                gens.add(code.gen_index(i, v))
-        q ^= low
-    return sorted(gens)
-
-
 def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitSet:
     """A lower-weight coset representative of ``error`` modulo generator toggles.
 
@@ -143,16 +132,16 @@ def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitS
     ``greedy`` repeatedly applies the first strictly-improving toggle until no
     toggle improves, a local minimum reachable at any scale.
     """
-    bits = _bits_of(code, error)
-
-    def indices(b: int) -> list[int]:
-        return BitVector(code.num_qubits, b).support()
-
     if mode == "exact":
         if code.num_gens > 20:
             raise ValueError(
                 f"exact reduction needs <= 20 generators, code has {code.num_gens}"
             )
+
+        def indices(b: int) -> list[int]:
+            return BitVector(code.num_qubits, b).support()
+
+        bits = _bits_of(code, error)
         supports = [_bits_of(code, supp_generator(code, g)) for g in range(code.num_gens)]
         best = bits
         best_key = (bits.bit_count(), indices(bits))
@@ -168,11 +157,14 @@ def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitS
         return QubitSet.from_indices(code, indices(best))
     if mode != "greedy":
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    # Toggling g strictly shrinks E exactly when it holds more than half of
+    # g's support; only generators meeting E can, visited in ascending order.
+    err = set(error.to_indices(code))
     while True:
-        for g in _adjacent_generators(code, bits):
-            flipped = bits ^ _bits_of(code, supp_generator(code, g))
-            if flipped.bit_count() < bits.bit_count():
-                bits = flipped
+        for g in sorted({g for q in err for g, _ in code.qubit_gens(q)}):
+            supp = code.gen_qubits(g)
+            if 2 * len(err.intersection(supp)) > len(supp):
+                err.symmetric_difference_update(supp)
                 break
         else:
-            return QubitSet.from_indices(code, indices(bits))
+            return QubitSet.from_indices(code, sorted(err))

@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .hgp import CheckSet, HgpCode, QubitSet, qnbhd_unique
-from .reduction import Candidate, ReductionConfigError, enumerate_minsets, locally_reduced_masks, mask_to_qubitset, part_sizes
+from .reduction import Candidate, check_view_width, enumerate_minsets, locally_reduced_masks, mask_to_qubitset, part_sizes
 
 __all__ = [
     "DecoderConfig",
@@ -64,7 +64,6 @@ class DecoderConfig:
     """Decode-time knobs; epsilon is the expansion parameter, held exactly."""
 
     epsilon: Fraction
-    degree_cap: int = 20
     max_iterations: int | None = None
     verify_exit: bool = False
     record_rescored: bool = False
@@ -165,24 +164,20 @@ class _ViewTables:
         masks = locally_reduced_masks(delta_v, delta_c)
         self.masks = masks
         self.pos_of_mask = {m: p for p, m in enumerate(masks)}
-        uq, cov, den = [], [], []
-        for mask in masks:
-            u = c = 0
-            for i in range(delta_c):
-                ai = (mask >> i) & 1
-                for j in range(delta_v):
-                    bj = (mask >> (delta_c + j)) & 1
-                    cell = 1 << (i * delta_v + j)
-                    if ai ^ bj:
-                        u |= cell
-                    if ai | bj:
-                        c |= cell
-            a, b = part_sizes(mask, delta_c)
-            uq.append(u)
-            cov.append(c)
-            den.append(a * delta_v + b * delta_c)
+        # rows[a]: the full grid rows i in VV subset a; cols[b]: the full grid
+        # columns j in CC subset b.  A cell is unique when exactly one of its
+        # row and column is selected, covered when at least one is.
+        rows, cols = [0], [0]
+        for i in range(delta_c):
+            rows += [r | (((1 << delta_v) - 1) << (i * delta_v)) for r in rows]
+        col = sum(1 << (i * delta_v) for i in range(delta_c))
+        for j in range(delta_v):
+            cols += [x | (col << j) for x in cols]
+        low = (1 << delta_c) - 1
+        uq = [rows[m & low] ^ cols[m >> delta_c] for m in masks]
+        den = [a * delta_v + b * delta_c for a, b in (part_sizes(m, delta_c) for m in masks)]
         self.py_uq = tuple(uq)
-        self.py_cov = tuple(cov)
+        self.py_cov = tuple(rows[m & low] | cols[m >> delta_c] for m in masks)
         self.py_den = tuple(den)
         self.min_untouched = min(
             Fraction(d - 2 * part_sizes(m, delta_c)[0] * part_sizes(m, delta_c)[1], d)
@@ -223,93 +218,6 @@ def min_untouched_score(delta_v: int, delta_c: int) -> Fraction:
     return _view_tables(delta_v, delta_c).min_untouched
 
 
-# --- per-code incidence maps (built lazily, cached on the code object) ---
-
-
-class _CodeMaps:
-    def __init__(self, code: HgpCode):
-        self.code = code
-        self.qubit_gens: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.check_gens: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.grid_checks: dict[int, tuple[int, ...]] = {}
-
-    def gens_of_qubit(self, q: int) -> tuple[tuple[int, int], ...]:
-        """(generator, local-position bit) pairs whose support contains q."""
-        hit = self.qubit_gens.get(q)
-        if hit is None:
-            code = self.code
-            kind, i, j = code.qubit_coords(q)
-            out = []
-            if kind == "VV":
-                for c in code.base.adj_v[i]:
-                    pos = code.base.adj_c[c].index(i)
-                    out.append((code.gen_index(c, j), 1 << pos))
-            else:
-                for v in code.base.adj_c[j]:
-                    pos = code.base.adj_v[v].index(j)
-                    out.append((code.gen_index(i, v), 1 << (code.delta_c + pos)))
-            hit = tuple(out)
-            self.qubit_gens[q] = hit
-        return hit
-
-    def gens_of_check(self, x: int) -> tuple[tuple[int, int], ...]:
-        """(generator, grid-cell bit) pairs whose check grid contains x."""
-        hit = self.check_gens.get(x)
-        if hit is None:
-            code = self.code
-            nu, zeta = code.check_coords(x)
-            out = []
-            for c in code.base.adj_v[nu]:
-                i = code.base.adj_c[c].index(nu)
-                for v in code.base.adj_c[zeta]:
-                    j = code.base.adj_v[v].index(zeta)
-                    out.append((code.gen_index(c, v), 1 << (i * code.delta_v + j)))
-            hit = tuple(out)
-            self.check_gens[x] = hit
-        return hit
-
-    def checks_of_grid(self, g: int) -> tuple[int, ...]:
-        """Check index of every grid cell of generator g, cell-bit order."""
-        hit = self.grid_checks.get(g)
-        if hit is None:
-            code = self.code
-            c, v = code.gen_coords(g)
-            rows = code.base.adj_c[c]
-            cols = code.base.adj_v[v]
-            hit = tuple(
-                code.check_index(rows[i], cols[j])
-                for i in range(code.delta_c)
-                for j in range(code.delta_v)
-            )
-            self.grid_checks[g] = hit
-        return hit
-
-    def qubits_of_mask(self, g: int, mask: int) -> list[int]:
-        code = self.code
-        c, v = code.gen_coords(g)
-        rows = code.base.adj_c[c]
-        cols = code.base.adj_v[v]
-        out = [
-            code.vv_index(rows[i], v)
-            for i in range(code.delta_c)
-            if (mask >> i) & 1
-        ]
-        out += [
-            code.cc_index(c, cols[j])
-            for j in range(code.delta_v)
-            if (mask >> (code.delta_c + j)) & 1
-        ]
-        return out
-
-
-def _code_maps(code: HgpCode) -> _CodeMaps:
-    maps = getattr(code, "_ssfind_maps", None)
-    if maps is None:
-        maps = _CodeMaps(code)
-        code._ssfind_maps = maps
-    return maps
-
-
 # --- public slow-path score (set machinery only; the engine's oracle) ---
 
 
@@ -325,10 +233,9 @@ def score(code: HgpCode, candidate: Candidate, suspicious: CheckSet) -> Fraction
 def candidate_seeding(code: HgpCode, sigma: CheckSet) -> dict[int, list[Candidate]]:
     """Initial catalog: every candidate of every generator whose check grid
     meets the syndrome.  Lazy decoding extends this as checks turn suspicious."""
-    maps = _code_maps(code)
     gens: set[int] = set()
     for chk in sigma.to_indices(code):
-        gens.update(g for g, _ in maps.gens_of_check(chk))
+        gens.update(g for g, _ in code.check_gens(chk))
     return {g: list(enumerate_minsets(code, g)) for g in sorted(gens)}
 
 
@@ -364,24 +271,29 @@ class SsfindState:
         num = (t.py_uq[p] & ~self.rmask[g] & t.gridfull).bit_count()
         return Fraction(num, t.py_den[p])
 
-    def catalog(self) -> dict[int, list[Candidate]]:
-        out = {}
-        for g in range(self.code.num_gens):
-            if self.seeded[g]:
-                out[g] = [
-                    Candidate(g, m, *part_sizes(m, self.code.delta_c))
-                    for m in self.alive_masks(g)
-                ]
-        return out
+    def _split(self, g: int) -> tuple[list[int], list[int]]:
+        """Alive masks of generator g at or below 2*epsilon, and above it.
+
+        Scores num/den compare with 2*epsilon = p/q as num*q <= p*den, exactly."""
+        t = self._tables()
+        twoeps = 2 * self.config.epsilon
+        p, q = twoeps.numerator, twoeps.denominator
+        not_r = ~self.rmask[g] & t.gridfull
+        retired = self.retired[g]
+        low, high = [], []
+        for uq, den, mask in zip(t.py_uq, t.py_den, t.masks):
+            if not mask & retired:
+                (low if (uq & not_r).bit_count() * q <= p * den else high).append(mask)
+        return low, high
 
     def buckets(self) -> dict[str, list[tuple[int, int]]]:
         """Alive candidates split at the qualification threshold 2*epsilon."""
-        twoeps = 2 * self.config.epsilon
         low, high = [], []
-        for g, cands in self.catalog().items():
-            for cand in cands:
-                s = self.cached_score(g, cand.mask)
-                (low if s <= twoeps else high).append((g, cand.mask))
+        for g in range(self.code.num_gens):
+            if self.seeded[g]:
+                at_or_below, above = self._split(g)
+                low += [(g, m) for m in at_or_below]
+                high += [(g, m) for m in above]
         return {"at_or_below": low, "above": high}
 
 
@@ -398,15 +310,10 @@ class SsfindResult:
 
 class _Engine:
     def __init__(self, code: HgpCode, sigma: CheckSet, config: DecoderConfig):
-        if code.delta_v + code.delta_c > config.degree_cap:
-            raise ReductionConfigError(
-                f"local view has {code.delta_v + code.delta_c} qubits, "
-                f"above the configured cap {config.degree_cap}"
-            )
+        check_view_width(code.delta_v + code.delta_c)
         self.code = code
         self.config = config
         self.tables = _view_tables(code.delta_v, code.delta_c)
-        self.maps = _code_maps(code)
         twoeps = 2 * config.epsilon
         self.mode = "eager" if twoeps >= self.tables.min_untouched else "lazy"
         # Rank key of every (den, num) slot; slots scoring above 2*epsilon
@@ -436,14 +343,14 @@ class _Engine:
 
     def _mark_suspicious_cells(self, chk: int) -> None:
         st = self.state
-        for g, cellbit in self.maps.gens_of_check(chk):
+        for g, cellbit in self.code.check_gens(chk):
             st.rmask[g] |= cellbit
             st.seeded[g] = True
             self.dirty.add(g)
 
     def _retire(self, q: int) -> None:
         st = self.state
-        for g, posbit in self.maps.gens_of_qubit(q):
+        for g, posbit in self.code.qubit_gens(q):
             st.retired[g] |= posbit
             if st.seeded[g]:
                 self.dirty.add(g)
@@ -511,19 +418,20 @@ class _Engine:
             g, p = picked
             mask = t.masks[p]
             num = (t.py_uq[p] & ~st.rmask[g] & t.gridfull).bit_count()
-            qubits = self.maps.qubits_of_mask(g, mask)
+            qubits = self.code.gen_qubits(g, mask)
             st.envelope_set.update(qubits)
             for q in qubits:
                 self._retire(q)
-            grid = self.maps.checks_of_grid(g)
-            cov = t.py_cov[p]
-            while cov:
-                low = cov & -cov
+            # rmask[g] holds exactly the cells of g whose check is suspicious,
+            # so these are the covered checks that turn suspicious now.
+            fresh = t.py_cov[p] & ~st.rmask[g]
+            grid = self.code.gen_checks(g) if fresh else ()
+            while fresh:
+                low = fresh & -fresh
                 chk = grid[low.bit_length() - 1]
-                cov ^= low
-                if chk not in st.suspicious_set:
-                    st.suspicious_set.add(chk)
-                    self._mark_suspicious_cells(chk)
+                fresh ^= low
+                st.suspicious_set.add(chk)
+                self._mark_suspicious_cells(chk)
             iterations += 1
             st.trace.append(
                 TraceEntry(
@@ -561,24 +469,19 @@ class _Engine:
             if not st.seeded[g]:
                 continue
             rebuilt = 0
-            for cell, chk in enumerate(self.maps.checks_of_grid(g)):
+            for cell, chk in enumerate(self.code.gen_checks(g)):
                 if chk in st.suspicious_set:
                     rebuilt |= 1 << cell
             if rebuilt != st.rmask[g]:
                 raise AssertionError(
                     f"incremental suspicious-cell mask diverged for generator {g}"
                 )
-            retired = st.retired[g]
-            not_r = ~rebuilt & t.gridfull
-            for p, mask in enumerate(t.masks):
-                if mask & retired:
-                    continue
-                s = Fraction((t.py_uq[p] & not_r).bit_count(), t.py_den[p])
-                if s <= twoeps:
-                    raise AssertionError(
-                        f"candidate (generator {g}, mask {mask:#x}) still "
-                        f"qualifies at exit with score {s}"
-                    )
+            qualifying = st._split(g)[0]
+            if qualifying:
+                raise AssertionError(
+                    f"candidate (generator {g}, mask {qualifying[0]:#x}) still "
+                    "qualifies at exit"
+                )
 
 
 def ssfind(code: HgpCode, sigma: CheckSet, config: DecoderConfig) -> SsfindResult:

@@ -1,6 +1,8 @@
 """Experiment harness: radius table, campaign config, trials, decode files."""
 
+import gc
 import itertools
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from hgpdecode.harness import (
     CampaignConfig,
     CampaignConfigError,
     _mix64,
+    _one_trial,
     _resolve_workers,
     campaign_to_text,
     decode_once,
@@ -27,7 +30,7 @@ from hgpdecode.harness import (
     summarize,
 )
 from hgpdecode.hgp import QubitParseError, QubitSet, build_hgp, qubitset_from_text, qubitset_to_text
-from hgpdecode.ssfind import trace_from_text
+from hgpdecode.ssfind import DecoderConfig, trace_from_text
 
 
 @pytest.fixture(scope="module")
@@ -318,3 +321,27 @@ def test_decode_once_rejects_malformed_inputs(tmp_path, mid_graph):
 
     with pytest.raises(CampaignConfigError):
         decode_once(graph_path, error_path, "1/20", reduction="backwards")
+
+
+def test_campaign_memory_stays_bounded():
+    """A decode leaves nothing behind per qubit, check or generator: after a
+    warm-up, 200 more trials grow the heap by less than 256 KiB."""
+    config = CampaignConfig(
+        n=60, delta_v=3, delta_c=6, graph_seed=7, trials=220, weights=(10,),
+        epsilon="1/20", seed=1,
+    )
+    code = build_hgp(gen_biregular(60, 3, 6, seed=7))
+    decoder = DecoderConfig(epsilon=Fraction(1, 20))
+    for k in range(20):
+        _one_trial(code, config, decoder, (), k)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(20, 220):
+            _one_trial(code, config, decoder, (), k)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024, f"heap grew {grown // 1024} KiB over 200 trials"

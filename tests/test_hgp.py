@@ -25,6 +25,9 @@ from hgpdecode.hgp import (
     syndrome,
     weighted_norm,
 )
+from hgpdecode.reduction import mask_to_qubitset
+
+from conftest import make_k44_incidence
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,57 @@ def test_unique_nbhd_closed_form(mid_code):
         sub = QubitSet.of(rng.sample(vv, a), rng.sample(cc, b))
         assert len(qnbhd_unique(code, sub)) == a * dv + b * dc - 2 * a * b
         assert len(qnbhd(code, sub)) == a * dv + b * dc - a * b
+
+
+INCIDENCE_CODES = {
+    "path": lambda: gen_biregular(2, 1, 2, seed=0),
+    "k33": lambda: gen_biregular(3, 3, 3, seed=0),
+    "k44-incidence": make_k44_incidence,
+    "12-3-6": lambda: gen_biregular(12, 3, 6, seed=5),
+    "16-4-8": lambda: gen_biregular(16, 4, 8, seed=3),
+    "20-2-5": lambda: gen_biregular(20, 2, 5, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", INCIDENCE_CODES)
+def test_integer_incidence_matches_coordinate_reference(name):
+    """Every integer incidence method against the coordinate-pair functions,
+    over every qubit, check and generator (and every mask of views up to 9
+    qubits wide; single bits and the full view otherwise)."""
+    code = build_hgp(INCIDENCE_CODES[name]())
+    dv, dc = code.delta_v, code.delta_c
+    width = dv + dc
+
+    def checks_of(*qubits):
+        return set(qnbhd(code, QubitSet.from_indices(code, qubits)).to_indices(code))
+
+    want_qubit_gens = {q: [] for q in range(code.num_qubits)}
+    want_check_gens = {x: [] for x in range(code.num_checks)}
+    masks = range(1 << width) if width <= 9 else [0, -1] + [1 << b for b in range(width)]
+    for g in range(code.num_gens):
+        for mask in masks:
+            want = mask_to_qubitset(code, g, mask & ((1 << width) - 1)).to_indices(code)
+            assert sorted(code.gen_qubits(g, mask)) == want
+        # Local-view bit b is the b-th qubit listed, VV part first.
+        view = code.gen_qubits(g)
+        assert view == [mask_to_qubitset(code, g, 1 << b).to_indices(code)[0] for b in range(width)]
+        assert all(q < code.n * code.n for q in view[:dc])
+        for b, q in enumerate(view):
+            want_qubit_gens[q].append((g, 1 << b))
+        # Cell i*dv + j is the one check VV qubit i and CC qubit j share.
+        grid = code.gen_checks(g)
+        assert set(grid) == set(qnbhd(code, supp_generator(code, g)).to_indices(code))
+        for i in range(dc):
+            for j in range(dv):
+                (x,) = checks_of(view[i]) & checks_of(view[dc + j])
+                assert grid[i * dv + j] == x
+                want_check_gens[x].append((g, 1 << (i * dv + j)))
+    for q in range(code.num_qubits):
+        assert sorted(code.qubit_gens(q)) == want_qubit_gens[q]
+        assert code.qubit_checks(q) == sorted(checks_of(q))
+    for x in range(code.num_checks):
+        assert sorted(code.check_gens(x)) == want_check_gens[x]
+        assert code.check_qubits(x) == supp_check(code, x).to_indices(code)
 
 
 def test_project_examples():

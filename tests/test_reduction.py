@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpdecode.graphs import gen_biregular
+from hgpdecode.graphs import BipartiteGraph, gen_biregular
 from hgpdecode.hgp import (
     QubitSet,
     build_hgp,
@@ -102,9 +102,11 @@ def test_enumerate_minsets_properties(mid_code):
             assert part_sizes(c.mask, mid_code.delta_c) == (c.a_v, c.a_c)
 
 
-def test_enumerate_minsets_cap(mid_code):
+def test_enumerate_minsets_cap():
+    # Complete bipartite 11 x 10: a 21-qubit local view, one above the cap.
+    wide = build_hgp(BipartiteGraph.from_left_adjacency(10, [range(10)] * 11))
     with pytest.raises(ReductionConfigError):
-        list(enumerate_minsets(mid_code, 0, cap=8))
+        list(enumerate_minsets(wide, 0))
 
 
 def test_mask_to_qubitset(path_code, mid_code):

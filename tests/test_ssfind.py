@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hgpdecode.graphs import gen_biregular
+from hgpdecode.graphs import BipartiteGraph, gen_biregular
 from hgpdecode.hgp import (
     CheckSet,
     QubitSet,
@@ -26,6 +26,7 @@ from hgpdecode.ssfind import (
     ssfind,
     trace_from_text,
     trace_to_text,
+    _view_tables,
 )
 
 
@@ -71,6 +72,25 @@ def test_min_untouched_score():
     assert min_untouched_score(3, 6) == Fraction(5, 9)
     # Single-edge views only have singletons, which score 1 untouched.
     assert min_untouched_score(1, 1) == 1
+
+
+@pytest.mark.parametrize(
+    "degrees", [(3, 6), (4, 4), (2, 5), (8, 9)], ids=lambda d: f"{d[0]}-{d[1]}"
+)
+def test_view_tables_match_per_cell_definition(degrees):
+    """Cell (i, j) is unique when exactly one of VV bit i and CC bit j is in
+    the mask, covered when at least one is."""
+    dv, dc = degrees
+    t = _view_tables(dv, dc)
+    for p, mask in enumerate(t.masks):
+        uq = cov = 0
+        for i in range(dc):
+            a = mask >> i & 1
+            for j in range(dv):
+                b = mask >> (dc + j) & 1
+                uq |= (a ^ b) << (i * dv + j)
+                cov |= (a | b) << (i * dv + j)
+        assert (t.py_uq[p], t.py_cov[p]) == (uq, cov)
 
 
 def test_score_examples(mid_code):
@@ -135,9 +155,11 @@ def test_ssfind_iteration_cap(mid_code):
     assert len(exc.value.trace) == 3
 
 
-def test_ssfind_degree_cap(mid_code):
+def test_ssfind_degree_cap():
+    # Complete bipartite 11 x 10: a 21-qubit local view, one above the cap.
+    wide = build_hgp(BipartiteGraph.from_left_adjacency(10, [range(10)] * 11))
     with pytest.raises(ReductionConfigError):
-        ssfind(mid_code, CheckSet(), lazy_config(degree_cap=8))
+        ssfind(wide, CheckSet(), lazy_config())
 
 
 def test_candidate_seeding(path_code, mid_code):
