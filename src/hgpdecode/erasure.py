@@ -10,9 +10,11 @@ checks themselves) can constrain the correction, so the solve touches at most
 Any solution is as good as the true error whenever the envelope stays below
 the code distance: two solutions differ by a kernel element supported on the
 envelope, and below distance such an element is a sum of generator supports.
-On small codes this can be verified outright (``detect_ambiguity``) by
-inspecting a kernel basis of the restricted system; at scale the check is
-skipped and the canonical solution is returned as-is.
+``detect_ambiguity`` verifies this outright by testing each vector of a
+kernel basis of the restricted system; without it the canonical solution is
+returned as-is.  Coset checks and the ambiguity test both ask the code's
+``StabilizerSpan``, built from the base code's kernels: no N-column matrix is
+formed at any size.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVector, RestrictedSolver
 from .hgp import CheckSet, HgpCode, QubitSet
-from .reduction import _bits_of
 
 __all__ = ["DecodeVerdict", "erase_decode_quantum", "verify_coset"]
 
@@ -45,9 +46,7 @@ class DecodeVerdict:
 def verify_coset(code: HgpCode, correction: QubitSet, true_error: QubitSet) -> bool:
     """True iff the correction and the true error differ by a sum of
     generator supports — i.e. they act identically on the code space."""
-    return code.generator_basis().contains(
-        _bits_of(code, correction ^ true_error)
-    )
+    return code.generator_basis().contains((correction ^ true_error).to_indices(code))
 
 
 def erase_decode_quantum(
@@ -70,8 +69,9 @@ def erase_decode_quantum(
 
     ``detect_ambiguity`` additionally inspects a kernel basis of the
     restricted system and downgrades the status to ``"ambiguous-logical"``
-    when solutions from distinct stabilizer cosets exist.  Meant for small
-    codes; it triangulates the full generator matrix on first use.
+    when solutions from distinct stabilizer cosets exist: some kernel vector
+    is not a sum of generator supports.  Each test costs O(|vector|·Δ); the
+    kernel basis itself grows with the envelope.
 
     The last factorization is kept on the code with its (rows, columns) pair,
     so consecutive solves against the same rows and columns only pay for
@@ -94,12 +94,9 @@ def erase_decode_quantum(
     correction = QubitSet.from_indices(code, (cols[p] for p in solution.support()))
     status = "success"
     if detect_ambiguity:
-        basis = code.generator_basis()
+        span = code.generator_basis()
         for k in solver.kernel_basis():
-            k_bits = 0
-            for p in k.support():
-                k_bits |= 1 << cols[p]
-            if not basis.contains(k_bits):
+            if not span.contains(cols[p] for p in k.support()):
                 status = "ambiguous-logical"
                 break
     equivalent = None

@@ -278,19 +278,25 @@ class RestrictedSolver:
                 x |= 1 << col
         return BitVector(self.cols, x)
 
+    def free_columns(self) -> list[int]:
+        """The factored columns that carry no pivot, ascending.
+
+        Pivots are lowest set bits of distinct echelon rows, so every nonzero
+        vector in the row space of ``A`` (masked to the support) has a 1 on
+        some pivot column and none lies entirely on the free columns."""
+        frees = self.support_mask
+        for col in self._pivots:
+            frees &= ~(1 << col)
+        return BitVector(self.cols, frees).support()
+
     def kernel_basis(self) -> list[BitVector]:
         """A basis of ``{x supported on the factored columns : A·x = 0}``.
 
         One vector per free column (that column set to 1, other frees 0),
         so the basis size is support size minus rank."""
         out = []
-        frees = self.support_mask
-        for col in self._pivots:
-            frees &= ~(1 << col)
-        while frees:
-            low = frees & -frees
-            frees ^= low
-            x = low
+        for free in self.free_columns():
+            x = 1 << free
             for col in self._pivot_cols_desc:
                 bits, _ = self._pivots[col]
                 if _parity((bits ^ (1 << col)) & x):

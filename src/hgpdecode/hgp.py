@@ -11,6 +11,9 @@ and checks touch a qubit index, and which qubits and checks a generator or
 check touches, each in a fixed local order.  It is computed on demand from two
 slot tables the size of the base graph; nothing of size N² is materialized
 (N = n² + m² reaches 72,000 here while every neighborhood has constant size).
+The stabilizer span and the logical count come from the base code's
+kernels too (``StabilizerSpan``); the full N-column check and generator
+matrices are built only by tests, as the oracle for both.
 The coordinate-pair functions below (``supp_generator``, ``supp_check``,
 ``qnbhd``, ...) are the public set-level API and the reference the integer
 methods are tested against.  Norms and all threshold comparisons downstream
@@ -22,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import BitMatrix, RowBasis, rank
+from .gf2 import BitMatrix, RestrictedSolver
 from .graphs import BipartiteGraph
 
 __all__ = [
     "HgpCode",
+    "StabilizerSpan",
     "QubitSet",
     "CheckSet",
     "QubitParseError",
@@ -122,9 +126,10 @@ class CheckSet:
 class HgpCode:
     """Product code over a base graph; immutable after construction.
 
-    Derived quantities that need linear algebra (logical count ``k``, the tiny
-    brute-force distance hint) are computed lazily and cached; everything else
-    is O(1) index arithmetic plus base-graph lookups.
+    The stabilizer span (``generator_basis``) and the logical count ``k``
+    come from two factorizations of the base parity matrix, built on first
+    use and cached; the tiny brute-force distance hint is cached too.
+    Everything else is O(1) index arithmetic plus base-graph lookups.
 
     A generator (c, v) has a local view of delta_c + delta_v qubits: bit i is
     the VV qubit (adj_c[c][i], v), bit delta_c + j the CC qubit
@@ -141,12 +146,11 @@ class HgpCode:
         self.num_qubits = base.n * base.n + base.m * base.m
         self.num_checks = base.n * base.m
         self.num_gens = base.m * base.n
-        self._k: int | None = None
         self._hint: int | None = None
         self._hint_done = False
         self._x_matrix: BitMatrix | None = None
         self._gen_matrix: BitMatrix | None = None
-        self._gen_basis: RowBasis | None = None
+        self._span: StabilizerSpan | None = None
         # Slot tables.  Base bit nu sits at position i of adj_c[c] for each
         # neighbor c: (c*n, view bit 1<<i, grid-row bit 1<<(i*delta_v)).  Base
         # check zeta sits at position j of adj_v[v] for each neighbor v:
@@ -261,7 +265,20 @@ class HgpCode:
         c, zeta = divmod(q - nn, m)
         return [nu * m + zeta for nu in self.base.adj_c[c]]
 
-    # --- derived matrices and parameters ---
+    # --- stabilizer span and parameters ---
+
+    def generator_basis(self) -> StabilizerSpan:
+        """Membership test for the span of the generator supports (cached)."""
+        if self._span is None:
+            self._span = StabilizerSpan(self)
+        return self._span
+
+    @property
+    def k(self) -> int:
+        """Logical qubit count k_H² + k_Hᵀ², from the base-code kernels."""
+        return self.generator_basis().num_logicals
+
+    # --- full N-column matrices: test oracles for the span and ``k`` ---
 
     def x_check_matrix(self) -> BitMatrix:
         """Checks-by-qubits parity matrix (built once, cached)."""
@@ -281,22 +298,6 @@ class HgpCode:
             )
         return self._gen_matrix
 
-    def generator_basis(self) -> RowBasis:
-        if self._gen_basis is None:
-            self._gen_basis = RowBasis(self.generator_matrix())
-        return self._gen_basis
-
-    @property
-    def k(self) -> int:
-        """Logical qubit count: N minus the ranks of the two parity matrices."""
-        if self._k is None:
-            self._k = (
-                self.num_qubits
-                - rank(self.x_check_matrix())
-                - rank(self.generator_matrix())
-            )
-        return self._k
-
     @property
     def design_distance_hint(self) -> int | None:
         """Minimum over the two base classical codes' distances, by brute force.
@@ -312,6 +313,67 @@ class HgpCode:
                 candidates = [d for d in (d1, d2) if d is not None]
                 self._hint = min(candidates) if candidates else None
         return self._hint
+
+
+class StabilizerSpan:
+    """Membership in the span of the generator supports, from base-code algebra.
+
+    Write a qubit vector D as matrices (A, B): A[ν1][ν2] over the VV block,
+    B[c1][c2] over the CC block.  With H the m x n base parity matrix the
+    generators span {(HᵀM, MHᵀ)}, and D lies in that span iff D has zero
+    X-syndrome and is orthogonal to every logical of the other type.  Those
+    logicals are x·e_jᵀ on the VV block (x in ker H, j a free column of an
+    echelon form of H) and e_i·zᵀ on the CC block (z in ker Hᵀ, i a free
+    column of an echelon form of Hᵀ): k_H² + k_Hᵀ² of them, independent
+    because no nonzero row-space vector lies on the free columns alone.
+
+    ``contains`` pays O(|D|·Δ); the tables hold O(n + m) words, one bit per
+    kernel vector.  ``rank`` is the generator matrix's rank, mn − k_H·k_Hᵀ.
+    """
+
+    def __init__(self, code: HgpCode):
+        base = code.base
+        h = BitMatrix.from_row_supports(base.m, base.n, base.adj_c)
+        ht = BitMatrix.from_row_supports(base.n, base.m, base.adj_v)
+        self._code = code
+        self._vv_words, vv_free = _kernel_words(RestrictedSolver(h, range(base.n)))
+        self._cc_words, cc_free = _kernel_words(RestrictedSolver(ht, range(base.m)))
+        self._vv_free = frozenset(vv_free)
+        self._cc_free = frozenset(cc_free)
+        k, kt = len(vv_free), len(cc_free)
+        self.rank = base.m * base.n - k * kt
+        self.num_logicals = k * k + kt * kt
+
+    def contains(self, qubits) -> bool:
+        """True iff the indicator vector of these distinct qubit indices is a
+        sum of generator supports."""
+        code = self._code
+        n, m, nn = code.n, code.m, code.n * code.n
+        vv_words, vv_free = self._vv_words, self._vv_free
+        cc_words, cc_free = self._cc_words, self._cc_free
+        flagged: set[int] = set()
+        acc: dict[int, int] = {}
+        for q in qubits:
+            flagged.symmetric_difference_update(code.qubit_checks(q))
+            if q < nn:
+                nu, v = divmod(q, n)
+                if v in vv_free:
+                    acc[v] = acc.get(v, 0) ^ vv_words[nu]
+            else:
+                c1, c2 = divmod(q - nn, m)
+                if c1 in cc_free:
+                    acc[n + c1] = acc.get(n + c1, 0) ^ cc_words[c2]
+        return not flagged and not any(acc.values())
+
+
+def _kernel_words(solver: RestrictedSolver) -> tuple[list[int], list[int]]:
+    """Per column, the word whose bit t says the t-th kernel vector holds it;
+    and the free columns."""
+    words = [0] * solver.cols
+    for t, x in enumerate(solver.kernel_basis()):
+        for col in x.support():
+            words[col] |= 1 << t
+    return words, solver.free_columns()
 
 
 def _min_kernel_weight(check_rows, width: int) -> int | None:

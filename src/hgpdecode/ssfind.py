@@ -175,13 +175,15 @@ class _ViewTables:
             cols += [x | (col << j) for x in cols]
         low = (1 << delta_c) - 1
         uq = [rows[m & low] ^ cols[m >> delta_c] for m in masks]
-        den = [a * delta_v + b * delta_c for a, b in (part_sizes(m, delta_c) for m in masks)]
+        sizes = [part_sizes(m, delta_c) for m in masks]
+        den = [a * delta_v + b * delta_c for a, b in sizes]
         self.py_uq = tuple(uq)
         self.py_cov = tuple(rows[m & low] | cols[m >> delta_c] for m in masks)
         self.py_den = tuple(den)
+        # An untouched a+b mask has a*delta_v + b*delta_c - 2ab unique cells.
         self.min_untouched = min(
-            Fraction(d - 2 * part_sizes(m, delta_c)[0] * part_sizes(m, delta_c)[1], d)
-            for m, d in zip(masks, den)
+            Fraction(a * delta_v + b * delta_c - 2 * a * b, a * delta_v + b * delta_c)
+            for a, b in set(sizes)
         )
         nums = range(self.grid_bits + 1)
         dens = sorted(set(den))

@@ -72,6 +72,17 @@ def test_build_hgp_prints_code_parameters(graph_file, capsys, mid_graph):
     assert f"generators={code.num_gens}" in out
 
 
+def test_build_hgp_prints_k_at_n240(tmp_path, capsys):
+    # N = 72,000.  K = (n - r)^2 + (m - r)^2 with r the base rank; this
+    # (3,6) base has full rank m = 120.
+    path = tmp_path / "g240.txt"
+    write_graph(gen_biregular(240, 3, 6, seed=7), path)
+    assert main(["build-hgp", "--graph", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "qubits N=72000" in out
+    assert f"logical K={120 ** 2}" in out
+
+
 def test_decode_succeeds_and_writes_artifacts(tmp_path, graph_file, capsys, mid_graph):
     code = build_hgp(mid_graph)
     error_path = tmp_path / "error.txt"

@@ -78,8 +78,8 @@ def test_envelope_equal_to_error_recovers_the_coset(mid_code):
         assert x <= error
         assert syndrome(mid_code, x) == sigma
         assert verdict.coset_equivalent is True
-        # Independent route: membership via one-shot elimination, not the
-        # cached basis that verify_coset uses.
+        # Independent route: membership by eliminating the full generator
+        # matrix, not the base-code span test that verify_coset uses.
         diff_bits = 0
         for q in (x ^ error).to_indices(mid_code):
             diff_bits |= 1 << q
@@ -197,3 +197,19 @@ def test_ambiguity_matches_logical_count(path_code, single_edge_code, k33_code):
             code, syndrome(code, QubitSet.of()), everything, detect_ambiguity=True
         )
         assert (verdict.status == "ambiguous-logical") == (code.k > 0)
+
+
+def test_coset_and_ambiguity_build_no_full_matrix():
+    # N = 18,000: k, coset checks and ambiguity detection come from the base
+    # code alone; nothing of size N x (checks or generators) is built.
+    code = build_hgp(gen_biregular(120, 3, 6, seed=7))
+    assert code.k == 60 ** 2  # full-rank base: k = n - m = 60, k^T = 0
+    rng = random.Random(71)
+    error = _random_error(code, rng, 6)
+    sigma = syndrome(code, error)
+    verdict = erase_decode_quantum(code, sigma, error, detect_ambiguity=True, true_error=error)
+    assert verdict.status == "success" and verdict.coset_equivalent is True
+    g = supp_generator(code, 5)
+    assert verify_coset(code, error ^ g, error)
+    assert not verify_coset(code, error ^ QubitSet.of(vv=[(0, 0)]), error)
+    assert code._gen_matrix is None and code._x_matrix is None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpdecode.gf2 import BitMatrix, rank
+from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver, RowBasis, rank
 from hgpdecode.graphs import audit_expansion, gen_biregular
 from hgpdecode.hgp import (
     CheckSet,
@@ -81,10 +81,16 @@ def test_build_k33(k33_code):
 
 
 def test_k_matches_base_rank_identity(single_edge_code, path_code, k33_code, mid_code):
-    # Independent route: k = (n-r)^2 + (m-r)^2 with r the base biadjacency rank.
-    for code in (single_edge_code, path_code, k33_code, mid_code):
+    # Oracle route: N minus the ranks of the two N-column matrices; and
+    # k = (n-r)^2 + (m-r)^2 with r the base biadjacency rank by RowBasis.
+    # The (16,4,8), (20,2,5) and (4,4) bases have m - r = 1, 1 and 2.
+    extra = [build_hgp(gen_biregular(*args, seed=s)) for *args, s in
+             ((16, 4, 8, 2), (20, 2, 5, 3), (16, 4, 4, 1), (60, 3, 6, 1))]
+    for code in (single_edge_code, path_code, k33_code, mid_code, *extra):
+        assert code.num_qubits <= 4500
+        oracle = code.num_qubits - rank(code.x_check_matrix()) - rank(code.generator_matrix())
         r = base_rank(code.base)
-        assert code.k == (code.n - r) ** 2 + (code.m - r) ** 2
+        assert code.k == oracle == (code.n - r) ** 2 + (code.m - r) ** 2
 
 
 def test_supp_examples_on_path(path_code):
@@ -213,6 +219,72 @@ def test_integer_incidence_matches_coordinate_reference(name):
     for x in range(code.num_checks):
         assert sorted(code.check_gens(x)) == want_check_gens[x]
         assert code.check_qubits(x) == supp_check(code, x).to_indices(code)
+
+
+SPAN_CODES = {
+    "path": lambda: gen_biregular(2, 1, 2, seed=0),
+    "k33": lambda: gen_biregular(3, 3, 3, seed=0),
+    "12-3-6": lambda: gen_biregular(12, 3, 6, seed=5),
+    "16-4-8": lambda: gen_biregular(16, 4, 8, seed=2),
+    "20-2-5": lambda: gen_biregular(20, 2, 5, seed=3),
+    "4-4-n16": lambda: gen_biregular(16, 4, 4, seed=1),
+}
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["code", "dual"])
+@pytest.mark.parametrize("name", SPAN_CODES)
+def test_stabilizer_span_matches_row_basis_oracle(name, flip):
+    """``generator_basis()`` (base-code algebra) against the row-echelon
+    basis of the full generator matrix: equal rank, equal verdicts on
+    stabilizers, stabilizers with one flipped qubit, random kernel vectors of
+    the X-check matrix, and stabilizers plus one product e_i·xᵀ on the VV
+    block (x in ker H) or z·e_jᵀ on the CC block (z in ker Hᵀ), at any row i
+    or column j; such products have zero syndrome.  The (16,4,8), (20,2,5)
+    and (4,4) bases have m - rank 1, 1 and 2, so their CC block carries
+    logicals too (the (3,6) bases have none)."""
+    code = build_hgp(SPAN_CODES[name]())
+    if flip:
+        code = dual(code)
+    span = code.generator_basis()
+    gens = code.generator_matrix().row_bits
+    oracle = RowBasis(code.generator_matrix())
+    assert span.rank == oracle.rank
+    assert span.num_logicals == code.num_qubits - rank(code.x_check_matrix()) - oracle.rank
+    kernel = RestrictedSolver(code.x_check_matrix(), range(code.num_qubits)).kernel_basis()
+    h = BitMatrix.from_row_supports(code.m, code.n, code.base.adj_c)
+    ker_h = RestrictedSolver(h, range(code.n)).kernel_basis()
+    ker_ht = RestrictedSolver(h.transpose(), range(code.m)).kernel_basis()
+    rng = random.Random(f"{name}-{flip}")
+
+    def random_sum(rows):
+        bits = 0
+        for row in rows:
+            if rng.random() < 0.5:
+                bits ^= row
+        return bits
+
+    verdicts = {True: 0, False: 0}
+    for t in range(240):
+        kind = t % 4
+        if kind == 2:
+            bits = random_sum(v.bits for v in kernel)
+        else:
+            bits = random_sum(gens)
+            if kind == 1:
+                bits ^= 1 << rng.randrange(code.num_qubits)
+            elif kind == 3 and rng.random() < 0.5:
+                i = rng.randrange(code.n)
+                for nu in BitVector(code.n, random_sum(x.bits for x in ker_h)).support():
+                    bits ^= 1 << code.vv_index(i, nu)
+            elif kind == 3:
+                j = rng.randrange(code.m)
+                for zeta in BitVector(code.m, random_sum(z.bits for z in ker_ht)).support():
+                    bits ^= 1 << code.cc_index(zeta, j)
+        want = oracle.contains(bits)
+        qubits = [q for q in range(code.num_qubits) if bits >> q & 1]
+        assert span.contains(qubits) == want, (kind, qubits)
+        verdicts[want] += 1
+    assert verdicts[True] >= 60 and verdicts[False] >= 60
 
 
 def test_project_examples():

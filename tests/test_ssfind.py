@@ -14,7 +14,13 @@ from hgpdecode.hgp import (
     supp_generator,
     syndrome,
 )
-from hgpdecode.reduction import Candidate, ReductionConfigError, enumerate_minsets, mask_to_qubitset
+from hgpdecode.reduction import (
+    Candidate,
+    ReductionConfigError,
+    enumerate_minsets,
+    mask_to_qubitset,
+    part_sizes,
+)
 from hgpdecode.ssfind import (
     DecoderConfig,
     SsfindIterationError,
@@ -79,9 +85,11 @@ def test_min_untouched_score():
 )
 def test_view_tables_match_per_cell_definition(degrees):
     """Cell (i, j) is unique when exactly one of VV bit i and CC bit j is in
-    the mask, covered when at least one is."""
+    the mask, covered when at least one is; ``min_untouched`` is the lowest
+    unique-cell score over every mask."""
     dv, dc = degrees
     t = _view_tables(dv, dc)
+    lowest = None
     for p, mask in enumerate(t.masks):
         uq = cov = 0
         for i in range(dc):
@@ -91,6 +99,10 @@ def test_view_tables_match_per_cell_definition(degrees):
                 uq |= (a ^ b) << (i * dv + j)
                 cov |= (a | b) << (i * dv + j)
         assert (t.py_uq[p], t.py_cov[p]) == (uq, cov)
+        a_v, a_c = part_sizes(mask, dc)
+        untouched = Fraction(uq.bit_count(), a_v * dv + a_c * dc)
+        lowest = untouched if lowest is None else min(lowest, untouched)
+    assert t.min_untouched == lowest
 
 
 def test_score_examples(mid_code):
