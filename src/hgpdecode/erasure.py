@@ -70,8 +70,10 @@ def erase_decode_quantum(
     ``detect_ambiguity`` additionally inspects a kernel basis of the
     restricted system and downgrades the status to ``"ambiguous-logical"``
     when solutions from distinct stabilizer cosets exist: some kernel vector
-    is not a sum of generator supports.  Each test costs O(|vector|·Δ); the
-    kernel basis itself grows with the envelope.
+    is not a sum of generator supports.  Each test costs O(|vector|·Δ).  The
+    basis vectors are built one at a time and the search stops at the first
+    one outside the span, so only an unambiguous solve pays for the whole
+    basis, which grows with the envelope.
 
     The last factorization is kept on the code with its (rows, columns) pair,
     so consecutive solves against the same rows and columns only pay for
@@ -95,7 +97,7 @@ def erase_decode_quantum(
     status = "success"
     if detect_ambiguity:
         span = code.generator_basis()
-        for k in solver.kernel_basis():
+        for k in solver.iter_kernel():
             if not span.contains(cols[p] for p in k.support()):
                 status = "ambiguous-logical"
                 break

@@ -14,6 +14,7 @@ set to 0, so decoder outputs are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 __all__ = [
     "BitVector",
@@ -289,20 +290,24 @@ class RestrictedSolver:
             frees &= ~(1 << col)
         return BitVector(self.cols, frees).support()
 
-    def kernel_basis(self) -> list[BitVector]:
-        """A basis of ``{x supported on the factored columns : A·x = 0}``.
-
-        One vector per free column (that column set to 1, other frees 0),
-        so the basis size is support size minus rank."""
-        out = []
+    def iter_kernel(self) -> Iterator[BitVector]:
+        """The vectors of ``kernel_basis()``, in order, each built only when
+        asked for: a caller that stops early skips the back-substitution of
+        the rest."""
         for free in self.free_columns():
             x = 1 << free
             for col in self._pivot_cols_desc:
                 bits, _ = self._pivots[col]
                 if _parity((bits ^ (1 << col)) & x):
                     x |= 1 << col
-            out.append(BitVector(self.cols, x))
-        return out
+            yield BitVector(self.cols, x)
+
+    def kernel_basis(self) -> list[BitVector]:
+        """A basis of ``{x supported on the factored columns : A·x = 0}``.
+
+        One vector per free column (that column set to 1, other frees 0),
+        so the basis size is support size minus rank."""
+        return list(self.iter_kernel())
 
 
 def solve_restricted(a: BitMatrix, b: BitVector, support) -> BitVector | None:

@@ -90,12 +90,8 @@ def is_locally_reduced(code: HgpCode, generator: int, mask: int) -> bool:
 def locally_reduced_masks(delta_v: int, delta_c: int) -> tuple[int, ...]:
     """All nonempty locally reduced masks for one degree pair, ascending."""
     width = delta_v + delta_c
-    out = []
-    for mask in range(1, 1 << width):
-        a_v, a_c = part_sizes(mask, delta_c)
-        if 2 * (a_v + a_c) <= width:
-            out.append(mask)
-    return tuple(out)
+    # a_v + a_c of part_sizes is the mask's popcount.
+    return tuple(m for m in range(1, 1 << width) if 2 * m.bit_count() <= width)
 
 
 def enumerate_minsets(code: HgpCode, generator: int) -> Iterator[Candidate]:

@@ -16,6 +16,16 @@ per-generator bests.  Scores compare exactly for every degree pair: each
 possible score num/den is replaced by its rank among all of the degree pair's
 possible scores, so comparing ranks is comparing the fractions themselves.
 
+A lazy decode's work follows the generators its syndrome touches.  Its state
+holds an entry only for a generator that has a suspicious cell or a retired
+qubit, and a rescore skips every dirty generator with too few suspicious cells
+to qualify: a candidate scores at most 2*epsilon only when at least
+need = |unique cells| - floor(2*epsilon*den) of its unique cells are
+suspicious, so a generator whose suspicious-cell count is below the smallest
+need over the table has no qualifier.  Suspicious cells only accumulate, so
+such a generator never had one either.  In eager mode the smallest need is
+at most 0 and nothing is skipped.
+
 Scoring thresholds, tie-breaking (lowest score, then generator index, then
 mask) and retirement (candidates sharing a qubit with the envelope never
 return) are deterministic, so a decode is replayable from (code, syndrome,
@@ -29,7 +39,7 @@ import functools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -153,6 +163,11 @@ class _ViewTables:
     num]`` is the index in ``scores`` of the score num/den[p]: equal fractions
     share a rank, and ranks order exactly as the fractions do.  The unique-cell
     masks are split into 64-bit words, low word first, for ``np.bitwise_count``.
+
+    A mask with a VV and b CC qubits has den = a*delta_v + b*delta_c and
+    den - 2ab unique cells whatever the generator.  ``shapes`` lists the
+    distinct (unique cells, den) pairs, from which ``min_untouched`` and
+    ``min_need`` follow without a pass over the masks.
     """
 
     def __init__(self, delta_v: int, delta_c: int):
@@ -180,11 +195,13 @@ class _ViewTables:
         self.py_uq = tuple(uq)
         self.py_cov = tuple(rows[m & low] | cols[m >> delta_c] for m in masks)
         self.py_den = tuple(den)
-        # An untouched a+b mask has a*delta_v + b*delta_c - 2ab unique cells.
-        self.min_untouched = min(
-            Fraction(a * delta_v + b * delta_c - 2 * a * b, a * delta_v + b * delta_c)
-            for a, b in set(sizes)
+        self.shapes = tuple(
+            sorted(
+                (a * delta_v + b * delta_c - 2 * a * b, a * delta_v + b * delta_c)
+                for a, b in set(sizes)
+            )
         )
+        self.min_untouched = min(Fraction(u, d) for u, d in self.shapes)
         nums = range(self.grid_bits + 1)
         dens = sorted(set(den))
         self.scores = sorted({Fraction(k, d) for d in dens for k in nums})
@@ -208,6 +225,14 @@ class _ViewTables:
             np.array([x >> (64 * w) & _WORD for x in grids], dtype=np.uint64)
             for w in range(self.words)
         ]
+
+    def min_need(self, twoeps: Fraction) -> int:
+        """Fewest suspicious unique cells any mask needs to score <= twoeps.
+
+        A mask with u unique cells and weight den scores (u - s)/den with s of
+        them suspicious, at most twoeps exactly when s >= u - floor(twoeps*den)."""
+        p, q = twoeps.numerator, twoeps.denominator
+        return min(u - p * d // q for u, d in self.shapes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,9 +269,45 @@ def candidate_seeding(code: HgpCode, sigma: CheckSet) -> dict[int, list[Candidat
 # --- decoder state ---
 
 
+class _ZeroDefault(dict):
+    """Generator -> bitmask holding only the generators a lazy decode
+    touched; any other generator reads 0 without being added."""
+
+    def __missing__(self, g: int) -> int:
+        return 0
+
+
+class _SeededView(Sequence):
+    """``seeded[g]`` for every generator index, read-only: a list of bools
+    that is never materialized, so ``sum(seeded)`` counts seeded generators."""
+
+    def __init__(self, members, num_gens: int):
+        self._members = members
+        self._len = num_gens
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, g: int) -> bool:
+        if not 0 <= g < self._len:
+            raise IndexError(f"generator {g} out of range [0, {self._len})")
+        return g in self._members
+
+    def __iter__(self) -> Iterator[bool]:
+        return map(self._members.__contains__, range(self._len))
+
+
 @dataclass
 class SsfindState:
-    """Mutable decode state plus inspection helpers for the cached scores."""
+    """Mutable decode state plus inspection helpers for the cached scores.
+
+    ``rmask[g]`` (suspicious grid cells) and ``retired[g]`` (view bits of
+    envelope qubits) read 0 for a generator the decode never touched.  A
+    lazy decode keeps them in maps holding only touched generators, so its
+    cost follows the syndrome.  An eager decode seeds every generator, and
+    keeps them in lists, whose updates cost about half as much.  A generator
+    is seeded once one of its grid's checks is suspicious, or from the
+    start in eager mode."""
 
     code: HgpCode
     config: DecoderConfig
@@ -254,13 +315,23 @@ class SsfindState:
     sigma: frozenset[int]
     envelope_set: set[int] = field(default_factory=set)
     suspicious_set: set[int] = field(default_factory=set)
-    seeded: list[bool] = field(default_factory=list)
-    retired: list[int] = field(default_factory=list)
-    rmask: list[int] = field(default_factory=list)
+    retired: dict[int, int] | list[int] = field(default_factory=_ZeroDefault)
+    rmask: dict[int, int] | list[int] = field(default_factory=_ZeroDefault)
     trace: list[TraceEntry] = field(default_factory=list)
 
     def _tables(self) -> _ViewTables:
         return _view_tables(self.code.delta_v, self.code.delta_c)
+
+    def seeded_gens(self) -> Iterable[int]:
+        """The seeded generators, ascending."""
+        if self.mode == "eager":
+            return range(self.code.num_gens)
+        return sorted(self.rmask)
+
+    @property
+    def seeded(self) -> Sequence[bool]:
+        members = range(self.code.num_gens) if self.mode == "eager" else self.rmask
+        return _SeededView(members, self.code.num_gens)
 
     def alive_masks(self, g: int) -> list[int]:
         retired = self.retired[g]
@@ -291,11 +362,10 @@ class SsfindState:
     def buckets(self) -> dict[str, list[tuple[int, int]]]:
         """Alive candidates split at the qualification threshold 2*epsilon."""
         low, high = [], []
-        for g in range(self.code.num_gens):
-            if self.seeded[g]:
-                at_or_below, above = self._split(g)
-                low += [(g, m) for m in at_or_below]
-                high += [(g, m) for m in above]
+        for g in self.seeded_gens():
+            at_or_below, above = self._split(g)
+            low += [(g, m) for m in at_or_below]
+            high += [(g, m) for m in above]
         return {"at_or_below": low, "above": high}
 
 
@@ -323,61 +393,74 @@ class _Engine:
         cutoff = bisect.bisect_right(self.tables.scores, twoeps) - 1
         ranks = self.tables.ranks
         self.keys = np.where(ranks <= cutoff, ranks, _NO_KEY)
+        # A generator with fewer suspicious cells has no qualifying candidate.
+        self.min_need = self.tables.min_need(twoeps)
         g_count = code.num_gens
         sigma_idx = sigma.to_indices(code)
+        eager = self.mode == "eager"
         self.state = SsfindState(
             code=code,
             config=config,
             mode=self.mode,
             sigma=frozenset(sigma_idx),
             suspicious_set=set(sigma_idx),
-            seeded=[self.mode == "eager"] * g_count,
-            retired=[0] * g_count,
-            rmask=[0] * g_count,
+            retired=[0] * g_count if eager else _ZeroDefault(),
+            rmask=[0] * g_count if eager else _ZeroDefault(),
         )
-        self.dirty: set[int] = set(range(g_count)) if self.mode == "eager" else set()
+        self.dirty: set[int] = set(range(g_count)) if eager else set()
         self.best_key = np.full(g_count, _NO_KEY, dtype=np.int32)
-        self.best_pos = np.zeros(g_count, dtype=np.intp)
-        for chk in sigma_idx:
-            self._mark_suspicious_cells(chk)
+        # Read only where best_key holds a key, which _rescore writes with it.
+        self.best_pos = np.empty(g_count, dtype=np.intp)
+        self._mark_suspicious_cells(sigma_idx)
 
     # -- bookkeeping --
 
-    def _mark_suspicious_cells(self, chk: int) -> None:
-        st = self.state
-        for g, cellbit in self.code.check_gens(chk):
-            st.rmask[g] |= cellbit
-            st.seeded[g] = True
-            self.dirty.add(g)
+    def _mark_suspicious_cells(self, chks: Iterable[int]) -> None:
+        rmask = self.state.rmask
+        dirty, check_gens = self.dirty, self.code.check_gens
+        for chk in chks:
+            for g, cellbit in check_gens(chk):
+                rmask[g] |= cellbit
+                dirty.add(g)
 
-    def _retire(self, q: int) -> None:
-        st = self.state
-        for g, posbit in self.code.qubit_gens(q):
-            st.retired[g] |= posbit
-            if st.seeded[g]:
-                self.dirty.add(g)
+    def _retire(self, qubits: Iterable[int]) -> None:
+        # A qubit's checks all lie in the grid of every generator holding it,
+        # so a generator unseeded here is seeded by this pick's fresh checks.
+        retired = self.state.retired
+        dirty, qubit_gens = self.dirty, self.code.qubit_gens
+        for q in qubits:
+            for g, posbit in qubit_gens(q):
+                retired[g] |= posbit
+                dirty.add(g)
 
     # -- scoring --
 
-    def _rescore(self, gens: list[int]) -> None:
-        """Best qualifying candidate of each generator: lowest rank key, then
-        lowest table position (argmin keeps the first minimum)."""
+    def _rescore(self, dirty: set[int]) -> list[int]:
+        """Best qualifying candidate of each dirty generator that can have one:
+        lowest rank key, then lowest table position (argmin keeps the first
+        minimum).  Returns the generators scored, ascending."""
         t = self.tables
-        st = self.state
+        rmask, retired = self.state.rmask, self.state.retired
+        need = self.min_need
+        if need > 0:
+            gens = sorted(g for g in dirty if rmask[g].bit_count() >= need)
+        else:
+            gens = sorted(dirty)
         step = max(1, _CHUNK_PAIRS // len(t.masks))
         for lo in range(0, len(gens), step):
             chunk = gens[lo : lo + step]
             slot = t.den_off
-            for uq, r in zip(t.np_uq, t.split_words([st.rmask[g] for g in chunk])):
+            for uq, r in zip(t.np_uq, t.split_words([rmask[g] for g in chunk])):
                 slot = slot + np.bitwise_count(uq & ~r[:, None])
-            retired = np.array([st.retired[g] for g in chunk], dtype=np.int32)
+            gone = np.array([retired[g] for g in chunk], dtype=np.int32)
             # Every slot is in range; "clip" only skips np.take's bounds check.
             key = np.take(self.keys, slot, mode="clip")
-            key = np.where(t.np_masks & retired[:, None], _NO_KEY, key)
+            key = np.where(t.np_masks & gone[:, None], _NO_KEY, key)
             pos = key.argmin(axis=1)
             d = np.array(chunk)
             self.best_key[d] = key[np.arange(len(chunk)), pos]
             self.best_pos[d] = pos
+        return gens
 
     def _select(self) -> tuple[int, int] | None:
         """(generator, table position) of the lowest-scoring qualifier; ties go
@@ -402,12 +485,10 @@ class _Engine:
         )
         iterations = 0
         while True:
-            if self.dirty:
-                batch = sorted(self.dirty)
-                if rescored_log is not None:
-                    rescored_log.append(tuple(batch))
-                self._rescore(batch)
-                self.dirty.clear()
+            scored = self._rescore(self.dirty)
+            self.dirty.clear()
+            if rescored_log is not None:
+                rescored_log.append(tuple(scored))
             picked = self._select()
             if picked is None:
                 break
@@ -419,31 +500,29 @@ class _Engine:
                 )
             g, p = picked
             mask = t.masks[p]
-            num = (t.py_uq[p] & ~st.rmask[g] & t.gridfull).bit_count()
+            rmask = st.rmask[g]
+            num = (t.py_uq[p] & ~rmask & t.gridfull).bit_count()
             qubits = self.code.gen_qubits(g, mask)
             st.envelope_set.update(qubits)
-            for q in qubits:
-                self._retire(q)
+            self._retire(qubits)
             # rmask[g] holds exactly the cells of g whose check is suspicious,
             # so these are the covered checks that turn suspicious now.
-            fresh = t.py_cov[p] & ~st.rmask[g]
-            grid = self.code.gen_checks(g) if fresh else ()
-            while fresh:
-                low = fresh & -fresh
-                chk = grid[low.bit_length() - 1]
-                fresh ^= low
-                st.suspicious_set.add(chk)
-                self._mark_suspicious_cells(chk)
+            fresh = t.py_cov[p] & ~rmask
+            if fresh:
+                grid = self.code.gen_checks(g)
+                chks = []
+                while fresh:
+                    low = fresh & -fresh
+                    chks.append(grid[low.bit_length() - 1])
+                    fresh ^= low
+                st.suspicious_set.update(chks)
+                self._mark_suspicious_cells(chks)
             iterations += 1
+            # Positional fields: keywords cost a frozen dataclass about 1 µs more.
             st.trace.append(
                 TraceEntry(
-                    iteration=iterations,
-                    generator=g,
-                    mask=mask,
-                    score_num=num,
-                    score_den=t.py_den[p],
-                    envelope_size=len(st.envelope_set),
-                    suspicious_size=len(st.suspicious_set),
+                    iterations, g, mask, num, t.py_den[p],
+                    len(st.envelope_set), len(st.suspicious_set),
                 )
             )
         if self.config.verify_exit:
@@ -467,9 +546,7 @@ class _Engine:
         twoeps = 2 * self.config.epsilon
         if self.mode == "lazy" and not twoeps < t.min_untouched:
             raise AssertionError("lazy mode ran although untouched sets qualify")
-        for g in range(self.code.num_gens):
-            if not st.seeded[g]:
-                continue
+        for g in st.seeded_gens():
             rebuilt = 0
             for cell, chk in enumerate(self.code.gen_checks(g)):
                 if chk in st.suspicious_set:

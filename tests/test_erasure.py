@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
 from hgpdecode.erasure import DecodeVerdict, erase_decode_quantum, verify_coset
-from hgpdecode.gf2 import BitVector, in_rowspace
+from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver, in_rowspace
 from hgpdecode.graphs import gen_biregular
 from hgpdecode.hgp import (
     CheckSet,
@@ -213,3 +214,63 @@ def test_coset_and_ambiguity_build_no_full_matrix():
     assert verify_coset(code, error ^ g, error)
     assert not verify_coset(code, error ^ QubitSet.of(vv=[(0, 0)]), error)
     assert code._gen_matrix is None and code._x_matrix is None
+
+
+def _kernel_in_span(code, sigma, envelope):
+    """The list route: build the whole kernel basis, then test every vector;
+    one flag per vector, True when it is a sum of generator supports."""
+    cols = tuple(envelope.to_indices(code))
+    sigma_rows = set(sigma.to_indices(code))
+    rows = tuple(sorted(sigma_rows.union(*map(code.qubit_checks, cols))))
+    sub = BitMatrix.from_row_supports(
+        len(rows), len(cols),
+        ([cols.index(q) for q in code.check_qubits(x) if q in cols] for x in rows),
+    )
+    span = code.generator_basis()
+    return [
+        span.contains(cols[p] for p in k.support())
+        for k in RestrictedSolver(sub, range(len(cols))).kernel_basis()
+    ]
+
+
+def test_ambiguity_verdicts_match_list_route(path_code, k33_code, mid_code):
+    # Random envelopes around random errors, plus the whole code, on codes
+    # with and without logicals: stopping at the first kernel vector outside
+    # the span gives the verdict that testing the full list gives.
+    rng = random.Random(97)
+    codes = (
+        path_code, k33_code, mid_code,
+        build_hgp(gen_biregular(16, 4, 8, seed=2)),
+        build_hgp(gen_biregular(20, 2, 5, seed=3)),
+    )
+    seen = set()
+    late = 0
+    for code in codes:
+        everything = QubitSet.from_indices(code, range(code.num_qubits))
+        cases = [(QubitSet.of(), everything)]
+        for _ in range(12):
+            error = _random_error(code, rng, rng.randint(1, 4))
+            extra = rng.sample(range(code.num_qubits), rng.randint(0, code.num_qubits // 3))
+            cases.append((error, error | QubitSet.from_indices(code, sorted(extra))))
+        # The last CC column is a logical when the all-ones check vector is in
+        # ker H^T.  Three generator supports beside it put stabilizers first
+        # in the kernel basis, so the first vector outside the span comes late.
+        n, m = code.n, code.m
+        column = QubitSet.from_indices(code, [n * n + c * m + m - 1 for c in range(m)])
+        beside = [
+            supp_generator(code, g)
+            for g in range(code.num_gens)
+            if column.isdisjoint(supp_generator(code, g))
+        ][:3]
+        cases.append((QubitSet.of(), functools.reduce(QubitSet.__or__, beside, column)))
+        for error, envelope in cases:
+            sigma = syndrome(code, error)
+            verdict = erase_decode_quantum(code, sigma, envelope, detect_ambiguity=True)
+            assert verdict.status != "no-solution"
+            flags = _kernel_in_span(code, sigma, envelope)
+            ambiguous = not all(flags)
+            assert (verdict.status == "ambiguous-logical") == ambiguous
+            seen.add(ambiguous)
+            late += ambiguous and flags[0]
+    assert seen == {True, False}
+    assert late >= 2

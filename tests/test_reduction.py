@@ -102,6 +102,20 @@ def test_enumerate_minsets_properties(mid_code):
             assert part_sizes(c.mask, mid_code.delta_c) == (c.a_v, c.a_c)
 
 
+def test_locally_reduced_masks_match_part_sizes_definition():
+    # Every degree pair up to width 12: the popcount filter keeps exactly the
+    # masks whose part sizes hold at most half the view, in ascending order.
+    for dv in range(1, 12):
+        for dc in range(1, 13 - dv):
+            width = dv + dc
+            expected = tuple(
+                mask
+                for mask in range(1, 1 << width)
+                if 2 * sum(part_sizes(mask, dc)) <= width
+            )
+            assert locally_reduced_masks(dv, dc) == expected, (dv, dc)
+
+
 def test_enumerate_minsets_cap():
     # Complete bipartite 11 x 10: a 21-qubit local view, one above the cap.
     wide = build_hgp(BipartiteGraph.from_left_adjacency(10, [range(10)] * 11))

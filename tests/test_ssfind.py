@@ -1,5 +1,6 @@
 """Small-set scoring engine: selection, retirement, laziness, invariants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hgpdecode.reduction import (
     Candidate,
     ReductionConfigError,
     enumerate_minsets,
+    locally_reduced_masks,
     mask_to_qubitset,
     part_sizes,
 )
@@ -228,6 +230,34 @@ def test_cached_scores_match_slow_route(mid_code):
         assert state.buckets()["at_or_below"] == []
 
 
+def test_state_reads_per_generator(mid_code):
+    # seeded/rmask/retired read per generator index like lists of length
+    # num_gens, untouched generators as False/0, and reading adds nothing.
+    rng = random.Random(19)
+    e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 2))
+    sig = syndrome(mid_code, e)
+    for cfg in (lazy_config("1/20"), eager_config()):
+        res = ssfind(mid_code, sig, cfg)
+        st = res.state
+        sizes = len(st.rmask), len(st.retired)
+        suspicious = res.suspicious.members
+        touched = {
+            g
+            for g in range(mid_code.num_gens)
+            if qnbhd(mid_code, supp_generator(mid_code, g)).members & suspicious
+        }
+        everything = set(range(mid_code.num_gens))
+        expected = everything if res.mode == "eager" else touched
+        assert {g for g in everything if st.seeded[g]} == expected
+        assert sum(st.seeded) == len(expected)
+        assert len(st.seeded) == mid_code.num_gens
+        if res.mode == "lazy":
+            assert touched < everything
+        for g in everything - touched:
+            assert st.rmask[g] == 0 and st.retired[g] == 0
+        assert (len(st.rmask), len(st.retired)) == sizes
+
+
 def replay(code, sigma, res, twoeps):
     """Re-derive every per-iteration quantity via the set machinery."""
     env = QubitSet()
@@ -266,6 +296,37 @@ def test_trace_replay_invariants(mid_code):
             replay(mid_code, sig, res, 2 * cfg.epsilon)
 
 
+def brute_min_need(delta_v, delta_c, twoeps):
+    """Fewest suspicious unique cells a mask needs to score <= twoeps, over
+    every locally reduced mask: |uq| - floor(twoeps * den)."""
+    t = _view_tables(delta_v, delta_c)
+    out = None
+    for mask in locally_reduced_masks(delta_v, delta_c):
+        a_v, a_c = part_sizes(mask, delta_c)
+        den = a_v * delta_v + a_c * delta_c
+        need = t.py_uq[t.pos_of_mask[mask]].bit_count() - math.floor(twoeps * den)
+        out = need if out is None else min(out, need)
+    return out
+
+
+@pytest.mark.parametrize(
+    "degrees", [(3, 6), (4, 4), (2, 5), (8, 9)], ids=lambda d: f"{d[0]}-{d[1]}"
+)
+def test_min_need_matches_brute_force(degrees):
+    dv, dc = degrees
+    t = _view_tables(dv, dc)
+    floor = t.min_untouched
+    # Lazy: 2*eps below every untouched score, so a candidate needs at least
+    # one suspicious cell.  Eager: at the boundary and far above it.
+    for twoeps in (Fraction(1, 10), Fraction(1, 3) * floor, floor, Fraction(10, 9)):
+        need = t.min_need(twoeps)
+        assert need == brute_min_need(dv, dc, twoeps), twoeps
+        assert (need > 0) == (twoeps < floor)
+    if degrees == (3, 6):
+        assert t.min_need(Fraction(1, 10)) == 3
+        assert t.min_need(Fraction(10, 9)) == -10
+
+
 def test_rescore_scope(mid_code):
     rng = random.Random(31)
     e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 3))
@@ -274,36 +335,57 @@ def test_rescore_scope(mid_code):
     res = ssfind(mid_code, sig, cfg)
     assert res.rescored is not None
     assert len(res.rescored) == res.iterations + 1
-    # Initial batch: exactly the seeded catalog.
-    assert set(res.rescored[0]) == set(candidate_seeding(mid_code, sig))
-    # Later batches: only generators whose grid meets the chosen set's checks.
+    need = brute_min_need(3, 6, 2 * cfg.epsilon)
+    grid = {
+        g: qnbhd(mid_code, supp_generator(mid_code, g)).members
+        for g in range(mid_code.num_gens)
+    }
+
+    def reaching(gens, suspicious):
+        return {g for g in gens if len(grid[g] & suspicious) >= need}
+
+    # Initial batch: exactly the seeded catalog's generators with at least
+    # min_need suspicious cells, and the cut leaves some out.
+    catalog = set(candidate_seeding(mid_code, sig))
+    assert set(res.rescored[0]) == reaching(catalog, sig.members)
+    assert reaching(catalog, sig.members) < catalog
+    # Later batches: exactly the generators the pick touched (through a
+    # retired qubit or a freshly suspicious check) that reach min_need.
+    suspicious = set(sig.members)
     for k, entry in enumerate(res.trace, start=0):
-        touched = qnbhd(mid_code, mask_to_qubitset(mid_code, entry.generator, entry.mask))
-        allowed = {
+        chosen = mask_to_qubitset(mid_code, entry.generator, entry.mask)
+        fresh = qnbhd(mid_code, chosen).members - suspicious
+        suspicious |= fresh
+        touched = {
             g
             for g in range(mid_code.num_gens)
-            if qnbhd(mid_code, supp_generator(mid_code, g)).members & touched.members
+            if grid[g] & fresh or not supp_generator(mid_code, g).isdisjoint(chosen)
         }
-        assert set(res.rescored[k + 1]) <= allowed
+        assert list(res.rescored[k + 1]) == sorted(reaching(touched, suspicious))
 
 
 @pytest.mark.parametrize(
-    "degrees, n, graph_seed, eps, weight, exit_gens, tie, same_as",
+    "degrees, n, graph_seed, eps, weight, exit_gens, tie, same_as, at_need",
     [
         # 2*eps = 1/3 = 3/9 is a reachable score: picks at the threshold.
-        pytest.param((3, 6), 12, 5, "1/6", 2, None, True, None, id="3-6-tie"),
+        pytest.param((3, 6), 12, 5, "1/6", 2, None, True, None, False, id="3-6-tie"),
         # 2*eps sits below every positive score, so the decode is eps = 0's.
         pytest.param(
-            (3, 6), 12, 5, "1/2199023255552", 2, None, False, "0", id="3-6-eps-2^-41"
+            (3, 6), 12, 5, "1/2199023255552", 2, None, False, "0", False, id="3-6-eps-2^-41"
         ),
         # 2*eps = 1/4 = 2/8 is a reachable score.
-        pytest.param((4, 4), 8, 0, "1/8", 2, None, True, None, id="4-4-tie"),
+        pytest.param((4, 4), 8, 0, "1/8", 2, None, True, None, False, id="4-4-tie"),
         # A 64-cell grid fills one word; 72 cells need two.
-        pytest.param((8, 8), 16, 1, "1/20", 1, 3, False, None, id="8-8-one-word"),
-        pytest.param((8, 9), 18, 1, "1/20", 1, 3, False, None, id="8-9-two-words"),
+        pytest.param((8, 8), 16, 1, "1/20", 1, 3, False, None, False, id="8-8-one-word"),
+        pytest.param((8, 9), 18, 1, "1/20", 1, 3, False, None, False, id="8-9-two-words"),
+        # One VV qubit flips its 3 checks: the 3 generators holding it have
+        # exactly min_need = 3 suspicious cells, and that qubit alone scores 0.
+        pytest.param((3, 6), 60, 1, "1/20", 1, None, False, None, True, id="3-6-at-min-need"),
     ],
 )
-def test_engine_matches_exact_oracle(degrees, n, graph_seed, eps, weight, exit_gens, tie, same_as):
+def test_engine_matches_exact_oracle(
+    degrees, n, graph_seed, eps, weight, exit_gens, tie, same_as, at_need
+):
     """The rank-keyed engine agrees with the exhaustive Fraction scorer."""
     code = build_hgp(gen_biregular(n, *degrees, seed=graph_seed))
     rng = random.Random(44)
@@ -313,6 +395,16 @@ def test_engine_matches_exact_oracle(degrees, n, graph_seed, eps, weight, exit_g
     twoeps = 2 * cfg.epsilon
     res = ssfind(code, sig, cfg)
     replay(code, sig, res, twoeps)
+    if at_need:
+        # Some seeded generator has exactly as many suspicious cells as the
+        # cheapest candidate needs, and the decode absorbs one of them.
+        need = brute_min_need(*degrees, twoeps)
+        floor_gens = {
+            g
+            for g in candidate_seeding(code, sig)
+            if len(qnbhd(code, supp_generator(code, g)).members & sig.members) == need
+        }
+        assert floor_gens and res.trace and res.trace[0].generator in floor_gens
     state = res.state
     seeded = [g for g in range(code.num_gens) if state.seeded[g]]
     for g in rng.sample(seeded, min(3, len(seeded))):
