@@ -10,11 +10,20 @@ grid: the delta_c x delta_v cells Γ(c) x Γ(v).  Each grid cell sees exactly
 two of the generator's qubits (one VV, one CC), so a candidate's unique /
 covered cells are pure functions of its local mask, precomputed once per
 degree pair.  A per-generator bitmask of suspicious grid cells is then the
-entire mutable score state: rescoring batches over dirty generators as a
-handful of vectorized bitwise ops, and candidate selection is an argmin over
+entire mutable score state, and candidate selection is an argmin over
 per-generator bests.  Scores compare exactly for every degree pair: each
 possible score num/den is replaced by its rank among all of the degree pair's
 possible scores, so comparing ranks is comparing the fractions themselves.
+
+Given the degree pair and the rank of 2*epsilon among those scores, a
+generator's best candidate is a pure function of two small ints, its
+suspicious-cell mask and its retired view bits.  Few such local states occur
+(about 1 800 in an eager (3,6) n=60 decode that rescores 33 000 generators),
+so rescoring a dirty generator is a dict lookup in a memo shared by every
+decode and code with that degree pair and cutoff.  Only states the memo has
+not seen are scored, together, by vectorized bitwise ops over the whole mask
+table.  The memo holds at most _MEMO_CAP states and is cleared when full; it
+changes no result, only how often a state is scored.
 
 A lazy decode's work follows the generators its syndrome touches.  Its state
 holds an entry only for a generator that has a suspicious cell or a retired
@@ -63,15 +72,25 @@ __all__ = [
 
 # Rank key of a candidate that is retired or scores above 2*epsilon.
 _NO_KEY = np.iinfo(np.int32).max
+# A memoized best candidate is key << 32 | table position; one shared object
+# stands for "nothing qualifies", which most lazy states are.
+_NO_BEST = _NO_KEY << 32
+_POS_BITS = (1 << 32) - 1
 _WORD = (1 << 64) - 1
-# (generator, mask) pairs scored per numpy pass: keeps a rescore's temporaries
+# (state, mask) pairs scored per numpy pass: keeps a rescore's temporaries
 # to a few MiB however wide the view (an (8, 8) view has 39 202 masks).
 _CHUNK_PAIRS = 1 << 18
+# Entries one best-candidate memo holds before it is cleared.
+_MEMO_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Decode-time knobs; epsilon is the expansion parameter, held exactly."""
+    """Decode-time knobs; epsilon is the expansion parameter, held exactly.
+
+    ``record_rescored`` makes the result list, per loop pass, the generators
+    whose best candidate was refreshed, whether the memo held their state or
+    it had to be scored."""
 
     epsilon: Fraction
     max_iterations: int | None = None
@@ -216,6 +235,7 @@ class _ViewTables:
         self.np_masks = np.array(masks, dtype=np.int32)
         self.words = -(-self.grid_bits // 64)
         self.np_uq = self.split_words(uq)
+        self._memos: dict[int, _BestMemo] = {}
 
     def split_words(self, grids: list[int]) -> list[np.ndarray]:
         """One uint64 array per 64-bit word of the grid masks, low word first."""
@@ -226,6 +246,14 @@ class _ViewTables:
             for w in range(self.words)
         ]
 
+    def best_memo(self, twoeps: Fraction) -> _BestMemo:
+        """The best-candidate memo for threshold twoeps, shared by every decode
+        of every code with this degree pair and the same cutoff rank."""
+        cutoff = bisect.bisect_right(self.scores, twoeps) - 1
+        if cutoff not in self._memos:
+            self._memos[cutoff] = _BestMemo(self, cutoff)
+        return self._memos[cutoff]
+
     def min_need(self, twoeps: Fraction) -> int:
         """Fewest suspicious unique cells any mask needs to score <= twoeps.
 
@@ -233,6 +261,62 @@ class _ViewTables:
         them suspicious, at most twoeps exactly when s >= u - floor(twoeps*den)."""
         p, q = twoeps.numerator, twoeps.denominator
         return min(u - p * d // q for u, d in self.shapes)
+
+
+class _BestMemo:
+    """Best qualifying candidate of a generator's local state, for one degree
+    pair and one cutoff rank (the rank of the largest score <= 2*epsilon).
+
+    The state ``rmask << width | retired`` fixes every candidate's score and
+    whether it is alive, so the best candidate is a function of it alone:
+    lowest rank key, then lowest table position.  ``entries`` maps a state to
+    that candidate packed as ``key << 32 | position``, or to _NO_BEST when
+    nothing qualifies.  It holds at most _MEMO_CAP states and is cleared when
+    full."""
+
+    def __init__(self, tables: _ViewTables, cutoff: int):
+        self.tables = tables
+        # Rank key of every (den, num) slot; slots scoring above 2*epsilon
+        # never qualify.
+        self.keys = np.where(tables.ranks <= cutoff, tables.ranks, _NO_KEY)
+        self.entries: dict[int, int] = {}
+
+    def lookup(self, states: list[int]) -> list[int]:
+        """Packed best candidate of each state; states missing from the memo
+        are scored together, once each."""
+        best = list(map(self.entries.get, states))
+        if None in best:
+            fresh = self._score({s for s, b in zip(states, best) if b is None})
+            best = [fresh[s] if b is None else b for s, b in zip(states, best)]
+        return best
+
+    def _score(self, states: set[int]) -> dict[int, int]:
+        """Every candidate of every state ranked in one numpy pass per chunk;
+        argmin keeps the first minimum, so ties go to the lowest position."""
+        t = self.tables
+        order = sorted(states)
+        low = (1 << t.width) - 1
+        step = max(1, _CHUNK_PAIRS // len(t.masks))
+        fresh = {}
+        for lo in range(0, len(order), step):
+            chunk = order[lo : lo + step]
+            slot = t.den_off
+            for uq, r in zip(t.np_uq, t.split_words([s >> t.width for s in chunk])):
+                slot = slot + np.bitwise_count(uq & ~r[:, None])
+            gone = np.array([s & low for s in chunk], dtype=np.int32)
+            # Every slot is in range; "clip" only skips np.take's bounds check.
+            key = np.take(self.keys, slot, mode="clip")
+            key = np.where(t.np_masks & gone[:, None], _NO_KEY, key)
+            pos = key.argmin(axis=1)
+            best = key[np.arange(len(chunk)), pos]
+            for s, k, p in zip(chunk, best.tolist(), pos.tolist()):
+                fresh[s] = _NO_BEST if k == _NO_KEY else k << 32 | p
+        entries = self.entries
+        for s, b in fresh.items():
+            if len(entries) >= _MEMO_CAP:
+                entries.clear()
+            entries[s] = b
+        return fresh
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,6 +455,10 @@ class SsfindState:
 
 @dataclass(frozen=True)
 class SsfindResult:
+    """``rescored`` (with ``record_rescored``) holds one ascending tuple per
+    loop pass, ``iterations + 1`` in all: the generators whose best candidate
+    was refreshed, by memo hit or miss."""
+
     envelope: QubitSet
     suspicious: CheckSet
     trace: tuple[TraceEntry, ...]
@@ -388,11 +476,7 @@ class _Engine:
         self.tables = _view_tables(code.delta_v, code.delta_c)
         twoeps = 2 * config.epsilon
         self.mode = "eager" if twoeps >= self.tables.min_untouched else "lazy"
-        # Rank key of every (den, num) slot; slots scoring above 2*epsilon
-        # never qualify.
-        cutoff = bisect.bisect_right(self.tables.scores, twoeps) - 1
-        ranks = self.tables.ranks
-        self.keys = np.where(ranks <= cutoff, ranks, _NO_KEY)
+        self.memo = self.tables.best_memo(twoeps)
         # A generator with fewer suspicious cells has no qualifying candidate.
         self.min_need = self.tables.min_need(twoeps)
         g_count = code.num_gens
@@ -436,30 +520,23 @@ class _Engine:
     # -- scoring --
 
     def _rescore(self, dirty: set[int]) -> list[int]:
-        """Best qualifying candidate of each dirty generator that can have one:
-        lowest rank key, then lowest table position (argmin keeps the first
-        minimum).  Returns the generators scored, ascending."""
-        t = self.tables
+        """Best qualifying candidate of each dirty generator that can have one,
+        looked up by its local state.  Returns the generators refreshed,
+        ascending."""
         rmask, retired = self.state.rmask, self.state.retired
         need = self.min_need
         if need > 0:
             gens = sorted(g for g in dirty if rmask[g].bit_count() >= need)
         else:
             gens = sorted(dirty)
-        step = max(1, _CHUNK_PAIRS // len(t.masks))
-        for lo in range(0, len(gens), step):
-            chunk = gens[lo : lo + step]
-            slot = t.den_off
-            for uq, r in zip(t.np_uq, t.split_words([rmask[g] for g in chunk])):
-                slot = slot + np.bitwise_count(uq & ~r[:, None])
-            gone = np.array([retired[g] for g in chunk], dtype=np.int32)
-            # Every slot is in range; "clip" only skips np.take's bounds check.
-            key = np.take(self.keys, slot, mode="clip")
-            key = np.where(t.np_masks & gone[:, None], _NO_KEY, key)
-            pos = key.argmin(axis=1)
-            d = np.array(chunk)
-            self.best_key[d] = key[np.arange(len(chunk)), pos]
-            self.best_pos[d] = pos
+        width = self.tables.width
+        states = [rmask[g] << width | retired[g] for g in gens]
+        # Scalar writes: a batch is a few generators (median 3 in eager
+        # mode), where each numpy array call costs more than the loop.
+        best_key, best_pos = self.best_key, self.best_pos
+        for g, b in zip(gens, self.memo.lookup(states)):
+            best_key[g] = b >> 32
+            best_pos[g] = b & _POS_BITS
         return gens
 
     def _select(self) -> tuple[int, int] | None:

@@ -1,7 +1,10 @@
 """Small-set scoring engine: selection, retirement, laziness, invariants."""
 
+import hashlib
 import math
 import random
+import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from hgpdecode.reduction import (
     part_sizes,
 )
 from hgpdecode.ssfind import (
+    _NO_KEY,
     DecoderConfig,
     SsfindIterationError,
     TraceEntry,
@@ -443,3 +447,183 @@ def test_trace_text_roundtrip():
         trace_from_text("1 2 3\n")
     with pytest.raises(TraceParseError, match="line 2"):
         trace_from_text("1 2 3 4 5 6 7\n1 2 x 4 5 6 7\n")
+
+
+# (degrees, n, graph seed, epsilon, decodes, largest error weight): sha256 over
+# every decode's mode, iteration count, trace text and envelope, in order.
+# Pinned from the per-generator numpy rescoring that preceded the
+# best-candidate memo; any change to a pick, tie-break or retirement moves them.
+PINNED_DIGESTS = [
+    ((3, 6), 12, 5, "0", 20, 4, "62cc4f138fcc486bef297e8e4b19b78dd626b4a48962d0436e181c496bc0e466"),
+    ((3, 6), 12, 5, "1/20", 20, 4, "d66b95c213d4623d1fc3d436ae0066bff76d192179f894e1dfb36403b992ff50"),
+    ((3, 6), 12, 5, "1/6", 20, 4, "b2dabd5ab24cede1f964e17bc1904a40034d8c7b2bf54a724aa5d75e635082a6"),
+    ((3, 6), 12, 5, "5/18", 8, 3, "305bffc9ebf859fcc1483d96c8e6a48abcea69d7627d652eea935e3a750189b4"),
+    ((3, 6), 12, 5, "5/9", 8, 3, "2ee84e29fba402b8896c8ba3215e49481a586e63ab267663407a1ffca2f01bc8"),
+    ((4, 4), 8, 0, "1/8", 16, 3, "07e61df7ccd9504063845605846d03df224e7ea1df71cff3e13dab753f9359fe"),
+    ((4, 4), 8, 0, "1/4", 6, 3, "f6e2e635b4c498d3626cc267b6c7c5b0a05558d7f4692dbad7bfa3fabac5a3a1"),
+    ((2, 5), 20, 1, "1/4", 16, 4, "acd27be9068a7380f84ddab1e14fe4b953901778d565d66dae655a6dac48bc02"),
+    ((4, 8), 16, 1, "1/20", 8, 3, "b4dcd46c257ab21fded3014f2c31db2e50a00b35408549805e756affb596f2b4"),
+    ((3, 6), 60, 1, "1/20", 20, 6, "4c6f3fd2ed4f7fa53f21093c1d464da9eb08c29c9074a1a5198e500e16f0ba78"),
+    ((3, 6), 60, 1, "5/9", 2, 3, "34e08ccdee656d918e5d97cb1109c9958ee4bf6a61d232d14edef4154dd40252"),
+]
+
+
+def decode_digest(degrees, n, graph_seed, eps, decodes, max_weight, seed):
+    """Hash of ``decodes`` random-error decodes; the rng is seeded with an int,
+    since ``hash()`` of a str differs between processes."""
+    code = build_hgp(gen_biregular(n, *degrees, seed=graph_seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cfg = DecoderConfig(epsilon=Fraction(eps), verify_exit=n < 60)
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(decodes):
+        w = rng.randint(1, max_weight)
+        e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), w))
+        res = ssfind(code, syndrome(code, e), cfg)
+        env = sorted(res.envelope.to_indices(code))
+        h.update(f"{res.mode} {res.iterations}\n{trace_to_text(res.trace)}{env}\n".encode())
+    return h.hexdigest()
+
+
+def test_trace_digests_pinned():
+    """Traces and envelopes are byte-identical to the pinned ones, lazy and
+    eager, on (3,6) at five epsilons and on (4,4), (2,5) and (4,8)."""
+    got = {
+        config[:4]: decode_digest(*config[:6], seed=i)
+        for i, config in enumerate(PINNED_DIGESTS)
+    }
+    assert got == {config[:4]: config[6] for config in PINNED_DIGESTS}
+
+
+def unique_cells(delta_v, delta_c):
+    """(mask, unique grid cells, weight) of every locally reduced mask, in
+    table order, from the per-cell definition."""
+    out = []
+    for mask in locally_reduced_masks(delta_v, delta_c):
+        uq = 0
+        for i in range(delta_c):
+            for j in range(delta_v):
+                if (mask >> i & 1) != (mask >> (delta_c + j) & 1):
+                    uq |= 1 << (i * delta_v + j)
+        a_v, a_c = part_sizes(mask, delta_c)
+        out.append((mask, uq, a_v * delta_v + a_c * delta_c))
+    return out
+
+
+def brute_best(cells, twoeps, rmask, retired):
+    """(score, position) of the lowest-scoring alive mask at or below twoeps,
+    lowest position on ties, in Fractions; None when nothing qualifies."""
+    best = None
+    for pos, (mask, uq, den) in enumerate(cells):
+        if mask & retired:
+            continue
+        s = Fraction((uq & ~rmask).bit_count(), den)
+        if s <= twoeps and (best is None or s < best[0]):
+            best = (s, pos)
+    return best
+
+
+@pytest.mark.parametrize(
+    "degrees", [(3, 6), (4, 4), (2, 5), (4, 8)], ids=lambda d: f"{d[0]}-{d[1]}"
+)
+def test_best_candidate_memo_matches_exact_oracle(degrees, monkeypatch):
+    """Every memo entry is the Fraction brute force's best candidate, at a lazy
+    and at an eager cutoff, over the same states."""
+    dv, dc = degrees
+    t = _view_tables(dv, dc)
+    monkeypatch.setattr(t, "_memos", {})
+    width, full = dv + dc, (1 << dv + dc) - 1
+    rng = random.Random(61)
+    # Untouched and fully retired states, then random ones: every rmask bit
+    # set with probability 1/2 or 3/4, every retired bit with 1/8.
+    states = [(0, 0), (0, full), (t.gridfull, full), (t.gridfull, 0)]
+    for _ in range(40):
+        dense = rng.choice((1, 2))
+        rmask = sum(
+            1 << c for c in range(t.grid_bits) if rng.getrandbits(2) < 2 * dense
+        )
+        retired = sum(1 << b for b in range(width) if rng.getrandbits(3) == 0)
+        states.append((rmask, retired))
+    cells = unique_cells(dv, dc)
+    ties = 0
+    for twoeps in (Fraction(1, 10), t.min_untouched):
+        memo = t.best_memo(twoeps)
+        found = memo.lookup([r << width | x for r, x in states])
+        assert len(memo.entries) == len(set(states))
+        qualified = 0
+        for (rmask, retired), best in zip(states, found):
+            key, pos = best >> 32, best & 0xFFFFFFFF
+            got = None if key == _NO_KEY else (t.scores[key], pos)
+            want = brute_best(cells, twoeps, rmask, retired)
+            assert got == want, (twoeps, rmask, retired)
+            if want is None:
+                continue
+            qualified += 1
+            tied = [
+                pos
+                for pos, (mask, uq, den) in enumerate(cells)
+                if not mask & retired and Fraction((uq & ~rmask).bit_count(), den) == want[0]
+            ]
+            ties += len(tied) > 1
+        assert 0 < qualified < len(states)
+        # The fully retired states never qualify.
+        assert found[1] >> 32 == found[2] >> 32 == _NO_KEY
+    assert len(t._memos) == 2
+    # The untouched state at the eager cutoff ties between several masks.
+    assert ties
+
+
+class _WatchedEntries(dict):
+    """A memo's entries that remember their largest size and count clears."""
+
+    peak = clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_memo_cold_warm_and_overflow_give_identical_decodes(monkeypatch):
+    """The same lazy and eager decodes from a cleared memo, from one warmed by
+    unrelated decodes, and with a cap small enough to overflow mid-decode."""
+    code = build_hgp(gen_biregular(12, 3, 6, seed=5))
+    other = build_hgp(gen_biregular(18, 3, 6, seed=2))
+    t = _view_tables(3, 6)
+    rng = random.Random(67)
+    runs = []
+    for cfg in (lazy_config("1/6"), eager_config()):
+        e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), 3))
+        sig = syndrome(code, e)
+        unrelated = [
+            syndrome(other, QubitSet.from_indices(other, rng.sample(range(other.num_qubits), 3)))
+            for _ in range(3)
+        ]
+        runs.append((cfg, sig, unrelated))
+
+    def decode_all():
+        return [
+            (res.mode, trace_to_text(res.trace), res.envelope)
+            for res in (ssfind(code, sig, cfg) for cfg, sig, _ in runs)
+        ]
+
+    monkeypatch.setattr(t, "_memos", {})
+    cold = decode_all()
+    assert {mode for mode, _, _ in cold} == {"lazy", "eager"}
+    for cfg, _, unrelated in runs:
+        for sig in unrelated:
+            ssfind(other, sig, cfg)
+    assert decode_all() == cold
+    cap = 16
+    monkeypatch.setattr(sys.modules["hgpdecode.ssfind"], "_MEMO_CAP", cap)
+    monkeypatch.setattr(t, "_memos", {})
+    for cfg, _, _ in runs:
+        t.best_memo(2 * cfg.epsilon).entries = _WatchedEntries()
+    assert decode_all() == cold
+    for cfg, _, _ in runs:
+        entries = t.best_memo(2 * cfg.epsilon).entries
+        assert entries.clears >= 2 and entries.peak == cap
