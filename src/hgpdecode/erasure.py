@@ -15,6 +15,11 @@ kernel basis of the restricted system; without it the canonical solution is
 returned as-is.  Coset checks and the ambiguity test both ask the code's
 ``StabilizerSpan``, built from the base code's kernels: no N-column matrix is
 formed at any size.
+
+The restricted matrix is built from the envelope side: each envelope
+column lists its checks, every row collects the columns that name it, and
+each row is packed once, so building costs O(Δ·|envelope|) list appends and
+no check's support is scanned for envelope membership.
 """
 
 from __future__ import annotations
@@ -82,8 +87,7 @@ def erase_decode_quantum(
     """
     cols = tuple(envelope.to_indices(code))
     sigma_rows = set(sigma.to_indices(code))
-    rows = tuple(sorted(sigma_rows.union(*map(code.qubit_checks, cols))))
-    solver = _restricted_solver(code, rows, cols)
+    rows, solver = _restricted_system(code, sigma_rows, cols)
 
     b_bits = 0
     for p, x in enumerate(rows):
@@ -107,17 +111,28 @@ def erase_decode_quantum(
     return DecodeVerdict(correction, status, equivalent, len(rows))
 
 
-def _restricted_solver(
-    code: HgpCode, rows: tuple[int, ...], cols: tuple[int, ...]
-) -> RestrictedSolver:
+def _restricted_system(
+    code: HgpCode, sigma_rows: set[int], cols: tuple[int, ...]
+) -> tuple[tuple[int, ...], RestrictedSolver]:
+    """The rows, ascending, and the factorization of the rows x cols matrix.
+
+    The matrix is built from the columns' checks: every row collects its
+    column positions and is packed once.  The per-column and per-row lists
+    are dropped before the factorization, so a whole-code solve never holds
+    them alongside it."""
+    col_checks = list(map(code.qubit_checks, cols))
+    rows = tuple(sorted(sigma_rows.union(*col_checks)))
     cached = getattr(code, "_erasure_solver", None)
     if cached is not None and cached[0] == (rows, cols):
-        return cached[1]
-    col_pos = {q: p for p, q in enumerate(cols)}
-    supports = (
-        [col_pos[q] for q in code.check_qubits(x) if q in col_pos] for x in rows
-    )
+        return rows, cached[1]
+    row_pos = {x: r for r, x in enumerate(rows)}
+    supports: list[list[int]] = [[] for _ in rows]
+    for p, chks in enumerate(col_checks):
+        for x in chks:
+            supports[row_pos[x]].append(p)
+    del col_checks, row_pos
     sub = BitMatrix.from_row_supports(len(rows), len(cols), supports)
+    del supports
     solver = RestrictedSolver(sub, range(len(cols)))
     code._erasure_solver = ((rows, cols), solver)
-    return solver
+    return rows, solver

@@ -9,7 +9,8 @@ qubits — the orthogonality that makes the pair a CSS code.
 ``HgpCode`` owns the integer incidence the decoder uses: which generators
 and checks touch a qubit index, and which qubits and checks a generator or
 check touches, each in a fixed local order.  It is computed on demand from two
-slot tables the size of the base graph; nothing of size N² is materialized
+slot tables the size of the base graph, also held as packed integer arrays
+for numpy passes over a whole syndrome; nothing of size N² is materialized
 (N = n² + m² reaches 72,000 here while every neighborhood has constant size).
 The stabilizer span and the logical count come from the base code's
 kernels too (``StabilizerSpan``); the full N-column check and generator
@@ -155,17 +156,40 @@ class HgpCode:
         # neighbor c: (c*n, view bit 1<<i, grid-row bit 1<<(i*delta_v)).  Base
         # check zeta sits at position j of adj_v[v] for each neighbor v:
         # (v, view bit 1<<(delta_c+j), grid-column bit 1<<j).
+        #
+        # The same slots are also packed into integer keys, one row per base
+        # bit (delta_v slots) or base check (delta_c slots), for numpy passes
+        # over many checks.  A bit slot's key is c*n << cell_shift | i*delta_v
+        # and a check slot's v << cell_shift | j, so check (nu, zeta) lies in
+        # grid cell (key & cell bits) of generator key >> cell_shift for each
+        # sum key = bit_keys[nu][a] + check_keys[zeta][b].  cell_shift >= 6
+        # keeps a one-word grid's cell in key's low 6 bits.
         dv, dc = self.delta_v, self.delta_c
+        s = self._cell_shift = max(6, (dv * dc - 1).bit_length())
         bit_slots: list[list] = [[] for _ in range(self.n)]
+        bit_keys: list[list[int]] = [[] for _ in range(self.n)]
         for c, bits in enumerate(base.adj_c):
+            cn = c * self.n
             for i, nu in enumerate(bits):
-                bit_slots[nu].append((c * self.n, 1 << i, 1 << (i * dv)))
+                bit_slots[nu].append((cn, 1 << i, 1 << (i * dv)))
+                bit_keys[nu].append(cn << s | i * dv)
         check_slots: list[list] = [[] for _ in range(self.m)]
+        check_keys: list[list[int]] = [[] for _ in range(self.m)]
         for v, checks in enumerate(base.adj_v):
             for j, zeta in enumerate(checks):
                 check_slots[zeta].append((v, 1 << (dc + j), 1 << j))
+                check_keys[zeta].append(v << s | j)
         self._bit_slots = tuple(map(tuple, bit_slots))
         self._check_slots = tuple(map(tuple, check_slots))
+        # numpy is imported here rather than with the module: importing it
+        # ahead of the rest of the package raises the process's peak
+        # resident set by about 1.7 MiB.
+        import numpy as np
+
+        flat = [k for row in bit_keys for k in row]
+        self._bit_keys = np.array(flat, dtype=np.intp).reshape(self.n, dv)
+        flat = [k for row in check_keys for k in row]
+        self._check_keys = np.array(flat, dtype=np.intp).reshape(self.m, dc)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HgpCode) and self.base == other.base

@@ -9,12 +9,15 @@ shared across all generators and all codes with those degrees.
 
 Toggling a generator's support never changes the syndrome; exact reduction is
 a brute-force search over all togglings (tiny codes only), greedy reduction
-the scalable fixpoint stand-in used to prepare trial errors.
+the scalable fixpoint stand-in used to prepare trial errors.  Greedy reduction
+counts each generator's hits on the error through the qubits' incidence, so
+a pass costs O(|E|·Δ) and builds no generator's qubit list until it toggles.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -153,14 +156,14 @@ def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitS
         return QubitSet.from_indices(code, indices(best))
     if mode != "greedy":
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
-    # Toggling g strictly shrinks E exactly when it holds more than half of
-    # g's support; only generators meeting E can, visited in ascending order.
+    # Toggling g strictly shrinks E exactly when E holds more than half of
+    # g's delta_v + delta_c qubits.  A generator's hits on E are counted
+    # through the qubits' incidence, and the lowest improving one toggles.
+    width = code.delta_v + code.delta_c
     err = set(error.to_indices(code))
     while True:
-        for g in sorted({g for q in err for g, _ in code.qubit_gens(q)}):
-            supp = code.gen_qubits(g)
-            if 2 * len(err.intersection(supp)) > len(supp):
-                err.symmetric_difference_update(supp)
-                break
-        else:
+        hits = Counter(g for q in err for g, _ in code.qubit_gens(q))
+        improving = [g for g, h in hits.items() if 2 * h > width]
+        if not improving:
             return QubitSet.from_indices(code, sorted(err))
+        err.symmetric_difference_update(code.gen_qubits(min(improving)))

@@ -10,7 +10,7 @@ grid: the delta_c x delta_v cells Γ(c) x Γ(v).  Each grid cell sees exactly
 two of the generator's qubits (one VV, one CC), so a candidate's unique /
 covered cells are pure functions of its local mask, precomputed once per
 degree pair.  A per-generator bitmask of suspicious grid cells is then the
-entire mutable score state, and candidate selection is an argmin over
+entire mutable score state, and candidate selection is a minimum over
 per-generator bests.  Scores compare exactly for every degree pair: each
 possible score num/den is replaced by its rank among all of the degree pair's
 possible scores, so comparing ranks is comparing the fractions themselves.
@@ -33,7 +33,13 @@ need = |unique cells| - floor(2*epsilon*den) of its unique cells are
 suspicious, so a generator whose suspicious-cell count is below the smallest
 need over the table has no qualifier.  Suspicious cells only accumulate, so
 such a generator never had one either.  In eager mode the smallest need is
-at most 0 and nothing is skipped.
+at most 0 and nothing is skipped.  The syndrome's cells are marked in one
+numpy pass over the code's slot arrays, which forms every (generator, cell)
+pair at once; a pick's few fresh checks are marked one by one.  The best
+candidates sit in a map holding only the touched generators that have a
+qualifier, so no lazy decode allocates or scans anything of size num_gens.
+An eager decode, where every generator qualifies from the start, keeps them
+in dense arrays and selects by argmin.
 
 Scoring thresholds, tie-breaking (lowest score, then generator index, then
 mask) and retirement (candidates sharing a qubit with the envelope never
@@ -468,6 +474,56 @@ class SsfindResult:
     rescored: tuple[tuple[int, ...], ...] | None = None
 
 
+class _DenseBests:
+    """Eager mode's best candidates: a rank key and a table position per
+    generator, in arrays over every generator."""
+
+    def __init__(self, num_gens: int):
+        self.key = np.full(num_gens, _NO_KEY, dtype=np.int32)
+        # Read only where key holds a rank, which adopt writes with it.
+        self.pos = np.empty(num_gens, dtype=np.intp)
+
+    def adopt(self, gens: list[int], packed: list[int]) -> None:
+        """Record each generator's packed best candidate."""
+        # Scalar writes: a batch is a few generators (median 3 in eager
+        # mode), where each numpy array call costs more than the loop.
+        key, pos = self.key, self.pos
+        for g, b in zip(gens, packed):
+            key[g] = b >> 32
+            pos[g] = b & _POS_BITS
+
+    def select(self) -> tuple[int, int] | None:
+        """(generator, table position) of the lowest-scoring qualifier; ties
+        go to the lowest generator."""
+        g = int(self.key.argmin())
+        if self.key[g] == _NO_KEY:
+            return None
+        return g, int(self.pos[g])
+
+
+class _QualifierMap:
+    """Lazy mode's best candidates: generator -> key << 32 | position for the
+    touched generators that have a qualifier, and no others, so nothing of
+    size num_gens is allocated or scanned."""
+
+    def __init__(self):
+        self.packed: dict[int, int] = {}
+
+    def adopt(self, gens: list[int], packed: list[int]) -> None:
+        qualifiers = self.packed
+        for g, b in zip(gens, packed):
+            if b == _NO_BEST:
+                qualifiers.pop(g, None)
+            else:
+                qualifiers[g] = b
+
+    def select(self) -> tuple[int, int] | None:
+        if not self.packed:
+            return None
+        _, g = min((b >> 32, g) for g, b in self.packed.items())
+        return g, self.packed[g] & _POS_BITS
+
+
 class _Engine:
     def __init__(self, code: HgpCode, sigma: CheckSet, config: DecoderConfig):
         check_view_width(code.delta_v + code.delta_c)
@@ -492,12 +548,50 @@ class _Engine:
             rmask=[0] * g_count if eager else _ZeroDefault(),
         )
         self.dirty: set[int] = set(range(g_count)) if eager else set()
-        self.best_key = np.full(g_count, _NO_KEY, dtype=np.int32)
-        # Read only where best_key holds a key, which _rescore writes with it.
-        self.best_pos = np.empty(g_count, dtype=np.intp)
-        self._mark_suspicious_cells(sigma_idx)
+        self.bests = _DenseBests(g_count) if eager else _QualifierMap()
+        self._seed(sigma_idx)
 
     # -- bookkeeping --
+
+    def _seed(self, chks: list[int]) -> None:
+        """Mark the syndrome's cells in one numpy pass over the code's slot
+        keys, and enqueue the generators that reach min_need.
+
+        Every (generator, grid cell) pair of the syndrome is formed at once
+        and sorted by generator.  A generator meets each check in one cell,
+        so ORing its cell bits, per 64-bit word of the grid, gives its
+        suspicious-cell mask."""
+        if not chks:
+            return
+        code, words = self.code, self.tables.words
+        nu, zeta = np.divmod(np.array(chks, dtype=np.intp), code.m)
+        keys = (code._bit_keys[nu][:, :, None] + code._check_keys[zeta][:, None, :]).ravel()
+        keys.sort()
+        gens = keys >> code._cell_shift
+        first = np.empty(len(gens), dtype=bool)
+        first[0] = True
+        np.not_equal(gens[1:], gens[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        if words == 1:
+            cells = [np.left_shift(np.uint64(1), (keys & 63).astype(np.uint64))]
+        else:
+            cell = keys & ((1 << code._cell_shift) - 1)
+            bits = np.left_shift(np.uint64(1), (cell & 63).astype(np.uint64))
+            word, zero = cell >> 6, np.uint64(0)
+            cells = [np.where(word == w, bits, zero) for w in range(words)]
+        masks = [np.bitwise_or.reduceat(c, starts) for c in cells]
+        rmasks = masks[0].tolist()
+        for w in range(1, words):
+            rmasks = [r | x << (64 * w) for r, x in zip(rmasks, masks[w].tolist())]
+        seeded = gens[starts]
+        rmask = self.state.rmask
+        if self.mode == "eager":
+            for g, r in zip(seeded.tolist(), rmasks):
+                rmask[g] = r
+        else:
+            rmask.update(zip(seeded.tolist(), rmasks))
+            count = sum(map(np.bitwise_count, masks))
+            self.dirty.update(seeded[count >= self.min_need].tolist())
 
     def _mark_suspicious_cells(self, chks: Iterable[int]) -> None:
         rmask = self.state.rmask
@@ -531,21 +625,8 @@ class _Engine:
             gens = sorted(dirty)
         width = self.tables.width
         states = [rmask[g] << width | retired[g] for g in gens]
-        # Scalar writes: a batch is a few generators (median 3 in eager
-        # mode), where each numpy array call costs more than the loop.
-        best_key, best_pos = self.best_key, self.best_pos
-        for g, b in zip(gens, self.memo.lookup(states)):
-            best_key[g] = b >> 32
-            best_pos[g] = b & _POS_BITS
+        self.bests.adopt(gens, self.memo.lookup(states))
         return gens
-
-    def _select(self) -> tuple[int, int] | None:
-        """(generator, table position) of the lowest-scoring qualifier; ties go
-        to the lowest generator."""
-        g = int(self.best_key.argmin())
-        if self.best_key[g] == _NO_KEY:
-            return None
-        return g, int(self.best_pos[g])
 
     # -- main loop --
 
@@ -566,7 +647,7 @@ class _Engine:
             self.dirty.clear()
             if rescored_log is not None:
                 rescored_log.append(tuple(scored))
-            picked = self._select()
+            picked = self.bests.select()
             if picked is None:
                 break
             if iterations >= max_iter:

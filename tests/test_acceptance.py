@@ -14,6 +14,7 @@ true (see test_reduction.py), so no other gate depends on it.
 """
 
 import itertools
+import math
 import random
 import time
 import warnings
@@ -251,15 +252,25 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
 
     # (d) cached scores agree with a from-scratch recomputation: the cheapest
     # alive candidate of every seeded generator each trial, everything on
-    # full-scan trials
+    # full-scan trials.  The cheapest is found by the integer key
+    # num * (lcm / den), which orders masks as num/den does, ties included, so
+    # min keeps the same first minimum as over Fraction scores.
     suspicious = CheckSet.from_indices(code, sorted(st.suspicious_set))
+    lcm = math.lcm(*tables.py_den)
+    scale = [lcm // den for den in tables.py_den]
     for g in range(code.num_gens):
         if not st.seeded[g]:
             continue
         masks = st.alive_masks(g)
         if not masks:
             continue
-        chosen = masks if full_scan else [min(masks, key=lambda m: st.cached_score(g, m))]
+        not_r = ~st.rmask[g] & tables.gridfull
+
+        def key(m):
+            pos = tables.pos_of_mask[m]
+            return (tables.py_uq[pos] & not_r).bit_count() * scale[pos]
+
+        chosen = masks if full_scan else [min(masks, key=key)]
         for mask in chosen:
             recomputed = score(code, Candidate.build(code, g, mask), suspicious)
             assert recomputed == st.cached_score(g, mask), (g, mask)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
+from hgpdecode import erasure
 from hgpdecode.erasure import DecodeVerdict, erase_decode_quantum, verify_coset
 from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver, in_rowspace
 from hgpdecode.graphs import gen_biregular
@@ -18,6 +20,7 @@ from hgpdecode.hgp import (
     supp_generator,
     syndrome,
 )
+from hgpdecode.ssfind import DecoderConfig, ssfind
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +277,64 @@ def test_ambiguity_verdicts_match_list_route(path_code, k33_code, mid_code):
             late += ambiguous and flags[0]
     assert seen == {True, False}
     assert late >= 2
+
+
+def _row_driven(code, rows, cols):
+    """Oracle for the restricted matrix: each row from its check's qubit
+    list, keeping the qubits that are envelope columns."""
+    col_pos = {q: p for p, q in enumerate(cols)}
+    return [sum(1 << col_pos[q] for q in code.check_qubits(x) if q in col_pos) for x in rows]
+
+
+def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
+    """The matrix built from the envelope columns' checks equals the one
+    built from each row's check support: on random envelopes, the whole-code
+    envelope, and with a flagged check that no envelope qubit touches.  Eager
+    solves on the whole code keep hitting the one-slot factorization cache."""
+    built = []
+
+    class Recording(RestrictedSolver):
+        def __init__(self, a, support):
+            built.append(list(a.row_bits))
+            super().__init__(a, support)
+
+    monkeypatch.setattr(erasure, "RestrictedSolver", Recording)
+    monkeypatch.setattr(mid_code, "_erasure_solver", None, raising=False)
+    rng = random.Random(101)
+    code = mid_code
+    everything = QubitSet.from_indices(code, range(code.num_qubits))
+    cases = [(QubitSet.of(), everything)]
+    for _ in range(15):
+        error = _random_error(code, rng, rng.randint(1, 5))
+        extra = rng.sample(range(code.num_qubits), rng.randint(0, 20))
+        cases.append((error, error | QubitSet.from_indices(code, extra)))
+    # A flagged check away from the envelope keeps an empty row.
+    envelope = QubitSet.from_indices(code, [0])
+    far = next(x for x in range(code.num_checks) if x not in code.qubit_checks(0))
+    cases.append((QubitSet.of(), envelope))
+    sigmas = [syndrome(code, error) for error, _ in cases]
+    sigmas[-1] = CheckSet.from_indices(code, [far])
+    empty_rows = 0
+    for sigma, (_, envelope) in zip(sigmas, cases):
+        before = len(built)
+        verdict = erase_decode_quantum(code, sigma, envelope)
+        cols = envelope.to_indices(code)
+        rows = sorted(set(sigma.to_indices(code)).union(*map(code.qubit_checks, cols)))
+        assert len(built) == before + 1
+        assert built[-1] == _row_driven(code, rows, cols)
+        assert verdict.rows_touched == len(rows)
+        empty_rows += 0 in built[-1]
+    assert empty_rows == 1 and verdict.status == "no-solution"
+    # Two eager decodes of the whole code factorize once.
+    with pytest.warns(UserWarning):
+        eager = DecoderConfig(epsilon=Fraction(5, 9))
+    solves = len(built)
+    solvers = []
+    for w in (1, 2):
+        sigma = syndrome(code, _random_error(code, rng, w))
+        found = ssfind(code, sigma, eager)
+        assert found.envelope == everything
+        erase_decode_quantum(code, sigma, found.envelope)
+        solvers.append(code._erasure_solver[1])
+    assert len(built) == solves + 1
+    assert solvers[0] is solvers[1]

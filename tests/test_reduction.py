@@ -249,6 +249,50 @@ def test_reduce_error_greedy_is_fixpoint(mid_code):
             assert (red ^ supp_generator(code, g)).weight >= red.weight
 
 
+def greedy_by_lists(code, error):
+    """Oracle for greedy reduction: visit the generators meeting E in
+    ascending order, build each one's qubit list and toggle the first that E
+    holds more than half of.  Returns the result and the toggle count."""
+    err = set(error.to_indices(code))
+    toggles = 0
+    while True:
+        for g in sorted({g for q in err for g, _ in code.qubit_gens(q)}):
+            supp = code.gen_qubits(g)
+            if 2 * len(err.intersection(supp)) > len(supp):
+                err.symmetric_difference_update(supp)
+                toggles += 1
+                break
+        else:
+            return QubitSet.from_indices(code, sorted(err)), toggles
+
+
+def test_reduce_error_greedy_matches_list_route(mid_code):
+    """Counting hits through the incidence toggles the same generators as the
+    list route, on random errors dense enough that toggles occur: uniform
+    errors at n=12, and at n=60 errors planted with most of a few
+    generators' supports."""
+    big = build_hgp(gen_biregular(60, 3, 6, seed=1))
+    rng = random.Random(83)
+    cases = []
+    for _ in range(40):
+        w = rng.randint(10, 70)
+        cases.append((mid_code, rng.sample(range(mid_code.num_qubits), w)))
+    for _ in range(40):
+        qubits = set(rng.sample(range(big.num_qubits), rng.randint(0, 10)))
+        c = rng.randrange(big.m)
+        for v in rng.sample(range(big.n), rng.randint(1, 6)):
+            supp = big.gen_qubits(big.gen_index(c, v))
+            qubits.update(rng.sample(supp, rng.randint(4, len(supp))))
+        cases.append((big, sorted(qubits)))
+    toggled = {12: 0, 60: 0}
+    for code, qubits in cases:
+        e = QubitSet.from_indices(code, qubits)
+        want, toggles = greedy_by_lists(code, e)
+        assert reduce_error(code, e, "greedy") == want, (code.n, qubits)
+        toggled[code.n] += toggles
+    assert toggled[12] > 0 and toggled[60] > 0
+
+
 def test_reduce_error_errors(mid_code):
     with pytest.raises(ValueError, match="20 generators"):
         reduce_error(mid_code, QubitSet(), "exact")

@@ -27,7 +27,9 @@ from hgpdecode.reduction import (
     part_sizes,
 )
 from hgpdecode.ssfind import (
+    _NO_BEST,
     _NO_KEY,
+    _Engine,
     DecoderConfig,
     SsfindIterationError,
     TraceEntry,
@@ -429,6 +431,79 @@ def test_engine_matches_exact_oracle(
         twin = ssfind(code, sig, DecoderConfig(epsilon=Fraction(same_as)))
         assert res.trace == twin.trace
         assert res.envelope == twin.envelope
+
+
+def marked_by_checks(code, chks):
+    """Oracle for syndrome seeding: each check's cells marked one
+    (generator, cell) pair at a time through ``check_gens``."""
+    rmask = {}
+    for chk in chks:
+        for g, cellbit in code.check_gens(chk):
+            rmask[g] = rmask.get(g, 0) | cellbit
+    return rmask
+
+
+class _BatchOnlyMemo:
+    """Stands in for the best-candidate memo: records the states a rescore
+    looks up and reports that none qualifies, so no view is scored."""
+
+    def __init__(self):
+        self.batches = []
+
+    def lookup(self, states):
+        self.batches.append(list(states))
+        return [_NO_BEST] * len(states)
+
+
+@pytest.mark.parametrize(
+    "degrees, n, graph_seed",
+    [((3, 6), 12, 5), ((4, 4), 8, 0), ((2, 5), 20, 1), ((8, 9), 18, 1)],
+    ids=lambda v: f"{v[0]}-{v[1]}" if isinstance(v, tuple) else None,
+)
+def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
+    """The one-pass numpy seeding leaves the state the per-check marking
+    leaves, in lazy and eager mode: the same rmask, the same seeded set and
+    the same first rescore batch, on the empty syndrome, error syndromes and
+    random check sets.  At (8, 9) a grid has 72 cells, two 64-bit words."""
+    code = build_hgp(gen_biregular(n, *degrees, seed=graph_seed))
+    t = _view_tables(*degrees)
+    width, gens = t.width, range(code.num_gens)
+    rng = random.Random(73)
+    sigmas = [CheckSet.of(())]
+    for w in (1, 2, 4):
+        e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), w))
+        sigmas.append(syndrome(code, e))
+    for k in (1, 5, code.num_checks // 3):
+        sigmas.append(CheckSet.from_indices(code, rng.sample(range(code.num_checks), k)))
+    high_cells = cut = kept = 0
+    for cfg, mode in ((lazy_config(), "lazy"), (eager_config(), "eager")):
+        for sig in sigmas:
+            engine = _Engine(code, sig, cfg)
+            assert engine.mode == mode
+            st = engine.state
+            want = marked_by_checks(code, sig.to_indices(code))
+            high_cells += any(r >> 64 for r in want.values())
+            if engine.mode == "lazy":
+                assert dict(st.rmask) == want
+                assert {g for g in gens if st.seeded[g]} == set(want)
+                candidates = want
+            else:
+                assert st.rmask == [want.get(g, 0) for g in gens]
+                assert all(st.seeded)
+                candidates = gens
+            first = sorted(
+                g for g in candidates if want.get(g, 0).bit_count() >= engine.min_need
+            )
+            if engine.mode == "lazy":
+                cut += len(first) < len(want)
+                kept += bool(first)
+            engine.memo = _BatchOnlyMemo()
+            assert engine._rescore(engine.dirty) == first
+            assert engine.memo.batches == [[want.get(g, 0) << width for g in first]]
+    # The lazy min_need cut both drops and keeps generators, and a two-word
+    # grid has suspicious cells in its high word.
+    assert cut and kept
+    assert high_cells or t.grid_bits <= 64
 
 
 def test_trace_text_roundtrip():
