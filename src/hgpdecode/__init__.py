@@ -30,6 +30,7 @@ from .graphs import (
     ExpansionProfile,
     GraphConstructionError,
     GraphParseError,
+    LineParseError,
     audit_expansion,
     gen_biregular,
     graph_from_text,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import BitMatrix, BitVector, Gf2DimensionError, solve_restricted, rank
+from .gf2 import BitMatrix, BitVector, Gf2DimensionError, RestrictedSolver
 from .graphs import BipartiteGraph
 
 __all__ = [
@@ -148,13 +148,11 @@ def erase_decode_classical(code: ClassicalCode, word: BitVector, erasures) -> Bi
     if unknown:
         h = code.parity_matrix()
         b = h.mul_vector(BitVector(code.n, bits))
-        x = solve_restricted(h, b, unknown)
+        solver = RestrictedSolver(h, unknown)
+        x = solver.solve(b)
         if x is None:
             raise DecodeFailure("erased coordinates cannot be completed to a codeword")
-        restricted = BitMatrix(
-            h.rows, h.cols, [r & _mask(unknown) for r in h.row_bits]
-        )
-        if rank(restricted) < len(unknown):
+        if solver.rank < len(unknown):
             return None  # several codeword completions
         bits ^= x.bits
 
@@ -163,9 +161,3 @@ def erase_decode_classical(code: ClassicalCode, word: BitVector, erasures) -> Bi
         raise DecodeFailure("known coordinates are inconsistent with the code")
     return completed
 
-
-def _mask(columns) -> int:
-    acc = 0
-    for j in columns:
-        acc |= 1 << j
-    return acc

@@ -12,24 +12,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .graphs import (
-    GraphConstructionError,
-    GraphParseError,
-    audit_expansion,
-    gen_biregular,
-    graph_to_text,
-    read_graph,
-)
+from .graphs import audit_expansion, gen_biregular, graph_to_text, read_graph
 from .harness import (
     CampaignConfig,
-    CampaignConfigError,
     campaign_to_text,
     decode_once,
     montecarlo,
     radius_table,
     radius_table_to_text,
 )
-from .hgp import QubitParseError, build_hgp
+from .hgp import build_hgp
 from .ssfind import SsfindIterationError
 
 __all__ = ["main"]
@@ -170,14 +162,8 @@ _COMMANDS = {
     "radius-table": _cmd_radius_table,
 }
 
-_USAGE_ERRORS = (
-    CampaignConfigError,
-    GraphConstructionError,
-    GraphParseError,
-    QubitParseError,
-    ValueError,
-    OSError,
-)
+# Every parse, config and construction error subclasses ValueError.
+_USAGE_ERRORS = (ValueError, OSError)
 
 
 def main(argv=None) -> int:

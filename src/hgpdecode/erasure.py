@@ -3,9 +3,9 @@
 Once the search stage has produced an envelope that is meant to cover the
 actual error, what remains is plain linear algebra: find a correction inside
 the envelope whose syndrome equals the observed one.  The system is tiny
-compared to the code — only checks adjacent to the envelope (plus the flagged
-checks themselves) can constrain the correction, so the solve touches at most
-``(Δ_V + Δ_C)·|envelope| + |σ|`` rows.
+compared to the code — only checks adjacent to the envelope can constrain
+the correction, and a flagged check outside them rules every correction out,
+so the solve touches at most ``(Δ_V + Δ_C)·|envelope| + |σ|`` rows.
 
 Any solution is as good as the true error whenever the envelope stays below
 the code distance: two solutions differ by a kernel element supported on the
@@ -64,13 +64,14 @@ def erase_decode_quantum(
 ) -> DecodeVerdict:
     """Solve for a correction supported on ``envelope`` with syndrome ``sigma``.
 
-    Rows are restricted to checks adjacent to the envelope plus every flagged
-    check: a check outside that set reads 0 == 0 for any supported correction,
-    so dropping it loses nothing, while a flagged check with no envelope
-    neighbour keeps its (unsatisfiable) row and forces ``"no-solution"``.
-    Columns are the envelope's qubit indices in ascending order, which puts
-    the whole vertex-vertex block before the check-check block and pins down
-    which solution the canonical solve returns.
+    Rows are the checks adjacent to the envelope: a check outside them reads
+    0 == 0 for any supported correction, so dropping it loses nothing, while
+    a flagged check outside them forces ``"no-solution"`` at once.  The
+    syndrome enters only the right-hand side.  ``rows_touched`` counts the
+    flagged checks and the envelope's checks together.  Columns are the
+    envelope's qubit indices in ascending order, which puts the whole
+    vertex-vertex block before the check-check block and pins down which
+    solution the canonical solve returns.
 
     ``detect_ambiguity`` additionally inspects a kernel basis of the
     restricted system and downgrades the status to ``"ambiguous-logical"``
@@ -80,22 +81,25 @@ def erase_decode_quantum(
     one outside the span, so only an unambiguous solve pays for the whole
     basis, which grows with the envelope.
 
-    The last factorization is kept on the code with its (rows, columns) pair,
-    so consecutive solves against the same rows and columns only pay for
+    The last factorization is kept on the code, keyed by its columns alone,
+    so consecutive solves on the same envelope only pay for
     back-substitution.  Every eager-mode solve hits it: the envelope is the
     whole code.
     """
     cols = tuple(envelope.to_indices(code))
-    sigma_rows = set(sigma.to_indices(code))
-    rows, solver = _restricted_system(code, sigma_rows, cols)
-
+    row_pos, solver = _restricted_system(code, cols)
     b_bits = 0
-    for p, x in enumerate(rows):
-        if x in sigma_rows:
+    outside = 0
+    for x in sigma.to_indices(code):
+        p = row_pos.get(x)
+        if p is None:
+            outside += 1
+        else:
             b_bits |= 1 << p
-    solution = solver.solve(BitVector(len(rows), b_bits))
+    rows_touched = len(row_pos) + outside
+    solution = None if outside else solver.solve(BitVector(len(row_pos), b_bits))
     if solution is None:
-        return DecodeVerdict(QubitSet.of(), "no-solution", None, len(rows))
+        return DecodeVerdict(QubitSet.of(), "no-solution", None, rows_touched)
 
     correction = QubitSet.from_indices(code, (cols[p] for p in solution.support()))
     status = "success"
@@ -108,31 +112,29 @@ def erase_decode_quantum(
     equivalent = None
     if true_error is not None:
         equivalent = verify_coset(code, correction, true_error)
-    return DecodeVerdict(correction, status, equivalent, len(rows))
+    return DecodeVerdict(correction, status, equivalent, rows_touched)
 
 
-def _restricted_system(
-    code: HgpCode, sigma_rows: set[int], cols: tuple[int, ...]
-) -> tuple[tuple[int, ...], RestrictedSolver]:
-    """The rows, ascending, and the factorization of the rows x cols matrix.
+def _restricted_system(code: HgpCode, cols: tuple[int, ...]) -> tuple[dict[int, int], RestrictedSolver]:
+    """The position of each of the columns' checks among them, ascending,
+    and the factorization of the checks x cols matrix.
 
-    The matrix is built from the columns' checks: every row collects its
-    column positions and is packed once.  The per-column and per-row lists
-    are dropped before the factorization, so a whole-code solve never holds
-    them alongside it."""
-    col_checks = list(map(code.qubit_checks, cols))
-    rows = tuple(sorted(sigma_rows.union(*col_checks)))
+    The cache is checked before any check is looked up.  The matrix is built
+    from the columns' checks: every row collects its column positions and is
+    packed once.  The per-column and per-row lists are dropped before the
+    factorization, so a whole-code solve never holds them alongside it."""
     cached = getattr(code, "_erasure_solver", None)
-    if cached is not None and cached[0] == (rows, cols):
-        return rows, cached[1]
-    row_pos = {x: r for r, x in enumerate(rows)}
-    supports: list[list[int]] = [[] for _ in rows]
+    if cached is not None and cached[0] == cols:
+        return cached[1], cached[2]
+    col_checks = list(map(code.qubit_checks, cols))
+    row_pos = {x: r for r, x in enumerate(sorted(set().union(*col_checks)))}
+    supports: list[list[int]] = [[] for _ in row_pos]
     for p, chks in enumerate(col_checks):
         for x in chks:
             supports[row_pos[x]].append(p)
-    del col_checks, row_pos
-    sub = BitMatrix.from_row_supports(len(rows), len(cols), supports)
+    del col_checks
+    sub = BitMatrix.from_row_supports(len(row_pos), len(cols), supports)
     del supports
     solver = RestrictedSolver(sub, range(len(cols)))
-    code._erasure_solver = ((rows, cols), solver)
-    return rows, solver
+    code._erasure_solver = (cols, row_pos, solver)
+    return row_pos, solver

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ __all__ = [
     "ExpansionProfile",
     "GraphConstructionError",
     "GraphParseError",
+    "LineParseError",
+    "content_lines",
     "gen_biregular",
     "neighbors",
     "unique_neighbors",
@@ -36,12 +39,25 @@ class GraphConstructionError(ValueError):
     """Raised for impossible degree requests or invalid adjacency data."""
 
 
-class GraphParseError(ValueError):
-    """Raised on malformed graph files; carries the offending line number."""
+class LineParseError(ValueError):
+    """A malformed line of a text file; carries its 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class GraphParseError(LineParseError):
+    """Raised on malformed graph files."""
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """``(line_no, raw, stripped)`` for every line of ``text`` that is neither
+    blank nor a ``#`` comment; line numbers count from 1 over all lines."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, raw, line
 
 
 @dataclass(frozen=True)
@@ -128,8 +144,9 @@ class ExpansionProfile:
     """Audited worst-case expansion, per subset size.
 
     ``worst_epsilon_by_size[s]`` is the largest ``1 - |Γ(S)|/(Δ·s)`` seen over
-    the audited size-``s`` subsets (clamped at 0).  ``certified`` is True only
-    when every subset up to ``max_set_size`` was enumerated.
+    the audited size-``s`` subsets, never negative since |Γ(S)| ≤ Δ·s.
+    ``certified`` is True only when every subset up to ``max_set_size`` was
+    enumerated.
     """
 
     side: str
@@ -189,44 +206,35 @@ def audit_expansion(
     """Measure worst-case expansion for subset sizes 1..s_max.
 
     With ``samples`` unset, every subset is enumerated and the profile is
-    certified; otherwise ``samples`` random subsets per size are drawn from a
-    generator seeded with ``sample_seed`` and the profile is an estimate.
+    certified; otherwise ``samples`` (at least 1) random subsets per size are
+    drawn from a generator seeded with ``sample_seed`` and the profile is an
+    estimate.  Both kinds of subset go through one minimum-|Γ(S)| loop.
     """
     size, degree, adj = _side_data(graph, side)
     if s_max < 1:
         raise ValueError("s_max must be at least 1")
     if s_max > size:
         raise ValueError(f"s_max {s_max} exceeds {side}-side cardinality {size}")
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be at least 1")
     masks = graph.left_masks() if side == "left" else graph.right_masks()
+    rng = random.Random(sample_seed)
     worst: dict[int, Fraction] = {}
-    if samples is None:
-        for s in range(1, s_max + 1):
-            min_gamma = None
-            for subset in itertools.combinations(range(size), s):
-                acc = 0
-                for v in subset:
-                    acc |= masks[v]
-                gamma = acc.bit_count()
-                if min_gamma is None or gamma < min_gamma:
-                    min_gamma = gamma
-            eps = Fraction(1) - Fraction(min_gamma, degree * s)
-            worst[s] = max(eps, Fraction(0))
-        certified = True
-    else:
-        rng = random.Random(sample_seed)
-        for s in range(1, s_max + 1):
-            min_gamma = None
-            for _ in range(samples):
-                acc = 0
-                for v in rng.sample(range(size), s):
-                    acc |= masks[v]
-                gamma = acc.bit_count()
-                if min_gamma is None or gamma < min_gamma:
-                    min_gamma = gamma
-            eps = Fraction(1) - Fraction(min_gamma, degree * s)
-            worst[s] = max(eps, Fraction(0))
-        certified = False
-    return ExpansionProfile(side, s_max, worst, certified)
+    for s in range(1, s_max + 1):
+        if samples is None:
+            subsets = itertools.combinations(range(size), s)
+        else:
+            subsets = (rng.sample(range(size), s) for _ in range(samples))
+        min_gamma = degree * s
+        for subset in subsets:
+            acc = 0
+            for v in subset:
+                acc |= masks[v]
+            gamma = acc.bit_count()
+            if gamma < min_gamma:
+                min_gamma = gamma
+        worst[s] = 1 - Fraction(min_gamma, degree * s)
+    return ExpansionProfile(side, s_max, worst, samples is None)
 
 
 def gen_biregular(n: int, delta_v: int, delta_c: int, seed: int) -> BipartiteGraph:
@@ -309,35 +317,46 @@ def graph_to_text(graph: BipartiteGraph) -> str:
 
 
 def graph_from_text(text: str) -> BipartiteGraph:
+    """Parse the canonical text form.  Every line is checked before anything
+    is built: the header must have sizes and degrees at least 1 that satisfy
+    n·Δv = m·Δc, and each adjacency line Δv strictly ascending neighbours in
+    [0, m) that give no check more than Δc neighbours, which with the
+    handshake gives every check exactly Δc.  Nothing of size m is allocated
+    before all n lines pass, and those lines hold m·Δc entries, so m is
+    bounded by the size of the text."""
     lines = text.splitlines()
-    if not lines:
-        raise GraphParseError(1, "empty graph file")
-    header = lines[0].split()
+    header = lines[0].split() if lines else []
     if len(header) != 4:
         raise GraphParseError(1, "header must be 'n m delta_v delta_c'")
     try:
         n, m, delta_v, delta_c = (int(x) for x in header)
     except ValueError:
         raise GraphParseError(1, "header fields must be integers") from None
+    if min(n, m, delta_v, delta_c) < 1:
+        raise GraphParseError(1, "sizes and degrees must be at least 1")
+    if n * delta_v != m * delta_c:
+        raise GraphParseError(1, f"handshake violated: {n}*{delta_v} != {m}*{delta_c}")
     if len(lines) < 1 + n:
         raise GraphParseError(len(lines), f"expected {n} adjacency lines, found {len(lines) - 1}")
+    check_degree: dict[int, int] = {}
     adj_v = []
-    for v in range(n):
-        line_no = v + 2
-        parts = lines[1 + v].split()
+    for line_no, line in enumerate(lines[1:1 + n], start=2):
         try:
-            nbrs = [int(x) for x in parts]
+            nbrs = [int(x) for x in line.split()]
         except ValueError:
             raise GraphParseError(line_no, "neighbor fields must be integers") from None
         if len(nbrs) != delta_v:
             raise GraphParseError(line_no, f"expected {delta_v} neighbors, found {len(nbrs)}")
-        if nbrs != sorted(nbrs):
-            raise GraphParseError(line_no, "neighbors must be ascending")
+        if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
+            raise GraphParseError(line_no, "neighbors must be strictly ascending")
+        if nbrs[0] < 0 or nbrs[-1] >= m:
+            raise GraphParseError(line_no, f"neighbors must lie in [0, {m})")
+        for c in nbrs:
+            check_degree[c] = check_degree.get(c, 0) + 1
+            if check_degree[c] > delta_c:
+                raise GraphParseError(line_no, f"check {c} gets more than {delta_c} neighbors")
         adj_v.append(nbrs)
-    graph = BipartiteGraph.from_left_adjacency(m, adj_v)
-    if graph.delta_c != delta_c:
-        raise GraphParseError(1, f"declared delta_c = {delta_c} but adjacency implies {graph.delta_c}")
-    return graph
+    return BipartiteGraph.from_left_adjacency(m, adj_v)
 
 
 def write_graph(graph: BipartiteGraph, path) -> None:

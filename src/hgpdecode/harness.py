@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .erasure import DecodeVerdict, erase_decode_quantum
-from .graphs import BipartiteGraph, audit_expansion, gen_biregular, read_graph
+from .graphs import BipartiteGraph, LineParseError, audit_expansion, content_lines, gen_biregular, read_graph
 from .hgp import (
     HgpCode,
     QubitSet,
@@ -150,6 +150,10 @@ class CampaignConfigError(ValueError):
     """Raised when a campaign config file fails validation."""
 
 
+class _ConfigLineError(CampaignConfigError, LineParseError):
+    """A campaign config line that fails to parse; carries its line number."""
+
+
 _CONFIG_KEYS = {
     "n", "delta_v", "delta_c", "graph_seed", "seed",
     "trials", "weights", "epsilon", "reduction",
@@ -180,23 +184,20 @@ class CampaignConfig:
             raise CampaignConfigError(
                 f"reduction must be one of {_REDUCTIONS}, got {self.reduction!r}"
             )
-        _validate_epsilon_spec(self.epsilon)
+        _parse_epsilon_spec(self.epsilon)
 
     @classmethod
     def from_text(cls, text: str) -> CampaignConfig:
         values = {}
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, raw, line in content_lines(text):
             if "=" not in line:
-                raise CampaignConfigError(f"line {line_no}: expected key=value, got {raw!r}")
+                raise _ConfigLineError(line_no, f"expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in _CONFIG_KEYS:
-                raise CampaignConfigError(f"line {line_no}: unknown key {key!r}")
+                raise _ConfigLineError(line_no, f"unknown key {key!r}")
             if key in values:
-                raise CampaignConfigError(f"line {line_no}: duplicate key {key!r}")
+                raise _ConfigLineError(line_no, f"duplicate key {key!r}")
             values[key] = value
         missing = {"n", "delta_v", "delta_c", "graph_seed", "trials", "weights", "epsilon"} - set(values)
         if missing:
@@ -281,7 +282,8 @@ class CampaignResult:
         return all(r.succeeded for r in self.reports)
 
 
-def _validate_epsilon_spec(spec: str) -> None:
+def _parse_epsilon_spec(spec: str) -> Fraction | int:
+    """A literal epsilon as a Fraction, or the size s of ``audit:<s>`` as an int."""
     if spec.startswith("audit:"):
         try:
             s_max = int(spec[len("audit:"):])
@@ -289,13 +291,14 @@ def _validate_epsilon_spec(spec: str) -> None:
             raise CampaignConfigError(f"bad audit spec {spec!r}") from None
         if s_max < 1:
             raise CampaignConfigError("audit size must be at least 1")
-        return
+        return s_max
     try:
         value = Fraction(spec)
     except (ValueError, ZeroDivisionError):
         raise CampaignConfigError(f"epsilon must be a fraction or audit:<s>, got {spec!r}") from None
     if value < 0:
         raise CampaignConfigError("epsilon must be nonnegative")
+    return value
 
 
 def resolve_epsilon(
@@ -303,10 +306,9 @@ def resolve_epsilon(
 ) -> tuple[Fraction, tuple[tuple[str, int, Fraction], ...]]:
     """Turn an epsilon spec into a value: either a literal, or the worst
     certified expansion defect over both sides of the graph up to audit:<s>."""
-    _validate_epsilon_spec(spec)
-    if not spec.startswith("audit:"):
-        return Fraction(spec), ()
-    s_max = int(spec[len("audit:"):])
+    s_max = _parse_epsilon_spec(spec)
+    if isinstance(s_max, Fraction):
+        return s_max, ()
     audited = []
     worst = Fraction(0)
     for side in ("left", "right"):
@@ -374,13 +376,16 @@ def _one_trial(
     )
 
 
+def _run_trials(code: HgpCode, config: CampaignConfig, epsilon: Fraction, audited, ks: range) -> list[TrialReport]:
+    decoder = DecoderConfig(epsilon=epsilon)
+    return [_one_trial(code, config, decoder, audited, k) for k in ks]
+
+
 def _trial_range(config: CampaignConfig, lo: int, hi: int) -> list[TrialReport]:
     """Worker entry point: rebuilds the (deterministic) code, runs [lo, hi)."""
     graph = gen_biregular(config.n, config.delta_v, config.delta_c, seed=config.graph_seed)
-    code = build_hgp(graph)
     epsilon, audited = resolve_epsilon(config.epsilon, graph)
-    decoder = DecoderConfig(epsilon=epsilon)
-    return [_one_trial(code, config, decoder, audited, k) for k in range(lo, hi)]
+    return _run_trials(build_hgp(graph), config, epsilon, audited, range(lo, hi))
 
 
 def montecarlo(config: CampaignConfig, workers: int | None = None) -> CampaignResult:
@@ -394,7 +399,7 @@ def montecarlo(config: CampaignConfig, workers: int | None = None) -> CampaignRe
     graph = gen_biregular(config.n, config.delta_v, config.delta_c, seed=config.graph_seed)
     epsilon, audited = resolve_epsilon(config.epsilon, graph)
     if workers <= 1 or config.trials <= 1:
-        reports = tuple(_trial_range(config, 0, config.trials))
+        reports = tuple(_run_trials(build_hgp(graph), config, epsilon, audited, range(config.trials)))
     else:
         step = -(-config.trials // workers)
         bounds = [

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf2 import BitMatrix, RestrictedSolver
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, LineParseError, content_lines
 
 __all__ = [
     "HgpCode",
@@ -512,10 +512,8 @@ def dual(code: HgpCode) -> HgpCode:
 
 # --- qubit-set file format: one qubit per line, "VV i j" or "CC i j" ---
 
-class QubitParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class QubitParseError(LineParseError):
+    """Raised on malformed qubit-set files."""
 
 
 def qubitset_to_text(qubits: QubitSet) -> str:
@@ -526,10 +524,7 @@ def qubitset_to_text(qubits: QubitSet) -> str:
 
 def qubitset_from_text(text: str, code: HgpCode | None = None) -> QubitSet:
     vv, cc = [], []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, raw, line in content_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("VV", "CC"):
             raise QubitParseError(line_no, f"expected 'VV i j' or 'CC i j', got {raw!r}")

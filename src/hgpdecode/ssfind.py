@@ -58,6 +58,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .graphs import LineParseError, content_lines
 from .hgp import CheckSet, HgpCode, QubitSet, qnbhd_unique
 from .reduction import Candidate, check_view_width, enumerate_minsets, locally_reduced_masks, mask_to_qubitset, part_sizes
 
@@ -141,10 +142,8 @@ class TraceEntry:
     suspicious_size: int
 
 
-class TraceParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class TraceParseError(LineParseError):
+    """Raised on malformed trace files."""
 
 
 def trace_to_text(trace: Iterable[TraceEntry]) -> str:
@@ -158,10 +157,7 @@ def trace_to_text(trace: Iterable[TraceEntry]) -> str:
 
 def trace_from_text(text: str) -> tuple[TraceEntry, ...]:
     out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, raw, line in content_lines(text):
         parts = line.split()
         if len(parts) != 7:
             raise TraceParseError(line_no, f"expected 7 fields, got {len(parts)}")
@@ -402,7 +398,6 @@ class SsfindState:
     code: HgpCode
     config: DecoderConfig
     mode: str
-    sigma: frozenset[int]
     envelope_set: set[int] = field(default_factory=set)
     suspicious_set: set[int] = field(default_factory=set)
     retired: dict[int, int] | list[int] = field(default_factory=_ZeroDefault)
@@ -542,7 +537,6 @@ class _Engine:
             code=code,
             config=config,
             mode=self.mode,
-            sigma=frozenset(sigma_idx),
             suspicious_set=set(sigma_idx),
             retired=[0] * g_count if eager else _ZeroDefault(),
             rmask=[0] * g_count if eager else _ZeroDefault(),

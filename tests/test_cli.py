@@ -62,6 +62,19 @@ def test_audit_sampled_rows_are_marked_uncertified(graph_file, capsys):
     assert all(row[3] == "no" for row in rows)
 
 
+def test_audit_without_samples_exits_two(graph_file, capsys):
+    assert main(["audit", "--graph", str(graph_file), "--s-max", "2", "--samples", "0"]) == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line", [("2 1 1 2\n0\n5\n", 3), ("2 2 1 1\n0\n0\n", 3)])
+def test_build_hgp_names_the_malformed_graph_line(tmp_path, capsys, text, line):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert main(["build-hgp", "--graph", str(path)]) == 2
+    assert f"error: line {line}: " in capsys.readouterr().err
+
+
 def test_build_hgp_prints_code_parameters(graph_file, capsys, mid_graph):
     code = build_hgp(mid_graph)
     assert main(["build-hgp", "--graph", str(graph_file)]) == 0

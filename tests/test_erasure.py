@@ -153,18 +153,17 @@ def test_factorization_cache_and_determinism(mid_code):
     error = _random_error(mid_code, rng, 5)
     sigma = syndrome(mid_code, error)
     first = erase_decode_quantum(mid_code, sigma, error)
-    solver = mid_code._erasure_solver[1]
+    solver = mid_code._erasure_solver[2]
     second = erase_decode_quantum(mid_code, sigma, error)
     assert first == second
-    assert mid_code._erasure_solver[1] is solver
-    # A different syndrome against the same envelope reuses the factorization
-    # (its flagged checks all neighbour the envelope, so the rows match).
+    assert mid_code._erasure_solver[2] is solver
+    # A different syndrome against the same envelope reuses the factorization.
     sub = QubitSet.of(vv=list(error.vv_part)[:1])
     erase_decode_quantum(mid_code, syndrome(mid_code, sub), error)
-    assert mid_code._erasure_solver[1] is solver
+    assert mid_code._erasure_solver[2] is solver
     # A different envelope replaces the single cached factorization.
     erase_decode_quantum(mid_code, syndrome(mid_code, sub), sub)
-    assert mid_code._erasure_solver[1] is not solver
+    assert mid_code._erasure_solver[2] is not solver
 
 
 def test_full_envelope_ambiguity_split(path_code, single_edge_code):
@@ -288,9 +287,11 @@ def _row_driven(code, rows, cols):
 
 def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
     """The matrix built from the envelope columns' checks equals the one
-    built from each row's check support: on random envelopes, the whole-code
-    envelope, and with a flagged check that no envelope qubit touches.  Eager
-    solves on the whole code keep hitting the one-slot factorization cache."""
+    built from each of those checks' supports, on random envelopes and the
+    whole-code envelope.  A flagged check that no envelope qubit touches
+    gives no-solution and still counts among the rows touched.  Two solves
+    in a row on one envelope factorize once, and so do eager solves on the
+    whole code."""
     built = []
 
     class Recording(RestrictedSolver):
@@ -308,23 +309,29 @@ def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
         error = _random_error(code, rng, rng.randint(1, 5))
         extra = rng.sample(range(code.num_qubits), rng.randint(0, 20))
         cases.append((error, error | QubitSet.from_indices(code, extra)))
-    # A flagged check away from the envelope keeps an empty row.
-    envelope = QubitSet.from_indices(code, [0])
-    far = next(x for x in range(code.num_checks) if x not in code.qubit_checks(0))
-    cases.append((QubitSet.of(), envelope))
-    sigmas = [syndrome(code, error) for error, _ in cases]
-    sigmas[-1] = CheckSet.from_indices(code, [far])
-    empty_rows = 0
-    for sigma, (_, envelope) in zip(sigmas, cases):
+    for error, envelope in cases:
+        sigma = syndrome(code, error)
         before = len(built)
         verdict = erase_decode_quantum(code, sigma, envelope)
         cols = envelope.to_indices(code)
-        rows = sorted(set(sigma.to_indices(code)).union(*map(code.qubit_checks, cols)))
+        rows = sorted(set().union(*map(code.qubit_checks, cols)))
         assert len(built) == before + 1
         assert built[-1] == _row_driven(code, rows, cols)
         assert verdict.rows_touched == len(rows)
-        empty_rows += 0 in built[-1]
-    assert empty_rows == 1 and verdict.status == "no-solution"
+        assert syndrome(code, verdict.correction) == sigma
+    # A flagged check away from the envelope: no row of its own.
+    envelope = QubitSet.from_indices(code, [0])
+    near = sorted(code.qubit_checks(0))
+    far = next(x for x in range(code.num_checks) if x not in near)
+    verdict = erase_decode_quantum(code, CheckSet.from_indices(code, [far]), envelope)
+    assert verdict.status == "no-solution"
+    assert verdict.rows_touched == len(near) + 1
+    assert built[-1] == _row_driven(code, near, [0])
+    # The next solve on the same envelope reuses that factorization.
+    solves = len(built)
+    verdict = erase_decode_quantum(code, syndrome(code, envelope), envelope)
+    assert verdict.status == "success" and verdict.rows_touched == len(near)
+    assert len(built) == solves
     # Two eager decodes of the whole code factorize once.
     with pytest.warns(UserWarning):
         eager = DecoderConfig(epsilon=Fraction(5, 9))
@@ -335,6 +342,6 @@ def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
         found = ssfind(code, sigma, eager)
         assert found.envelope == everything
         erase_decode_quantum(code, sigma, found.envelope)
-        solvers.append(code._erasure_solver[1])
+        solvers.append(code._erasure_solver[2])
     assert len(built) == solves + 1
     assert solvers[0] is solvers[1]
