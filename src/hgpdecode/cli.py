@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .graphs import audit_expansion, gen_biregular, graph_to_text, read_graph
+from .graphs import audit_expansion, gen_biregular, graph_to_text, read_ascii, read_graph
 from .harness import (
     CampaignConfig,
     campaign_to_text,
@@ -94,12 +94,14 @@ def _cmd_gen_graph(args) -> int:
 def _cmd_audit(args) -> int:
     graph = read_graph(args.graph)
     sides = ("left", "right") if args.side == "both" else (args.side,)
+    # Every profile is computed before anything is printed, so an invalid
+    # run leaves stdout empty.
+    profiles = [
+        audit_expansion(graph, side, args.s_max, samples=args.samples, sample_seed=args.sample_seed)
+        for side in sides
+    ]
     print("# side size epsilon certified")
-    for side in sides:
-        profile = audit_expansion(
-            graph, side, args.s_max,
-            samples=args.samples, sample_seed=args.sample_seed,
-        )
+    for side, profile in zip(sides, profiles):
         for s in range(1, args.s_max + 1):
             eps = profile.worst_epsilon_by_size[s]
             print(f"{side} {s} {eps} {'yes' if profile.certified else 'no'}")
@@ -138,7 +140,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    config = CampaignConfig.from_text(args.config.read_text())
+    config = CampaignConfig.from_text(read_ascii(args.config))
     result = montecarlo(config, workers=args.workers)
     text = campaign_to_text(result, include_wall=not args.no_wall)
     if args.out is None:

@@ -14,6 +14,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 __all__ = [
     "BipartiteGraph",
@@ -22,6 +23,7 @@ __all__ = [
     "GraphParseError",
     "LineParseError",
     "content_lines",
+    "read_ascii",
     "gen_biregular",
     "neighbors",
     "unique_neighbors",
@@ -58,6 +60,20 @@ def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, raw, line
+
+
+def read_ascii(path) -> str:
+    """The text of an input file, which must be ASCII.  A byte outside ASCII
+    raises ``LineParseError`` naming its line, numbered as ``content_lines``
+    numbers them."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("ascii")
+        # "x" stands in for the bad byte, which starts a line after a break.
+        line_no = len((head + "x").splitlines())
+        raise LineParseError(line_no, f"non-ASCII byte {data[exc.start]:#04x}") from None
 
 
 @dataclass(frozen=True)
@@ -321,9 +337,10 @@ def graph_from_text(text: str) -> BipartiteGraph:
     is built: the header must have sizes and degrees at least 1 that satisfy
     n·Δv = m·Δc, and each adjacency line Δv strictly ascending neighbours in
     [0, m) that give no check more than Δc neighbours, which with the
-    handshake gives every check exactly Δc.  Nothing of size m is allocated
-    before all n lines pass, and those lines hold m·Δc entries, so m is
-    bounded by the size of the text."""
+    handshake gives every check exactly Δc.  Only blank lines may follow
+    the n adjacency lines.  Nothing of size m is allocated before all n
+    lines pass, and those lines hold m·Δc entries, so m is bounded by the
+    size of the text."""
     lines = text.splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 4:
@@ -356,6 +373,9 @@ def graph_from_text(text: str) -> BipartiteGraph:
             if check_degree[c] > delta_c:
                 raise GraphParseError(line_no, f"check {c} gets more than {delta_c} neighbors")
         adj_v.append(nbrs)
+    for line_no, line in enumerate(lines[1 + n:], start=2 + n):
+        if line.strip():
+            raise GraphParseError(line_no, f"unexpected content after the {n} adjacency lines")
     return BipartiteGraph.from_left_adjacency(m, adj_v)
 
 
@@ -365,5 +385,4 @@ def write_graph(graph: BipartiteGraph, path) -> None:
 
 
 def read_graph(path) -> BipartiteGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return graph_from_text(fh.read())
+    return graph_from_text(read_ascii(path))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .erasure import DecodeVerdict, erase_decode_quantum
-from .graphs import BipartiteGraph, LineParseError, audit_expansion, content_lines, gen_biregular, read_graph
+from .graphs import BipartiteGraph, LineParseError, audit_expansion, content_lines, gen_biregular, read_ascii, read_graph
 from .hgp import (
     HgpCode,
     QubitSet,
@@ -377,15 +377,9 @@ def _one_trial(
 
 
 def _run_trials(code: HgpCode, config: CampaignConfig, epsilon: Fraction, audited, ks: range) -> list[TrialReport]:
+    """Trials ``ks`` on the campaign's code; also a worker's entry point."""
     decoder = DecoderConfig(epsilon=epsilon)
     return [_one_trial(code, config, decoder, audited, k) for k in ks]
-
-
-def _trial_range(config: CampaignConfig, lo: int, hi: int) -> list[TrialReport]:
-    """Worker entry point: rebuilds the (deterministic) code, runs [lo, hi)."""
-    graph = gen_biregular(config.n, config.delta_v, config.delta_c, seed=config.graph_seed)
-    epsilon, audited = resolve_epsilon(config.epsilon, graph)
-    return _run_trials(build_hgp(graph), config, epsilon, audited, range(lo, hi))
 
 
 def montecarlo(config: CampaignConfig, workers: int | None = None) -> CampaignResult:
@@ -398,16 +392,16 @@ def montecarlo(config: CampaignConfig, workers: int | None = None) -> CampaignRe
     workers = _resolve_workers(workers)
     graph = gen_biregular(config.n, config.delta_v, config.delta_c, seed=config.graph_seed)
     epsilon, audited = resolve_epsilon(config.epsilon, graph)
+    code = build_hgp(graph)
     if workers <= 1 or config.trials <= 1:
-        reports = tuple(_run_trials(build_hgp(graph), config, epsilon, audited, range(config.trials)))
+        reports = tuple(_run_trials(code, config, epsilon, audited, range(config.trials)))
     else:
         step = -(-config.trials // workers)
-        bounds = [
-            (lo, min(lo + step, config.trials))
-            for lo in range(0, config.trials, step)
-        ]
+        ranges = [range(lo, min(lo + step, config.trials)) for lo in range(0, config.trials, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_trial_range, *zip(*((config, lo, hi) for lo, hi in bounds)))
+            chunks = pool.map(
+                _run_trials, *zip(*((code, config, epsilon, audited, ks) for ks in ranges))
+            )
             reports = tuple(r for chunk in chunks for r in chunk)
     return CampaignResult(
         config=config,
@@ -536,7 +530,7 @@ def decode_once(
         raise CampaignConfigError(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
     graph = read_graph(graph_path)
     code = build_hgp(graph)
-    error = qubitset_from_text(Path(error_path).read_text(), code)
+    error = qubitset_from_text(read_ascii(error_path), code)
     eps_value, _ = resolve_epsilon(epsilon, graph)
     reduced = error if reduction == "none" else reduce_error(code, error, mode=reduction)
     sigma = syndrome(code, reduced)

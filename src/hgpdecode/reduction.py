@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .gf2 import BitVector
-from .hgp import HgpCode, QubitSet, supp_generator
+from .hgp import HgpCode, QubitSet
 
 __all__ = [
     "Candidate",
@@ -116,13 +116,6 @@ def mask_to_qubitset(code: HgpCode, generator: int, mask: int) -> QubitSet:
     return QubitSet.of(vv, cc)
 
 
-def _bits_of(code: HgpCode, qubits: QubitSet) -> int:
-    acc = 0
-    for q in qubits.to_indices(code):
-        acc |= 1 << q
-    return acc
-
-
 def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitSet:
     """A lower-weight coset representative of ``error`` modulo generator toggles.
 
@@ -140,8 +133,8 @@ def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitS
         def indices(b: int) -> list[int]:
             return BitVector(code.num_qubits, b).support()
 
-        bits = _bits_of(code, error)
-        supports = [_bits_of(code, supp_generator(code, g)) for g in range(code.num_gens)]
+        bits = sum(1 << q for q in error.to_indices(code))
+        supports = [sum(1 << q for q in code.gen_qubits(g)) for g in range(code.num_gens)]
         best = bits
         best_key = (bits.bit_count(), indices(bits))
         cur = bits

@@ -52,7 +52,7 @@ from __future__ import annotations
 import bisect
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -100,7 +100,6 @@ class DecoderConfig:
     it had to be scored."""
 
     epsilon: Fraction
-    max_iterations: int | None = None
     verify_exit: bool = False
     record_rescored: bool = False
 
@@ -124,7 +123,10 @@ class DecoderConfig:
 
 
 class SsfindIterationError(RuntimeError):
-    """Iteration cap hit while qualifying candidates remain (diagnostic)."""
+    """More picks than the code has qubits while candidates still qualify.
+
+    Every pick adds at least one qubit, so this is a fault in the search, not
+    a property of the input; ``trace`` holds the picks made."""
 
     def __init__(self, message: str, trace: tuple):
         super().__init__(message)
@@ -383,77 +385,6 @@ class _SeededView(Sequence):
         return map(self._members.__contains__, range(self._len))
 
 
-@dataclass
-class SsfindState:
-    """Mutable decode state plus inspection helpers for the cached scores.
-
-    ``rmask[g]`` (suspicious grid cells) and ``retired[g]`` (view bits of
-    envelope qubits) read 0 for a generator the decode never touched.  A
-    lazy decode keeps them in maps holding only touched generators, so its
-    cost follows the syndrome.  An eager decode seeds every generator, and
-    keeps them in lists, whose updates cost about half as much.  A generator
-    is seeded once one of its grid's checks is suspicious, or from the
-    start in eager mode."""
-
-    code: HgpCode
-    config: DecoderConfig
-    mode: str
-    envelope_set: set[int] = field(default_factory=set)
-    suspicious_set: set[int] = field(default_factory=set)
-    retired: dict[int, int] | list[int] = field(default_factory=_ZeroDefault)
-    rmask: dict[int, int] | list[int] = field(default_factory=_ZeroDefault)
-    trace: list[TraceEntry] = field(default_factory=list)
-
-    def _tables(self) -> _ViewTables:
-        return _view_tables(self.code.delta_v, self.code.delta_c)
-
-    def seeded_gens(self) -> Iterable[int]:
-        """The seeded generators, ascending."""
-        if self.mode == "eager":
-            return range(self.code.num_gens)
-        return sorted(self.rmask)
-
-    @property
-    def seeded(self) -> Sequence[bool]:
-        members = range(self.code.num_gens) if self.mode == "eager" else self.rmask
-        return _SeededView(members, self.code.num_gens)
-
-    def alive_masks(self, g: int) -> list[int]:
-        retired = self.retired[g]
-        return [m for m in self._tables().masks if not (m & retired)]
-
-    def cached_score(self, g: int, mask: int) -> Fraction:
-        """Score from the incrementally maintained suspicious-cell mask."""
-        t = self._tables()
-        p = t.pos_of_mask[mask]
-        num = (t.py_uq[p] & ~self.rmask[g] & t.gridfull).bit_count()
-        return Fraction(num, t.py_den[p])
-
-    def _split(self, g: int) -> tuple[list[int], list[int]]:
-        """Alive masks of generator g at or below 2*epsilon, and above it.
-
-        Scores num/den compare with 2*epsilon = p/q as num*q <= p*den, exactly."""
-        t = self._tables()
-        twoeps = 2 * self.config.epsilon
-        p, q = twoeps.numerator, twoeps.denominator
-        not_r = ~self.rmask[g] & t.gridfull
-        retired = self.retired[g]
-        low, high = [], []
-        for uq, den, mask in zip(t.py_uq, t.py_den, t.masks):
-            if not mask & retired:
-                (low if (uq & not_r).bit_count() * q <= p * den else high).append(mask)
-        return low, high
-
-    def buckets(self) -> dict[str, list[tuple[int, int]]]:
-        """Alive candidates split at the qualification threshold 2*epsilon."""
-        low, high = [], []
-        for g in self.seeded_gens():
-            at_or_below, above = self._split(g)
-            low += [(g, m) for m in at_or_below]
-            high += [(g, m) for m in above]
-        return {"at_or_below": low, "above": high}
-
-
 @dataclass(frozen=True)
 class SsfindResult:
     """``rescored`` (with ``record_rescored``) holds one ascending tuple per
@@ -519,31 +450,82 @@ class _QualifierMap:
         return g, self.packed[g] & _POS_BITS
 
 
-class _Engine:
+class SsfindState:
+    """One decode's search: ``SsfindState(code, sigma, config)`` builds it
+    with the syndrome's cells marked, and ``run()`` advances it to the exit.
+    The finished search is the result's ``state``, with helpers that inspect
+    its cached scores.
+
+    ``rmask[g]`` (suspicious grid cells) and ``retired[g]`` (view bits of
+    envelope qubits) read 0 for a generator the decode never touched.  A
+    lazy decode keeps them in maps holding only touched generators, so its
+    cost follows the syndrome.  An eager decode seeds every generator, and
+    keeps them in lists, whose updates cost about half as much.  A generator
+    is seeded once one of its grid's checks is suspicious, or from the
+    start in eager mode."""
+
     def __init__(self, code: HgpCode, sigma: CheckSet, config: DecoderConfig):
         check_view_width(code.delta_v + code.delta_c)
         self.code = code
         self.config = config
         self.tables = _view_tables(code.delta_v, code.delta_c)
         twoeps = 2 * config.epsilon
-        self.mode = "eager" if twoeps >= self.tables.min_untouched else "lazy"
         self.memo = self.tables.best_memo(twoeps)
-        # A generator with fewer suspicious cells has no qualifying candidate.
+        # A generator with fewer suspicious cells has no qualifying candidate;
+        # at most 0, an untouched candidate qualifies and every generator is
+        # seeded from the start.
         self.min_need = self.tables.min_need(twoeps)
+        eager = self.min_need <= 0
+        self.mode = "eager" if eager else "lazy"
         g_count = code.num_gens
         sigma_idx = sigma.to_indices(code)
-        eager = self.mode == "eager"
-        self.state = SsfindState(
-            code=code,
-            config=config,
-            mode=self.mode,
-            suspicious_set=set(sigma_idx),
-            retired=[0] * g_count if eager else _ZeroDefault(),
-            rmask=[0] * g_count if eager else _ZeroDefault(),
-        )
+        self.envelope_set: set[int] = set()
+        self.suspicious_set = set(sigma_idx)
+        self.retired: dict[int, int] | list[int] = [0] * g_count if eager else _ZeroDefault()
+        self.rmask: dict[int, int] | list[int] = [0] * g_count if eager else _ZeroDefault()
+        self.trace: list[TraceEntry] = []
         self.dirty: set[int] = set(range(g_count)) if eager else set()
         self.bests = _DenseBests(g_count) if eager else _QualifierMap()
         self._seed(sigma_idx)
+
+    # -- inspection --
+
+    def seeded_gens(self) -> Iterable[int]:
+        """The seeded generators, ascending."""
+        if self.mode == "eager":
+            return range(self.code.num_gens)
+        return sorted(self.rmask)
+
+    @property
+    def seeded(self) -> Sequence[bool]:
+        members = range(self.code.num_gens) if self.mode == "eager" else self.rmask
+        return _SeededView(members, self.code.num_gens)
+
+    def alive_masks(self, g: int) -> list[int]:
+        retired = self.retired[g]
+        return [m for m in self.tables.masks if not (m & retired)]
+
+    def cached_score(self, g: int, mask: int) -> Fraction:
+        """Score from the incrementally maintained suspicious-cell mask."""
+        t = self.tables
+        p = t.pos_of_mask[mask]
+        num = (t.py_uq[p] & ~self.rmask[g] & t.gridfull).bit_count()
+        return Fraction(num, t.py_den[p])
+
+    def _qualifying(self, g: int) -> list[int]:
+        """Alive masks of generator g that score at most 2*epsilon.
+
+        Scores num/den compare with 2*epsilon = p/q as num*q <= p*den, exactly."""
+        t = self.tables
+        twoeps = 2 * self.config.epsilon
+        p, q = twoeps.numerator, twoeps.denominator
+        not_r = ~self.rmask[g] & t.gridfull
+        retired = self.retired[g]
+        return [
+            mask
+            for uq, den, mask in zip(t.py_uq, t.py_den, t.masks)
+            if not mask & retired and (uq & not_r).bit_count() * q <= p * den
+        ]
 
     # -- bookkeeping --
 
@@ -578,7 +560,7 @@ class _Engine:
         for w in range(1, words):
             rmasks = [r | x << (64 * w) for r, x in zip(rmasks, masks[w].tolist())]
         seeded = gens[starts]
-        rmask = self.state.rmask
+        rmask = self.rmask
         if self.mode == "eager":
             for g, r in zip(seeded.tolist(), rmasks):
                 rmask[g] = r
@@ -588,8 +570,7 @@ class _Engine:
             self.dirty.update(seeded[count >= self.min_need].tolist())
 
     def _mark_suspicious_cells(self, chks: Iterable[int]) -> None:
-        rmask = self.state.rmask
-        dirty, check_gens = self.dirty, self.code.check_gens
+        rmask, dirty, check_gens = self.rmask, self.dirty, self.code.check_gens
         for chk in chks:
             for g, cellbit in check_gens(chk):
                 rmask[g] |= cellbit
@@ -598,8 +579,7 @@ class _Engine:
     def _retire(self, qubits: Iterable[int]) -> None:
         # A qubit's checks all lie in the grid of every generator holding it,
         # so a generator unseeded here is seeded by this pick's fresh checks.
-        retired = self.state.retired
-        dirty, qubit_gens = self.dirty, self.code.qubit_gens
+        retired, dirty, qubit_gens = self.retired, self.dirty, self.code.qubit_gens
         for q in qubits:
             for g, posbit in qubit_gens(q):
                 retired[g] |= posbit
@@ -607,16 +587,16 @@ class _Engine:
 
     # -- scoring --
 
-    def _rescore(self, dirty: set[int]) -> list[int]:
+    def _rescore(self) -> list[int]:
         """Best qualifying candidate of each dirty generator that can have one,
-        looked up by its local state.  Returns the generators refreshed,
-        ascending."""
-        rmask, retired = self.state.rmask, self.state.retired
-        need = self.min_need
+        looked up by its local state; empties the dirty set.  Returns the
+        generators refreshed, ascending."""
+        rmask, retired, need = self.rmask, self.retired, self.min_need
         if need > 0:
-            gens = sorted(g for g in dirty if rmask[g].bit_count() >= need)
+            gens = sorted(g for g in self.dirty if rmask[g].bit_count() >= need)
         else:
-            gens = sorted(dirty)
+            gens = sorted(self.dirty)
+        self.dirty.clear()
         width = self.tables.width
         states = [rmask[g] << width | retired[g] for g in gens]
         self.bests.adopt(gens, self.memo.lookup(states))
@@ -625,89 +605,81 @@ class _Engine:
     # -- main loop --
 
     def run(self) -> SsfindResult:
-        st = self.state
-        t = self.tables
-        max_iter = (
-            self.config.max_iterations
-            if self.config.max_iterations is not None
-            else self.code.num_qubits
-        )
+        code, t, trace = self.code, self.tables, self.trace
+        envelope, suspicious = self.envelope_set, self.suspicious_set
         rescored_log: list[tuple[int, ...]] | None = (
             [] if self.config.record_rescored else None
         )
-        iterations = 0
         while True:
-            scored = self._rescore(self.dirty)
-            self.dirty.clear()
+            scored = self._rescore()
             if rescored_log is not None:
                 rescored_log.append(tuple(scored))
             picked = self.bests.select()
             if picked is None:
                 break
-            if iterations >= max_iter:
+            # A pick is alive, so it shares no qubit with the envelope and
+            # adds at least one: a correct search stops within num_qubits picks.
+            if len(trace) >= code.num_qubits:
                 raise SsfindIterationError(
-                    f"iteration cap {max_iter} reached with qualifying candidates "
-                    "remaining (every iteration should add at least one qubit)",
-                    tuple(st.trace),
+                    f"{code.num_qubits} picks made with qualifying candidates "
+                    "remaining (every pick should add at least one qubit)",
+                    tuple(trace),
                 )
             g, p = picked
             mask = t.masks[p]
-            rmask = st.rmask[g]
+            rmask = self.rmask[g]
             num = (t.py_uq[p] & ~rmask & t.gridfull).bit_count()
-            qubits = self.code.gen_qubits(g, mask)
-            st.envelope_set.update(qubits)
+            qubits = code.gen_qubits(g, mask)
+            envelope.update(qubits)
             self._retire(qubits)
             # rmask[g] holds exactly the cells of g whose check is suspicious,
             # so these are the covered checks that turn suspicious now.
             fresh = t.py_cov[p] & ~rmask
             if fresh:
-                grid = self.code.gen_checks(g)
+                grid = code.gen_checks(g)
                 chks = []
                 while fresh:
                     low = fresh & -fresh
                     chks.append(grid[low.bit_length() - 1])
                     fresh ^= low
-                st.suspicious_set.update(chks)
+                suspicious.update(chks)
                 self._mark_suspicious_cells(chks)
-            iterations += 1
             # Positional fields: keywords cost a frozen dataclass about 1 µs more.
-            st.trace.append(
+            trace.append(
                 TraceEntry(
-                    iterations, g, mask, num, t.py_den[p],
-                    len(st.envelope_set), len(st.suspicious_set),
+                    len(trace) + 1, g, mask, num, t.py_den[p],
+                    len(envelope), len(suspicious),
                 )
             )
         if self.config.verify_exit:
             self._verify_exit()
         return SsfindResult(
-            envelope=QubitSet.from_indices(self.code, sorted(st.envelope_set)),
-            suspicious=CheckSet.from_indices(self.code, sorted(st.suspicious_set)),
-            trace=tuple(st.trace),
-            iterations=iterations,
+            envelope=QubitSet.from_indices(code, sorted(envelope)),
+            suspicious=CheckSet.from_indices(code, sorted(suspicious)),
+            trace=tuple(trace),
+            iterations=len(trace),
             mode=self.mode,
-            state=st,
+            state=self,
             rescored=tuple(rescored_log) if rescored_log is not None else None,
         )
 
     def _verify_exit(self) -> None:
         """From-scratch exit audit: rebuild suspicious cells from R and confirm
         no alive candidate qualifies.  Unseeded generators (lazy mode) are
-        untouched and cannot qualify by the mode precondition."""
-        st = self.state
-        t = self.tables
-        twoeps = 2 * self.config.epsilon
-        if self.mode == "lazy" and not twoeps < t.min_untouched:
+        untouched and cannot qualify by the mode precondition, which is
+        checked here against min_untouched, independently of min_need."""
+        if self.mode == "lazy" and not 2 * self.config.epsilon < self.tables.min_untouched:
             raise AssertionError("lazy mode ran although untouched sets qualify")
-        for g in st.seeded_gens():
+        for g in self.seeded_gens():
             rebuilt = 0
             for cell, chk in enumerate(self.code.gen_checks(g)):
-                if chk in st.suspicious_set:
+                if chk in self.suspicious_set:
                     rebuilt |= 1 << cell
-            if rebuilt != st.rmask[g]:
+            if rebuilt != self.rmask[g]:
                 raise AssertionError(
                     f"incremental suspicious-cell mask diverged for generator {g}"
                 )
-            qualifying = st._split(g)[0]
+            qualifying = self._qualifying(g)
             if qualifying:
                 raise AssertionError(
                     f"candidate (generator {g}, mask {qualifying[0]:#x}) still "
@@ -717,4 +689,4 @@ class _Engine:
 
 def ssfind(code: HgpCode, sigma: CheckSet, config: DecoderConfig) -> SsfindResult:
     """Run the envelope finder on a syndrome; deterministic for fixed inputs."""
-    return _Engine(code, sigma, config).run()
+    return SsfindState(code, sigma, config).run()

@@ -215,7 +215,7 @@ def test_part_size_product_bounded_by_quarter_weighted_size():
 def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None:
     twoeps = 2 * config.epsilon
     st = res.state
-    tables = st._tables()
+    tables = st.tables
     delta = code.delta_v * code.delta_c
 
     # (b) suspicious region is exactly the syndrome plus the envelope's checks
@@ -320,6 +320,13 @@ def test_search_invariants_hold_on_every_monte_carlo_trial():
 
 
 def test_frozen_campaign_matches_golden_and_conditional_bound():
+    """500 eager trials reproduce the golden campaign byte for byte.
+
+    The conditional-bound part admits 0 of the 500 trials, so it checks
+    nothing here.  Its cap (1 - 10ε)/4 · (Δv/Δc) · s - Δv is positive only if
+    ε < 1/10 and s > 4Δc/(1 - 10ε), which is at least 4Δc = 24 at (3,6); no
+    exhaustive audit reaches such s.  The audited ε is 5/9, where 1 - 10ε < 0
+    and the cap is negative, below every reduced weight."""
     t0 = time.perf_counter()
     config = CampaignConfig(
         n=60,

@@ -67,10 +67,28 @@ def test_audit_without_samples_exits_two(graph_file, capsys):
     assert "samples must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, line", [("2 1 1 2\n0\n5\n", 3), ("2 2 1 1\n0\n0\n", 3)])
+def test_audit_prints_nothing_when_the_run_is_invalid(graph_file, capsys):
+    # The left side has 12 vertices, so size 99 is refused before any row.
+    assert main(["audit", "--graph", str(graph_file), "--s-max", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds left-side cardinality" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("2 1 1 2\n0\n5\n", 3),
+        ("2 2 1 1\n0\n0\n", 3),
+        # A non-ASCII byte (UTF-8 for U+00E9) names its line, not its offset.
+        ("2 1 1 2\n0\n\u00e9\n", 3),
+        # Content after the n adjacency lines is refused.
+        ("2 1 1 2\n0\n0\nnonsense\n", 4),
+    ],
+)
 def test_build_hgp_names_the_malformed_graph_line(tmp_path, capsys, text, line):
     path = tmp_path / "graph.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8"))
     assert main(["build-hgp", "--graph", str(path)]) == 2
     assert f"error: line {line}: " in capsys.readouterr().err
 
@@ -137,6 +155,19 @@ def test_decode_missing_file_exits_two(graph_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_decode_refuses_a_non_ascii_digit(tmp_path, graph_file, capsys):
+    # int() reads U+0663 ARABIC-INDIC DIGIT THREE as 3; an ASCII-only reader
+    # refuses the file instead of decoding the qubit VV 3 0.
+    error_path = tmp_path / "error.txt"
+    error_path.write_bytes("VV \u0663 0\n".encode("utf-8"))
+    argv = ["decode", "--graph", str(graph_file), "--error", str(error_path),
+            "--epsilon", "1/20"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: line 1: " in captured.err
+    assert captured.out == ""
+
+
 def test_montecarlo_output_is_reproducible(tmp_path, capsys):
     config = CampaignConfig(
         n=12, delta_v=3, delta_c=6, graph_seed=5,
@@ -174,6 +205,9 @@ def test_montecarlo_bad_config_exits_two(tmp_path, capsys):
     config_path.write_text("nonsense\n")
     assert main(["montecarlo", "--config", str(config_path)]) == 2
     assert "line 1" in capsys.readouterr().err
+    config_path.write_bytes("n=12\ntrials=\u0663\n".encode("utf-8"))
+    assert main(["montecarlo", "--config", str(config_path)]) == 2
+    assert "error: line 2: " in capsys.readouterr().err
 
 
 def test_radius_table_prints_all_rows(capsys):

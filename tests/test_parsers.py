@@ -1,4 +1,5 @@
-"""Fuzzing the four text parsers: graph, qubit set, trace and campaign config.
+"""Fuzzing the four text parsers (graph, qubit set, trace and campaign
+config) and the ASCII file reader.
 
 Each parser may raise only its documented error, and an error that names a
 line names one the text has.  Header integers stay small: a graph header
@@ -19,6 +20,7 @@ from hgpdecode.graphs import (
     gen_biregular,
     graph_from_text,
     graph_to_text,
+    read_ascii,
 )
 from hgpdecode.harness import CampaignConfig, CampaignConfigError
 from hgpdecode.hgp import QubitParseError, build_hgp, qubitset_from_text
@@ -49,16 +51,18 @@ def _parse(parse, error, text):
 
 @st.composite
 def _graph_texts(draw):
-    """A valid graph text with a few of its lines replaced, removed or
-    added, or a header and lines drawn at random."""
+    """A valid graph text with a few of its lines replaced, removed, inserted
+    or appended, or a header and lines drawn at random."""
     if draw(st.booleans()):
         header = " ".join(str(draw(_SMALL_INT)) for _ in range(4))
         return "\n".join([header] + draw(st.lists(_LINE, max_size=8)))
     lines = graph_to_text(draw(st.sampled_from(_GRAPHS))).splitlines()
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(lines)))
-        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
-        if edit == "insert" or at == len(lines):
+        edit = draw(st.sampled_from(["replace", "delete", "insert", "append"]))
+        if edit == "append":
+            lines.append(draw(_LINE))
+        elif edit == "insert" or at == len(lines):
             lines.insert(at, draw(_LINE))
         elif edit == "delete":
             del lines[at]
@@ -74,6 +78,35 @@ def test_graph_reader_raises_only_line_numbered_parse_errors(text):
     if exc is None:
         graph = graph_from_text(text)
         assert graph_from_text(graph_to_text(graph)) == graph
+        assert not any(line.strip() for line in text.splitlines()[1 + graph.n:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_GRAPHS), st.lists(st.sampled_from(["", " ", "\t"]), max_size=3),
+       _LINE.filter(lambda line: line.strip() and len(line.splitlines()) == 1))
+def test_graph_reader_refuses_trailing_content(graph, blanks, extra):
+    """Blank lines may follow the n adjacency lines; the first other line is
+    refused by its number."""
+    lines = graph_to_text(graph).splitlines() + blanks
+    assert graph_from_text("\n".join(lines) + "\n") == graph
+    with pytest.raises(GraphParseError) as info:
+        graph_from_text("\n".join(lines + [extra, ""]))
+    assert info.value.line_no == len(lines) + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=40))
+def test_ascii_reader_names_the_line_of_a_bad_byte(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("ascii") / "input.txt"
+    path.write_bytes(data)
+    lines = data.decode("ascii", errors="replace").splitlines()
+    bad = [line_no for line_no, line in enumerate(lines, start=1) if "\ufffd" in line]
+    if not bad:
+        assert read_ascii(path) == data.decode("ascii")
+        return
+    with pytest.raises(LineParseError) as info:
+        read_ascii(path)
+    assert info.value.line_no == bad[0]
 
 
 def test_failed_handshake_is_refused_before_building(monkeypatch):

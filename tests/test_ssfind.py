@@ -29,9 +29,9 @@ from hgpdecode.reduction import (
 from hgpdecode.ssfind import (
     _NO_BEST,
     _NO_KEY,
-    _Engine,
     DecoderConfig,
     SsfindIterationError,
+    SsfindState,
     TraceEntry,
     TraceParseError,
     candidate_seeding,
@@ -162,17 +162,20 @@ def test_ssfind_eager_explosion(mid_code):
     assert res.envelope.weight == mid_code.num_qubits
     assert len(res.suspicious) == mid_code.num_checks
     assert res.iterations <= mid_code.num_qubits
-    assert res.state.buckets()["at_or_below"] == []
 
 
-def test_ssfind_iteration_cap(mid_code):
-    with pytest.raises(SsfindIterationError) as exc:
-        ssfind(
-            mid_code,
-            syndrome(mid_code, QubitSet.of([(3, 4)])),
-            eager_config(max_iterations=3),
-        )
-    assert len(exc.value.trace) == 3
+def test_ssfind_iteration_cap(mid_code, monkeypatch):
+    """The cap can fire for the fault it names: with retirement switched off
+    a pick stays alive and is taken again without adding a qubit, so the
+    search runs into the cap after exactly num_qubits picks."""
+    monkeypatch.setattr(SsfindState, "_retire", lambda self, qubits: None)
+    sig = syndrome(mid_code, QubitSet.of([(3, 4)]))
+    for cfg, mode in ((lazy_config(), "lazy"), (eager_config(), "eager")):
+        assert SsfindState(mid_code, sig, cfg).mode == mode
+        with pytest.raises(SsfindIterationError) as exc:
+            ssfind(mid_code, sig, cfg)
+        assert len(exc.value.trace) == mid_code.num_qubits
+        assert len({(t.generator, t.mask) for t in exc.value.trace}) < mid_code.num_qubits
 
 
 def test_ssfind_degree_cap():
@@ -223,6 +226,7 @@ def test_mode_threshold(mid_code):
 
 def test_cached_scores_match_slow_route(mid_code):
     rng = random.Random(15)
+    # verify_exit audits that nothing alive still qualifies at exit.
     for cfg in (lazy_config("1/6", verify_exit=True), eager_config(verify_exit=True)):
         e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 2))
         res = ssfind(mid_code, syndrome(mid_code, e), cfg)
@@ -232,8 +236,6 @@ def test_cached_scores_match_slow_route(mid_code):
             for mask in state.alive_masks(g):
                 cand = Candidate.build(mid_code, g, mask)
                 assert state.cached_score(g, mask) == score(mid_code, cand, res.suspicious)
-        # At exit nothing alive may still qualify.
-        assert state.buckets()["at_or_below"] == []
 
 
 def test_state_reads_per_generator(mid_code):
@@ -421,7 +423,7 @@ def test_engine_matches_exact_oracle(
     # At exit nothing alive may still qualify.  A wide view has tens of
     # thousands of masks per generator, so there only a few are swept.
     if exit_gens is None:
-        assert state.buckets()["at_or_below"] == []
+        state._verify_exit()
     else:
         for g in rng.sample(seeded, exit_gens):
             assert all(state.cached_score(g, m) > twoeps for m in state.alive_masks(g))
@@ -478,12 +480,11 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
     high_cells = cut = kept = 0
     for cfg, mode in ((lazy_config(), "lazy"), (eager_config(), "eager")):
         for sig in sigmas:
-            engine = _Engine(code, sig, cfg)
-            assert engine.mode == mode
-            st = engine.state
+            st = SsfindState(code, sig, cfg)
+            assert st.mode == mode
             want = marked_by_checks(code, sig.to_indices(code))
             high_cells += any(r >> 64 for r in want.values())
-            if engine.mode == "lazy":
+            if st.mode == "lazy":
                 assert dict(st.rmask) == want
                 assert {g for g in gens if st.seeded[g]} == set(want)
                 candidates = want
@@ -492,14 +493,15 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
                 assert all(st.seeded)
                 candidates = gens
             first = sorted(
-                g for g in candidates if want.get(g, 0).bit_count() >= engine.min_need
+                g for g in candidates if want.get(g, 0).bit_count() >= st.min_need
             )
-            if engine.mode == "lazy":
+            if st.mode == "lazy":
                 cut += len(first) < len(want)
                 kept += bool(first)
-            engine.memo = _BatchOnlyMemo()
-            assert engine._rescore(engine.dirty) == first
-            assert engine.memo.batches == [[want.get(g, 0) << width for g in first]]
+            st.memo = _BatchOnlyMemo()
+            assert st._rescore() == first
+            assert st.memo.batches == [[want.get(g, 0) << width for g in first]]
+            assert not st.dirty
     # The lazy min_need cut both drops and keeps generators, and a two-word
     # grid has suspicious cells in its high word.
     assert cut and kept
