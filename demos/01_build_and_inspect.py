@@ -4,7 +4,6 @@ Run from the repository root:  python3 demos/01_build_and_inspect.py
 """
 
 from hgpdecode import audit_expansion, build_hgp, gen_biregular
-from hgpdecode.hgp import qnbhd, supp_check, supp_generator
 
 graph = gen_biregular(12, 3, 6, seed=5)
 print(f"base graph: {graph.n} bits of degree {graph.delta_v}, "
@@ -23,9 +22,10 @@ print(f"\nproduct code: N={code.num_qubits} qubits "
 # Every generator overlaps every adjacent check on an even number of qubits;
 # that is the commutation condition making the two classical codes a CSS pair.
 g = 17
-gsup = supp_generator(code, g)
-print(f"\ngenerator {g} touches qubits {sorted(gsup.vv_part)} + {sorted(gsup.cc_part)}")
-for x in qnbhd(code, gsup).to_indices(code)[:4]:
-    overlap = (supp_check(code, x) & gsup).weight
+gsup = code.gen_qubits(g)
+print(f"\ngenerator {g} touches qubits {[code.qubit_coords(q) for q in gsup]}")
+adjacent = sorted({x for q in gsup for x in code.qubit_checks(q)})
+for x in adjacent[:4]:
+    overlap = len(set(code.check_qubits(x)) & set(gsup))
     print(f"  check {x}: overlap {overlap} (even)")
 print("  ... and so on for every adjacent check.")

@@ -6,10 +6,10 @@ chasing generator half-supports whose unique-neighbourhood score is small,
 then finish with a restricted linear solve over the envelope.  Sub-packages:
 
 - ``graphs``     — base graphs, sampling, expansion audits
-- ``gf2``        — bit-packed linear algebra, restricted solves
+- ``gf2``        — bit-packed linear algebra, restricted solves, kernels
 - ``classical``  — the classical-expander analogue of the search stage
-- ``hgp``        — the product construction and its set/index machinery
-- ``reduction``  — locally-reduced candidate subsets, error reduction
+- ``hgp``        — the product construction, its integer incidence, syndromes
+- ``reduction``  — the catalog of locally reduced masks, error reduction
 - ``ssfind``     — the envelope search itself
 - ``erasure``    — the completion solve and coset judgement
 - ``harness``    — radius tables, Monte Carlo campaigns, one-shot decodes
@@ -59,22 +59,12 @@ from .hgp import (
     QubitParseError,
     QubitSet,
     build_hgp,
-    dual,
-    project,
-    qnbhd,
-    qnbhd_unique,
     qubitset_from_text,
     qubitset_to_text,
-    supp_check,
-    supp_generator,
     syndrome,
-    weighted_norm,
 )
 from .reduction import (
-    Candidate,
     ReductionConfigError,
-    enumerate_minsets,
-    is_locally_reduced,
     locally_reduced_masks,
     reduce_error,
 )
@@ -84,9 +74,7 @@ from .ssfind import (
     SsfindResult,
     TraceEntry,
     TraceParseError,
-    candidate_seeding,
     min_untouched_score,
-    score,
     ssfind,
     trace_from_text,
     trace_to_text,

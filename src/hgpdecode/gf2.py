@@ -20,11 +20,7 @@ __all__ = [
     "BitVector",
     "BitMatrix",
     "Gf2DimensionError",
-    "RowBasis",
     "RestrictedSolver",
-    "rank",
-    "solve_restricted",
-    "in_rowspace",
 ]
 
 
@@ -166,60 +162,6 @@ class BitMatrix:
         return BitVector(self.rows, acc)
 
 
-class RowBasis:
-    """Incremental row-echelon basis over GF(2), keyed by lowest-bit pivots.
-
-    Supports rank queries and repeated span-membership tests without
-    re-eliminating the source matrix each time.
-    """
-
-    def __init__(self, matrix: BitMatrix | None = None):
-        self._pivots: dict[int, int] = {}
-        if matrix is not None:
-            for bits in matrix.row_bits:
-                self.add(bits)
-
-    def add(self, bits: int) -> bool:
-        """Insert a row; returns True if it enlarged the span."""
-        while bits:
-            low = (bits & -bits).bit_length() - 1
-            piv = self._pivots.get(low)
-            if piv is None:
-                self._pivots[low] = bits
-                return True
-            bits ^= piv
-        return False
-
-    def reduce(self, bits: int) -> int:
-        """Return the residual of ``bits`` after cancelling every pivot it meets."""
-        while bits:
-            low = (bits & -bits).bit_length() - 1
-            piv = self._pivots.get(low)
-            if piv is None:
-                return bits
-            bits ^= piv
-        return 0
-
-    def contains(self, bits: int) -> bool:
-        return self.reduce(bits) == 0
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-
-def rank(matrix: BitMatrix) -> int:
-    """GF(2) row rank; the caller's matrix is left untouched."""
-    return RowBasis(matrix).rank
-
-
-def in_rowspace(matrix: BitMatrix, v: BitVector) -> bool:
-    """True iff ``v`` is a GF(2) combination of the rows of ``matrix``."""
-    if v.length != matrix.cols:
-        raise Gf2DimensionError("vector length does not match column count")
-    return RowBasis(matrix).contains(v.bits)
-
-
 class RestrictedSolver:
     """Factor ``A`` restricted to a fixed column support, then solve many ``A·x = b``.
 
@@ -308,14 +250,3 @@ class RestrictedSolver:
         One vector per free column (that column set to 1, other frees 0),
         so the basis size is support size minus rank."""
         return list(self.iter_kernel())
-
-
-def solve_restricted(a: BitMatrix, b: BitVector, support) -> BitVector | None:
-    """Solve ``A·x = b`` with ``x`` zero outside ``support``; None if unsolvable.
-
-    Deterministic: among all solutions, returns the one with free variables set
-    to 0 after eliminating pivot columns in ascending column order.
-    """
-    if b.length != a.rows:
-        raise Gf2DimensionError("right-hand side length does not match row count")
-    return RestrictedSolver(a, support).solve(b)

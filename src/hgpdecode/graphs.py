@@ -1,4 +1,4 @@
-"""Biregular bipartite base graphs: construction, neighborhoods, expansion audits.
+"""Biregular bipartite base graphs: construction, expansion audits, text files.
 
 The left side holds bit vertices, the right side holds check vertices.  Decoding
 theorems downstream are conditional on vertex expansion, which no random
@@ -25,8 +25,6 @@ __all__ = [
     "content_lines",
     "read_ascii",
     "gen_biregular",
-    "neighbors",
-    "unique_neighbors",
     "audit_expansion",
     "graph_to_text",
     "graph_from_text",
@@ -182,34 +180,6 @@ def _side_data(graph: BipartiteGraph, side: str):
     if side == "right":
         return graph.m, graph.delta_c, graph.adj_c
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def neighbors(graph: BipartiteGraph, side: str, vertices) -> set[int]:
-    """Union of the neighbor lists of ``vertices`` on the named side."""
-    size, _, adj = _side_data(graph, side)
-    out: set[int] = set()
-    for v in vertices:
-        if not 0 <= v < size:
-            raise ValueError(f"{side} vertex {v} out of range [0, {size})")
-        out.update(adj[v])
-    return out
-
-
-def unique_neighbors(graph: BipartiteGraph, side: str, vertices) -> set[int]:
-    """Vertices of the opposite side with exactly one edge into ``vertices``."""
-    size, _, adj = _side_data(graph, side)
-    seen_once: set[int] = set()
-    seen_more: set[int] = set()
-    for v in set(vertices):
-        if not 0 <= v < size:
-            raise ValueError(f"{side} vertex {v} out of range [0, {size})")
-        for u in adj[v]:
-            if u in seen_once:
-                seen_once.discard(u)
-                seen_more.add(u)
-            elif u not in seen_more:
-                seen_once.add(u)
-    return seen_once
 
 
 def audit_expansion(

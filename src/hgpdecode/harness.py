@@ -329,7 +329,13 @@ def _mix64(seed: int, k: int) -> int:
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get("HGPDECODE_WORKERS", "1"))
+        raw = os.environ.get("HGPDECODE_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise CampaignConfigError(
+                f"HGPDECODE_WORKERS must be an integer, got {raw!r}"
+            ) from None
     if workers < 1:
         raise CampaignConfigError(f"worker count must be at least 1, got {workers}")
     return workers

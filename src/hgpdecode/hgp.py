@@ -13,18 +13,16 @@ slot tables the size of the base graph, also held as packed integer arrays
 for numpy passes over a whole syndrome; nothing of size N² is materialized
 (N = n² + m² reaches 72,000 here while every neighborhood has constant size).
 The stabilizer span and the logical count come from the base code's
-kernels too (``StabilizerSpan``); the full N-column check and generator
-matrices are built only by tests, as the oracle for both.
-The coordinate-pair functions below (``supp_generator``, ``supp_check``,
-``qnbhd``, ...) are the public set-level API and the reference the integer
-methods are tested against.  Norms and all threshold comparisons downstream
-are exact rationals, never floats.
+kernels too (``StabilizerSpan``), so no N-column matrix is built.
+Coordinate pairs remain in ``QubitSet``/``CheckSet``, which carry sets
+between the stages and to files, and in ``syndrome``, which counts an
+error's check incidences by coordinate pairs.  The set-level model the
+integer incidence is tested against is ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .gf2 import BitMatrix, RestrictedSolver
 from .graphs import BipartiteGraph, LineParseError, content_lines
@@ -36,14 +34,7 @@ __all__ = [
     "CheckSet",
     "QubitParseError",
     "build_hgp",
-    "supp_generator",
-    "supp_check",
-    "qnbhd",
-    "qnbhd_unique",
-    "project",
-    "weighted_norm",
     "syndrome",
-    "dual",
     "qubitset_to_text",
     "qubitset_from_text",
 ]
@@ -149,8 +140,6 @@ class HgpCode:
         self.num_gens = base.m * base.n
         self._hint: int | None = None
         self._hint_done = False
-        self._x_matrix: BitMatrix | None = None
-        self._gen_matrix: BitMatrix | None = None
         self._span: StabilizerSpan | None = None
         # Slot tables.  Base bit nu sits at position i of adj_c[c] for each
         # neighbor c: (c*n, view bit 1<<i, grid-row bit 1<<(i*delta_v)).  Base
@@ -302,26 +291,6 @@ class HgpCode:
         """Logical qubit count k_H² + k_Hᵀ², from the base-code kernels."""
         return self.generator_basis().num_logicals
 
-    # --- full N-column matrices: test oracles for the span and ``k`` ---
-
-    def x_check_matrix(self) -> BitMatrix:
-        """Checks-by-qubits parity matrix (built once, cached)."""
-        if self._x_matrix is None:
-            supports = map(self.check_qubits, range(self.num_checks))
-            self._x_matrix = BitMatrix.from_row_supports(
-                self.num_checks, self.num_qubits, supports
-            )
-        return self._x_matrix
-
-    def generator_matrix(self) -> BitMatrix:
-        """Generators-by-qubits support matrix; its row space is the stabilizer span."""
-        if self._gen_matrix is None:
-            supports = map(self.gen_qubits, range(self.num_gens))
-            self._gen_matrix = BitMatrix.from_row_supports(
-                self.num_gens, self.num_qubits, supports
-            )
-        return self._gen_matrix
-
     @property
     def design_distance_hint(self) -> int | None:
         """Minimum over the two base classical codes' distances, by brute force.
@@ -424,22 +393,6 @@ def build_hgp(graph: BipartiteGraph) -> HgpCode:
     return HgpCode(graph)
 
 
-def supp_generator(code: HgpCode, g: int) -> QubitSet:
-    """Support of a generator: a column of VV qubits plus a row of CC qubits."""
-    c, v = code.gen_coords(g)
-    vv = [(nu, v) for nu in code.base.adj_c[c]]
-    cc = [(c, zeta) for zeta in code.base.adj_v[v]]
-    return QubitSet.of(vv, cc)
-
-
-def supp_check(code: HgpCode, x: int) -> QubitSet:
-    """Support of an X check: a row of VV qubits plus a column of CC qubits."""
-    nu, zeta = code.check_coords(x)
-    vv = [(nu, v) for v in code.base.adj_c[zeta]]
-    cc = [(c, zeta) for c in code.base.adj_v[nu]]
-    return QubitSet.of(vv, cc)
-
-
 def _incidences(code: HgpCode, qubits: QubitSet) -> dict[tuple[int, int], int]:
     counts: dict[tuple[int, int], int] = {}
     for nu, v in qubits.vv_part:
@@ -457,57 +410,9 @@ def _incidences(code: HgpCode, qubits: QubitSet) -> dict[tuple[int, int], int]:
     return counts
 
 
-def qnbhd(code: HgpCode, qubits: QubitSet) -> CheckSet:
-    """All checks incident to the set."""
-    return CheckSet.of(_incidences(code, qubits).keys())
-
-
-def qnbhd_unique(code: HgpCode, qubits: QubitSet) -> CheckSet:
-    """Checks with exactly one incidence into the set."""
-    return CheckSet.of(k for k, cnt in _incidences(code, qubits).items() if cnt == 1)
-
-
 def syndrome(code: HgpCode, error: QubitSet) -> CheckSet:
     """Checks with an odd number of incidences into the error."""
     return CheckSet.of(k for k, cnt in _incidences(code, error).items() if cnt & 1)
-
-
-def project(qubits: QubitSet, axis: str, index: int | None = None) -> set[int]:
-    """Coordinate projections of a qubit set onto the base graph.
-
-    With ``index`` unset, the aggregate projection: every first (or second)
-    coordinate appearing in the relevant block.  With ``index`` set, the slice:
-    partners of that fixed first (or second) coordinate.
-    """
-    if axis == "V1":
-        pairs, pos = qubits.vv_part, 0
-    elif axis == "V2":
-        pairs, pos = qubits.vv_part, 1
-    elif axis == "C1":
-        pairs, pos = qubits.cc_part, 0
-    elif axis == "C2":
-        pairs, pos = qubits.cc_part, 1
-    else:
-        raise ValueError(f"axis must be one of V1, V2, C1, C2; got {axis!r}")
-    if index is None:
-        return {p[pos] for p in pairs}
-    return {p[1 - pos] for p in pairs if p[pos] == index}
-
-
-def weighted_norm(code: HgpCode, qubits: QubitSet) -> Fraction:
-    """|VV part| / delta_c + |CC part| / delta_v, exactly."""
-    return Fraction(len(qubits.vv_part), code.delta_c) + Fraction(
-        len(qubits.cc_part), code.delta_v
-    )
-
-
-def dual(code: HgpCode) -> HgpCode:
-    """The same product with bit/check roles of the base graph exchanged.
-
-    Decoding X errors on the original code is decoding Z errors here."""
-    g = code.base
-    swapped = BipartiteGraph(g.m, g.n, g.delta_c, g.delta_v, g.adj_c, g.adj_v)
-    return HgpCode(swapped)
 
 
 # --- qubit-set file format: one qubit per line, "VV i j" or "CC i j" ---

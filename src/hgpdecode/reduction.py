@@ -1,4 +1,4 @@
-"""Reduced error representatives and the per-generator candidate catalog.
+"""Reduced error representatives and the catalog of locally reduced masks.
 
 A generator's support is a fixed-size local view: delta_c VV qubits (one per
 base neighbor of its right vertex) plus delta_v CC qubits (one per neighbor of
@@ -18,20 +18,14 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
 
 from .gf2 import BitVector
 from .hgp import HgpCode, QubitSet
 
 __all__ = [
-    "Candidate",
     "ReductionConfigError",
     "part_sizes",
-    "is_locally_reduced",
     "locally_reduced_masks",
-    "enumerate_minsets",
-    "mask_to_qubitset",
     "reduce_error",
 ]
 
@@ -57,63 +51,12 @@ def part_sizes(mask: int, delta_c: int) -> tuple[int, int]:
     return (mask & ((1 << delta_c) - 1)).bit_count(), (mask >> delta_c).bit_count()
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A nonempty locally reduced subset of one generator's support."""
-
-    generator: int
-    mask: int
-    a_v: int
-    a_c: int
-
-    def __post_init__(self):
-        if self.mask <= 0:
-            raise ValueError("candidate mask must be a nonempty subset")
-
-    @classmethod
-    def build(cls, code: HgpCode, generator: int, mask: int) -> Candidate:
-        code.gen_coords(generator)
-        if not is_locally_reduced(code, generator, mask):
-            raise ValueError(f"mask {mask:#x} is not locally reduced")
-        a_v, a_c = part_sizes(mask, code.delta_c)
-        return cls(generator, mask, a_v, a_c)
-
-
-def is_locally_reduced(code: HgpCode, generator: int, mask: int) -> bool:
-    """True iff the subset keeps at most half the local view, ties included."""
-    code.gen_coords(generator)
-    width = code.delta_v + code.delta_c
-    if not 0 <= mask < (1 << width):
-        raise ValueError(f"mask {mask:#x} does not fit a {width}-bit local view")
-    a_v, a_c = part_sizes(mask, code.delta_c)
-    return 2 * (a_v + a_c) <= width
-
-
 @functools.lru_cache(maxsize=None)
 def locally_reduced_masks(delta_v: int, delta_c: int) -> tuple[int, ...]:
     """All nonempty locally reduced masks for one degree pair, ascending."""
     width = delta_v + delta_c
     # a_v + a_c of part_sizes is the mask's popcount.
     return tuple(m for m in range(1, 1 << width) if 2 * m.bit_count() <= width)
-
-
-def enumerate_minsets(code: HgpCode, generator: int) -> Iterator[Candidate]:
-    """Stream the candidate catalog for one generator, ascending mask order."""
-    check_view_width(code.delta_v + code.delta_c)
-    code.gen_coords(generator)
-    for mask in locally_reduced_masks(code.delta_v, code.delta_c):
-        a_v, a_c = part_sizes(mask, code.delta_c)
-        yield Candidate(generator, mask, a_v, a_c)
-
-
-def mask_to_qubitset(code: HgpCode, generator: int, mask: int) -> QubitSet:
-    """Unpack a local-view mask into the qubits it selects."""
-    c, v = code.gen_coords(generator)
-    row = code.base.adj_c[c]
-    col = code.base.adj_v[v]
-    vv = [(row[i], v) for i in range(code.delta_c) if (mask >> i) & 1]
-    cc = [(c, col[j]) for j in range(code.delta_v) if (mask >> (code.delta_c + j)) & 1]
-    return QubitSet.of(vv, cc)
 
 
 def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitSet:

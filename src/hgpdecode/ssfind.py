@@ -44,7 +44,8 @@ in dense arrays and selects by argmin.
 Scoring thresholds, tie-breaking (lowest score, then generator index, then
 mask) and retirement (candidates sharing a qubit with the envelope never
 return) are deterministic, so a decode is replayable from (code, syndrome,
-config) alone.
+config) alone.  The tests replay it against an exhaustive Fraction scorer
+over coordinate-pair sets (``score`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graphs import LineParseError, content_lines
-from .hgp import CheckSet, HgpCode, QubitSet, qnbhd_unique
-from .reduction import Candidate, check_view_width, enumerate_minsets, locally_reduced_masks, mask_to_qubitset, part_sizes
+from .hgp import CheckSet, HgpCode, QubitSet
+from .reduction import check_view_width, locally_reduced_masks, part_sizes
 
 __all__ = [
     "DecoderConfig",
@@ -69,9 +70,7 @@ __all__ = [
     "SsfindState",
     "TraceEntry",
     "TraceParseError",
-    "candidate_seeding",
     "min_untouched_score",
-    "score",
     "ssfind",
     "trace_from_text",
     "trace_to_text",
@@ -333,27 +332,6 @@ def min_untouched_score(delta_v: int, delta_c: int) -> Fraction:
     return _view_tables(delta_v, delta_c).min_untouched
 
 
-# --- public slow-path score (set machinery only; the engine's oracle) ---
-
-
-def score(code: HgpCode, candidate: Candidate, suspicious: CheckSet) -> Fraction:
-    """|unique checks outside the suspicious set| / (delta * weighted norm)."""
-    subset = mask_to_qubitset(code, candidate.generator, candidate.mask)
-    uniq = qnbhd_unique(code, subset)
-    num = sum(1 for chk in uniq.members if chk not in suspicious.members)
-    den = candidate.a_v * code.delta_v + candidate.a_c * code.delta_c
-    return Fraction(num, den)
-
-
-def candidate_seeding(code: HgpCode, sigma: CheckSet) -> dict[int, list[Candidate]]:
-    """Initial catalog: every candidate of every generator whose check grid
-    meets the syndrome.  Lazy decoding extends this as checks turn suspicious."""
-    gens: set[int] = set()
-    for chk in sigma.to_indices(code):
-        gens.update(g for g, _ in code.check_gens(chk))
-    return {g: list(enumerate_minsets(code, g)) for g in sorted(gens)}
-
-
 # --- decoder state ---
 
 
@@ -453,8 +431,8 @@ class _QualifierMap:
 class SsfindState:
     """One decode's search: ``SsfindState(code, sigma, config)`` builds it
     with the syndrome's cells marked, and ``run()`` advances it to the exit.
-    The finished search is the result's ``state``, with helpers that inspect
-    its cached scores.
+    The finished search is the result's ``state``: ``seeded``, ``rmask`` and
+    ``retired`` read its per-generator state.
 
     ``rmask[g]`` (suspicious grid cells) and ``retired[g]`` (view bits of
     envelope qubits) read 0 for a generator the decode never touched.  A
@@ -500,17 +478,6 @@ class SsfindState:
     def seeded(self) -> Sequence[bool]:
         members = range(self.code.num_gens) if self.mode == "eager" else self.rmask
         return _SeededView(members, self.code.num_gens)
-
-    def alive_masks(self, g: int) -> list[int]:
-        retired = self.retired[g]
-        return [m for m in self.tables.masks if not (m & retired)]
-
-    def cached_score(self, g: int, mask: int) -> Fraction:
-        """Score from the incrementally maintained suspicious-cell mask."""
-        t = self.tables
-        p = t.pos_of_mask[mask]
-        num = (t.py_uq[p] & ~self.rmask[g] & t.gridfull).bit_count()
-        return Fraction(num, t.py_den[p])
 
     def _qualifying(self, g: int) -> list[int]:
         """Alive masks of generator g that score at most 2*epsilon.

@@ -30,24 +30,23 @@ from hgpdecode.erasure import erase_decode_quantum
 from hgpdecode.gf2 import BitVector
 from hgpdecode.graphs import BipartiteGraph, audit_expansion, gen_biregular
 from hgpdecode.harness import CampaignConfig, campaign_to_text, montecarlo
-from hgpdecode.hgp import (
-    CheckSet,
-    QubitSet,
-    build_hgp,
+from hgpdecode.hgp import CheckSet, QubitSet, build_hgp, syndrome
+from hgpdecode.reduction import part_sizes, reduce_error
+from hgpdecode.ssfind import DecoderConfig, min_untouched_score, ssfind
+
+from oracles import (
+    Candidate,
+    alive_masks,
+    brute_reduce,
+    cached_score,
+    mask_to_qubitset,
     qnbhd,
     qnbhd_unique,
+    score,
     supp_check,
     supp_generator,
-    syndrome,
     weighted_norm,
 )
-from hgpdecode.reduction import (
-    Candidate,
-    mask_to_qubitset,
-    part_sizes,
-    reduce_error,
-)
-from hgpdecode.ssfind import DecoderConfig, min_untouched_score, score, ssfind
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -261,7 +260,7 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
     for g in range(code.num_gens):
         if not st.seeded[g]:
             continue
-        masks = st.alive_masks(g)
+        masks = alive_masks(st, g)
         if not masks:
             continue
         not_r = ~st.rmask[g] & tables.gridfull
@@ -273,7 +272,7 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
         chosen = masks if full_scan else [min(masks, key=key)]
         for mask in chosen:
             recomputed = score(code, Candidate.build(code, g, mask), suspicious)
-            assert recomputed == st.cached_score(g, mask), (g, mask)
+            assert recomputed == cached_score(st, g, mask), (g, mask)
 
 
 def test_search_invariants_hold_on_every_monte_carlo_trial():
@@ -432,19 +431,6 @@ def test_classical_find_covers_admissible_errors_on_audited_expanders(
 # --------------------------------------------------------------------------
 
 
-def _brute_force_reduce(code, error: QubitSet) -> QubitSet:
-    best = None
-    for toggles in itertools.product((0, 1), repeat=code.num_gens):
-        candidate = error
-        for g, bit in enumerate(toggles):
-            if bit:
-                candidate = candidate ^ supp_generator(code, g)
-        key = (candidate.weight, tuple(candidate.to_indices(code)))
-        if best is None or key < best[0]:
-            best = (key, candidate)
-    return best[1]
-
-
 def test_exact_reduction_matches_brute_force_on_tiny_codes(path_graph, single_edge_graph):
     t0 = time.perf_counter()
     total = 0
@@ -454,7 +440,7 @@ def test_exact_reduction_matches_brute_force_on_tiny_codes(path_graph, single_ed
             for combo in itertools.combinations(range(code.num_qubits), w):
                 error = QubitSet.from_indices(code, combo)
                 reduced = reduce_error(code, error, mode="exact")
-                assert reduced == _brute_force_reduce(code, error), combo
+                assert reduced == brute_reduce(code, error), combo
                 assert syndrome(code, reduced) == syndrome(code, error), combo
                 total += 1
     elapsed = time.perf_counter() - t0

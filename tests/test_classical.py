@@ -16,7 +16,9 @@ from hgpdecode.classical import (
     find_classical,
 )
 from hgpdecode.gf2 import BitVector
-from hgpdecode.graphs import audit_expansion, gen_biregular, neighbors
+from hgpdecode.graphs import audit_expansion, gen_biregular
+
+from oracles import neighbors
 
 
 @pytest.fixture(scope="module")

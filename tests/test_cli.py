@@ -200,7 +200,7 @@ def test_montecarlo_exit_code_tracks_trial_failures(tmp_path):
     assert code == expected
 
 
-def test_montecarlo_bad_config_exits_two(tmp_path, capsys):
+def test_montecarlo_bad_config_exits_two(tmp_path, capsys, monkeypatch):
     config_path = tmp_path / "campaign.txt"
     config_path.write_text("nonsense\n")
     assert main(["montecarlo", "--config", str(config_path)]) == 2
@@ -208,6 +208,11 @@ def test_montecarlo_bad_config_exits_two(tmp_path, capsys):
     config_path.write_bytes("n=12\ntrials=\u0663\n".encode("utf-8"))
     assert main(["montecarlo", "--config", str(config_path)]) == 2
     assert "error: line 2: " in capsys.readouterr().err
+    config = CampaignConfig(n=12, delta_v=3, delta_c=6, graph_seed=5, trials=1, weights=(1,), epsilon="1/20")
+    config_path.write_text(config.to_text())
+    monkeypatch.setenv("HGPDECODE_WORKERS", "two")
+    assert main(["montecarlo", "--config", str(config_path)]) == 2
+    assert "error: HGPDECODE_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
 
 
 def test_radius_table_prints_all_rows(capsys):

@@ -7,16 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgpdecode.gf2 import (
-    BitMatrix,
-    BitVector,
-    Gf2DimensionError,
-    RestrictedSolver,
-    RowBasis,
-    in_rowspace,
-    rank,
-    solve_restricted,
-)
+from hgpdecode.gf2 import BitMatrix, BitVector, Gf2DimensionError, RestrictedSolver
+
+from oracles import RowBasis
 
 
 # --- independent oracle: textbook dense RREF solve (lists of lists, no bitsets) ---
@@ -55,47 +48,47 @@ def _dense_solve_restricted(a_dense, b_dense, support):
 # --- examples ---
 
 def test_rank_identity():
-    assert rank(BitMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    assert RowBasis(BitMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).rank == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(BitMatrix.from_dense([[0, 0], [0, 0]])) == 0
+    assert RowBasis(BitMatrix.from_dense([[0, 0], [0, 0]])).rank == 0
 
 
 def test_rank_duplicate_rows():
-    assert rank(BitMatrix.from_dense([[1, 1], [1, 1]])) == 1
+    assert RowBasis(BitMatrix.from_dense([[1, 1], [1, 1]])).rank == 1
 
 
 def test_solve_restricted_empty_support_zero_rhs():
     a = BitMatrix.from_dense([[1, 1]])
-    x = solve_restricted(a, BitVector.from_dense([0]), set())
+    x = RestrictedSolver(a, set()).solve(BitVector.from_dense([0]))
     assert x is not None and x.bits == 0 and x.length == 2
 
 
 def test_solve_restricted_single_pivot():
     a = BitMatrix.from_dense([[1, 1]])
-    x = solve_restricted(a, BitVector.from_dense([1]), {0})
+    x = RestrictedSolver(a, {0}).solve(BitVector.from_dense([1]))
     assert x is not None and x.support() == [0]
 
 
 def test_solve_restricted_unsolvable():
     a = BitMatrix.from_dense([[1, 0], [0, 1]])
-    assert solve_restricted(a, BitVector.from_dense([1, 1]), {0}) is None
+    assert RestrictedSolver(a, {0}).solve(BitVector.from_dense([1, 1])) is None
 
 
 def test_in_rowspace_zero_vector():
     m = BitMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
-    assert in_rowspace(m, BitVector(3, 0))
+    assert RowBasis(m).contains(0)
 
 
 def test_in_rowspace_sum_of_rows():
     m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
-    assert in_rowspace(m, BitVector.from_dense([1, 0, 1]))
+    assert RowBasis(m).contains(0b101)
 
 
 def test_in_rowspace_negative():
     m = BitMatrix.from_dense([[1, 1, 0]])
-    assert not in_rowspace(m, BitVector.from_dense([1, 0, 0]))
+    assert not RowBasis(m).contains(0b001)
 
 
 def test_dimension_errors():
@@ -103,9 +96,7 @@ def test_dimension_errors():
     with pytest.raises(Gf2DimensionError):
         m.get(0, 2)
     with pytest.raises(Gf2DimensionError):
-        in_rowspace(m, BitVector(3, 0))
-    with pytest.raises(Gf2DimensionError):
-        solve_restricted(m, BitVector(3, 0), {0})
+        RestrictedSolver(m, {0}).solve(BitVector(3, 0))
     with pytest.raises(Gf2DimensionError):
         BitVector(2, 4)
 
@@ -123,7 +114,7 @@ def _random_matrix(draw, max_rows, max_cols):
 @given(_random_matrix(16, 64))
 @settings(max_examples=120, deadline=None)
 def test_rank_equals_rank_of_transpose(m):
-    assert rank(m) == rank(m.transpose())
+    assert RowBasis(m).rank == RowBasis(m.transpose()).rank
 
 
 @given(_random_matrix(10, 10), st.randoms(use_true_random=False))
@@ -136,7 +127,7 @@ def test_in_rowspace_witness_brute_force(m, rng):
     for i in range(m.rows):
         if (combo >> i) & 1:
             v ^= m.row_bits[i]
-    assert in_rowspace(m, BitVector(m.cols, v))
+    assert RowBasis(m).contains(v)
     found = any(
         _xor_combo(m, picks) == v for picks in range(1 << m.rows)
     )
@@ -156,7 +147,7 @@ def _xor_combo(m, picks):
 def test_in_rowspace_matches_brute_force_on_random_vectors(m, rng):
     v = rng.getrandbits(m.cols)
     brute = any(_xor_combo(m, picks) == v for picks in range(1 << m.rows))
-    assert in_rowspace(m, BitVector(m.cols, v)) == brute
+    assert RowBasis(m).contains(v) == brute
 
 
 @given(_random_matrix(12, 12), st.randoms(use_true_random=False))
@@ -167,8 +158,8 @@ def test_full_support_solvable_iff_rank_condition(m, rng):
         m.rows, m.cols + 1,
         [bits | (b.get(i) << m.cols) for i, bits in enumerate(m.row_bits)],
     )
-    x = solve_restricted(m, b, range(m.cols))
-    assert (x is not None) == (rank(augmented) == rank(m))
+    x = RestrictedSolver(m, range(m.cols)).solve(b)
+    assert (x is not None) == (RowBasis(augmented).rank == RowBasis(m).rank)
     if x is not None:
         assert m.mul_vector(x) == b
 
@@ -189,7 +180,7 @@ def test_solve_restricted_matches_dense_reference(m, rng):
     a_dense = [[m.get(i, j) for j in range(m.cols)] for i in range(m.rows)]
     b_dense = [b.get(i) for i in range(m.rows)]
     expect = _dense_solve_restricted(a_dense, b_dense, support)
-    got = solve_restricted(m, b, support)
+    got = RestrictedSolver(m, support).solve(b)
     if expect is None:
         assert got is None
     else:
@@ -206,7 +197,7 @@ def test_restricted_solver_reuse_matches_one_shot():
     solver = RestrictedSolver(m, support)
     for _ in range(40):
         b = BitVector(20, rng.getrandbits(20))
-        assert solver.solve(b) == solve_restricted(m, b, support)
+        assert solver.solve(b) == RestrictedSolver(m, support).solve(b)
 
 
 def test_kernel_basis_small_matrix_matches_brute_force():
@@ -239,7 +230,7 @@ def test_kernel_basis_properties(m, rng):
         m.rows, m.cols,
         [bits & solver.support_mask for bits in m.row_bits],
     )
-    assert len(basis) == len(support) - rank(sub)
+    assert len(basis) == len(support) - RowBasis(sub).rank
     span = RowBasis()
     for k in basis:
         assert m.mul_vector(k).bits == 0
@@ -255,6 +246,6 @@ def test_row_basis_incremental_rank():
         bits = rng.getrandbits(18)
         grew = basis.add(bits)
         rows.append(bits)
-        assert basis.rank == rank(BitMatrix(len(rows), 18, rows))
+        assert basis.rank == RowBasis(BitMatrix(len(rows), 18, rows)).rank
         if not grew:
             assert basis.contains(bits)

@@ -15,11 +15,11 @@ from hgpdecode.graphs import (
     gen_biregular,
     graph_from_text,
     graph_to_text,
-    neighbors,
     read_graph,
-    unique_neighbors,
     write_graph,
 )
+
+from oracles import neighbors, unique_neighbors
 
 
 def test_k33_is_forced(k33_graph):

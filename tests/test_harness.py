@@ -239,6 +239,9 @@ def test_worker_count_comes_from_environment(monkeypatch):
     assert _resolve_workers(2) == 2
     with pytest.raises(CampaignConfigError):
         _resolve_workers(0)
+    monkeypatch.setenv("HGPDECODE_WORKERS", "two")
+    with pytest.raises(CampaignConfigError, match="HGPDECODE_WORKERS.*'two'"):
+        _resolve_workers(None)
 
 
 def test_weight_zero_trials_trivially_succeed(small_config):

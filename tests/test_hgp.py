@@ -7,26 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver, RowBasis, rank
+from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver
 from hgpdecode.graphs import audit_expansion, gen_biregular
 from hgpdecode.hgp import (
     CheckSet,
     QubitParseError,
     QubitSet,
     build_hgp,
+    qubitset_from_text,
+    qubitset_to_text,
+    syndrome,
+)
+
+from oracles import (
+    RowBasis,
     dual,
+    generator_matrix,
+    mask_to_qubitset,
     project,
     qnbhd,
     qnbhd_unique,
-    qubitset_from_text,
-    qubitset_to_text,
     supp_check,
     supp_generator,
-    syndrome,
     weighted_norm,
+    x_check_matrix,
 )
-from hgpdecode.reduction import mask_to_qubitset
-
 from conftest import make_k44_incidence
 
 
@@ -48,11 +53,6 @@ def k33_code(k33_graph):
 @pytest.fixture(scope="module")
 def mid_code():
     return build_hgp(gen_biregular(12, 3, 6, seed=5))
-
-
-def base_rank(graph):
-    h = BitMatrix.from_row_supports(graph.m, graph.n, graph.adj_c)
-    return rank(h)
 
 
 def test_build_single_edge(single_edge_code):
@@ -88,9 +88,9 @@ def test_k_matches_base_rank_identity(single_edge_code, path_code, k33_code, mid
              ((16, 4, 8, 2), (20, 2, 5, 3), (16, 4, 4, 1), (60, 3, 6, 1))]
     for code in (single_edge_code, path_code, k33_code, mid_code, *extra):
         assert code.num_qubits <= 4500
-        oracle = code.num_qubits - rank(code.x_check_matrix()) - rank(code.generator_matrix())
-        r = base_rank(code.base)
-        assert code.k == oracle == (code.n - r) ** 2 + (code.m - r) ** 2
+        ranks = RowBasis(x_check_matrix(code)).rank + RowBasis(generator_matrix(code)).rank
+        r = RowBasis(BitMatrix.from_row_supports(code.m, code.n, code.base.adj_c)).rank
+        assert code.k == code.num_qubits - ranks == (code.n - r) ** 2 + (code.m - r) ** 2
 
 
 def test_supp_examples_on_path(path_code):
@@ -246,11 +246,12 @@ def test_stabilizer_span_matches_row_basis_oracle(name, flip):
     if flip:
         code = dual(code)
     span = code.generator_basis()
-    gens = code.generator_matrix().row_bits
-    oracle = RowBasis(code.generator_matrix())
+    gen_matrix, checks = generator_matrix(code), x_check_matrix(code)
+    gens = gen_matrix.row_bits
+    oracle = RowBasis(gen_matrix)
     assert span.rank == oracle.rank
-    assert span.num_logicals == code.num_qubits - rank(code.x_check_matrix()) - oracle.rank
-    kernel = RestrictedSolver(code.x_check_matrix(), range(code.num_qubits)).kernel_basis()
+    assert span.num_logicals == code.num_qubits - RowBasis(checks).rank - oracle.rank
+    kernel = RestrictedSolver(checks, range(code.num_qubits)).kernel_basis()
     h = BitMatrix.from_row_supports(code.m, code.n, code.base.adj_c)
     ker_h = RestrictedSolver(h, range(code.n)).kernel_basis()
     ker_ht = RestrictedSolver(h.transpose(), range(code.m)).kernel_basis()

@@ -1,6 +1,5 @@
 """Locally reduced catalogs and error reduction."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -9,24 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgpdecode.graphs import BipartiteGraph, gen_biregular
-from hgpdecode.hgp import (
-    QubitSet,
-    build_hgp,
+from hgpdecode.hgp import QubitSet, build_hgp, syndrome
+from hgpdecode.reduction import (
+    ReductionConfigError,
+    locally_reduced_masks,
+    part_sizes,
+    reduce_error,
+)
+
+from oracles import (
+    Candidate,
+    brute_reduce,
+    enumerate_minsets,
+    is_locally_reduced,
+    mask_to_qubitset,
     qnbhd,
     qnbhd_unique,
     supp_generator,
-    syndrome,
     weighted_norm,
-)
-from hgpdecode.reduction import (
-    Candidate,
-    ReductionConfigError,
-    enumerate_minsets,
-    is_locally_reduced,
-    locally_reduced_masks,
-    mask_to_qubitset,
-    part_sizes,
-    reduce_error,
 )
 
 # Degree pairs (delta_v <= delta_c, sum <= 12) where the product-vs-norm bound
@@ -170,19 +169,6 @@ def test_reduced_nbhd_bound_via_set_route(mid_code):
         assert mirrors <= Fraction(1, 4) * delta * weighted_norm(code, sub)
 
 
-def _brute_reduce(code, error):
-    best = None
-    for combo in itertools.product((0, 1), repeat=code.num_gens):
-        cur = error
-        for g, on in enumerate(combo):
-            if on:
-                cur = cur ^ supp_generator(code, g)
-        key = (cur.weight, tuple(cur.to_indices(code)))
-        if best is None or key < best[0]:
-            best = (key, cur)
-    return best[1]
-
-
 def test_reduce_error_exact_examples(path_code, k33_code):
     for code in (path_code, k33_code):
         for g in range(code.num_gens):
@@ -197,7 +183,7 @@ def test_reduce_error_exact_matches_brute_force(path_code):
     rng = random.Random(21)
     for _ in range(50):
         e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), 3))
-        assert reduce_error(code, e, "exact") == _brute_reduce(code, e)
+        assert reduce_error(code, e, "exact") == brute_reduce(code, e)
 
 
 def test_reduce_error_exact_tie_breaking(single_edge_code):

@@ -10,22 +10,8 @@ from fractions import Fraction
 import pytest
 
 from hgpdecode.graphs import BipartiteGraph, gen_biregular
-from hgpdecode.hgp import (
-    CheckSet,
-    QubitSet,
-    build_hgp,
-    qnbhd,
-    supp_generator,
-    syndrome,
-)
-from hgpdecode.reduction import (
-    Candidate,
-    ReductionConfigError,
-    enumerate_minsets,
-    locally_reduced_masks,
-    mask_to_qubitset,
-    part_sizes,
-)
+from hgpdecode.hgp import CheckSet, QubitSet, build_hgp, syndrome
+from hgpdecode.reduction import ReductionConfigError, locally_reduced_masks, part_sizes
 from hgpdecode.ssfind import (
     _NO_BEST,
     _NO_KEY,
@@ -34,13 +20,23 @@ from hgpdecode.ssfind import (
     SsfindState,
     TraceEntry,
     TraceParseError,
-    candidate_seeding,
     min_untouched_score,
-    score,
     ssfind,
     trace_from_text,
     trace_to_text,
     _view_tables,
+)
+
+from oracles import (
+    Candidate,
+    alive_masks,
+    cached_score,
+    candidate_seeding,
+    enumerate_minsets,
+    mask_to_qubitset,
+    qnbhd,
+    score,
+    supp_generator,
 )
 
 
@@ -233,9 +229,9 @@ def test_cached_scores_match_slow_route(mid_code):
         state = res.state
         seeded_gens = [g for g in range(mid_code.num_gens) if state.seeded[g]]
         for g in rng.sample(seeded_gens, min(8, len(seeded_gens))):
-            for mask in state.alive_masks(g):
+            for mask in alive_masks(state, g):
                 cand = Candidate.build(mid_code, g, mask)
-                assert state.cached_score(g, mask) == score(mid_code, cand, res.suspicious)
+                assert cached_score(state, g, mask) == score(mid_code, cand, res.suspicious)
 
 
 def test_state_reads_per_generator(mid_code):
@@ -416,17 +412,17 @@ def test_engine_matches_exact_oracle(
     state = res.state
     seeded = [g for g in range(code.num_gens) if state.seeded[g]]
     for g in rng.sample(seeded, min(3, len(seeded))):
-        alive = state.alive_masks(g)
+        alive = alive_masks(state, g)
         for mask in rng.sample(alive, min(40, len(alive))):
             cand = Candidate.build(code, g, mask)
-            assert state.cached_score(g, mask) == score(code, cand, res.suspicious)
+            assert cached_score(state, g, mask) == score(code, cand, res.suspicious)
     # At exit nothing alive may still qualify.  A wide view has tens of
     # thousands of masks per generator, so there only a few are swept.
     if exit_gens is None:
         state._verify_exit()
     else:
         for g in rng.sample(seeded, exit_gens):
-            assert all(state.cached_score(g, m) > twoeps for m in state.alive_masks(g))
+            assert all(cached_score(state, g, m) > twoeps for m in alive_masks(state, g))
     if tie:
         assert any(Fraction(t.score_num, t.score_den) == twoeps for t in res.trace)
     if same_as is not None:
