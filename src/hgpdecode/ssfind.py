@@ -35,11 +35,19 @@ need over the table has no qualifier.  Suspicious cells only accumulate, so
 such a generator never had one either.  In eager mode the smallest need is
 at most 0 and nothing is skipped.  The syndrome's cells are marked in one
 numpy pass over the code's slot arrays, which forms every (generator, cell)
-pair at once; a pick's few fresh checks are marked one by one.  The best
-candidates sit in a map holding only the touched generators that have a
-qualifier, so no lazy decode allocates or scans anything of size num_gens.
-An eager decode, where every generator qualifies from the start, keeps them
-in dense arrays and selects by argmin.
+pair at once.  A pick walks the same slot tables for its few qubits and
+fresh checks, so it costs the incidence it touches and builds no
+per-qubit or per-check list.
+
+A rescore is one pass over the dirty generators: it forms each local state,
+reads the memo, and writes the hit straight into the best-candidate store;
+the misses are scored afterwards in one batch.  A lazy decode's store is a
+map holding only the touched generators that have a qualifier, so no lazy
+decode allocates or scans anything of size num_gens.  An eager decode,
+where every generator qualifies from the start, keeps one rank key per
+generator in an ``array.array`` of C ints, whose item writes cost what a
+list's do, and selects by numpy argmin over a zero-copy view of it; argmin
+keeps the first minimum, so ties go to the lowest generator.
 
 Scoring thresholds, tie-breaking (lowest score, then generator index, then
 mask) and retirement (candidates sharing a qubit with the envelope never
@@ -53,9 +61,11 @@ from __future__ import annotations
 import bisect
 import functools
 import warnings
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +142,10 @@ class SsfindIterationError(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
+    """One pick: the candidate (generator, view mask) absorbed, its score
+    num/den when picked, and the envelope and suspicious-set sizes after it."""
+
     iteration: int
     generator: int
     mask: int
@@ -200,7 +212,6 @@ class _ViewTables:
         self.gridfull = (1 << self.grid_bits) - 1
         masks = locally_reduced_masks(delta_v, delta_c)
         self.masks = masks
-        self.pos_of_mask = {m: p for p, m in enumerate(masks)}
         # rows[a]: the full grid rows i in VV subset a; cols[b]: the full grid
         # columns j in CC subset b.  A cell is unique when exactly one of its
         # row and column is selected, covered when at least one is.
@@ -284,20 +295,13 @@ class _BestMemo:
         self.keys = np.where(tables.ranks <= cutoff, tables.ranks, _NO_KEY)
         self.entries: dict[int, int] = {}
 
-    def lookup(self, states: list[int]) -> list[int]:
-        """Packed best candidate of each state; states missing from the memo
-        are scored together, once each."""
-        best = list(map(self.entries.get, states))
-        if None in best:
-            fresh = self._score({s for s, b in zip(states, best) if b is None})
-            best = [fresh[s] if b is None else b for s, b in zip(states, best)]
-        return best
-
-    def _score(self, states: set[int]) -> dict[int, int]:
-        """Every candidate of every state ranked in one numpy pass per chunk;
-        argmin keeps the first minimum, so ties go to the lowest position."""
+    def _score(self, states: list[int]) -> dict[int, int]:
+        """Packed best candidate of each state, scored once each and entered
+        into the memo.  Every candidate of every state is ranked in one numpy
+        pass per chunk; argmin keeps the first minimum, so ties go to the
+        lowest position."""
         t = self.tables
-        order = sorted(states)
+        order = sorted(set(states))
         low = (1 << t.width) - 1
         step = max(1, _CHUNK_PAIRS // len(t.masks))
         fresh = {}
@@ -378,56 +382,6 @@ class SsfindResult:
     rescored: tuple[tuple[int, ...], ...] | None = None
 
 
-class _DenseBests:
-    """Eager mode's best candidates: a rank key and a table position per
-    generator, in arrays over every generator."""
-
-    def __init__(self, num_gens: int):
-        self.key = np.full(num_gens, _NO_KEY, dtype=np.int32)
-        # Read only where key holds a rank, which adopt writes with it.
-        self.pos = np.empty(num_gens, dtype=np.intp)
-
-    def adopt(self, gens: list[int], packed: list[int]) -> None:
-        """Record each generator's packed best candidate."""
-        # Scalar writes: a batch is a few generators (median 3 in eager
-        # mode), where each numpy array call costs more than the loop.
-        key, pos = self.key, self.pos
-        for g, b in zip(gens, packed):
-            key[g] = b >> 32
-            pos[g] = b & _POS_BITS
-
-    def select(self) -> tuple[int, int] | None:
-        """(generator, table position) of the lowest-scoring qualifier; ties
-        go to the lowest generator."""
-        g = int(self.key.argmin())
-        if self.key[g] == _NO_KEY:
-            return None
-        return g, int(self.pos[g])
-
-
-class _QualifierMap:
-    """Lazy mode's best candidates: generator -> key << 32 | position for the
-    touched generators that have a qualifier, and no others, so nothing of
-    size num_gens is allocated or scanned."""
-
-    def __init__(self):
-        self.packed: dict[int, int] = {}
-
-    def adopt(self, gens: list[int], packed: list[int]) -> None:
-        qualifiers = self.packed
-        for g, b in zip(gens, packed):
-            if b == _NO_BEST:
-                qualifiers.pop(g, None)
-            else:
-                qualifiers[g] = b
-
-    def select(self) -> tuple[int, int] | None:
-        if not self.packed:
-            return None
-        _, g = min((b >> 32, g) for g, b in self.packed.items())
-        return g, self.packed[g] & _POS_BITS
-
-
 class SsfindState:
     """One decode's search: ``SsfindState(code, sigma, config)`` builds it
     with the syndrome's cells marked, and ``run()`` advances it to the exit.
@@ -463,7 +417,18 @@ class SsfindState:
         self.rmask: dict[int, int] | list[int] = [0] * g_count if eager else _ZeroDefault()
         self.trace: list[TraceEntry] = []
         self.dirty: set[int] = set(range(g_count)) if eager else set()
-        self.bests = _DenseBests(g_count) if eager else _QualifierMap()
+        # Best candidates.  Eager: a rank key and a table position per
+        # generator; the keys are a C int array, written at list speed and
+        # read by argmin through a zero-copy numpy view.  Lazy: generator ->
+        # key << 32 | position for the touched generators that have a
+        # qualifier, and no others, so nothing of size num_gens is allocated.
+        if eager:
+            self.best_key = array("i", [_NO_KEY]) * g_count
+            # Read only where best_key holds a rank, written with it.
+            self.best_pos = [0] * g_count
+            self._key_view = np.frombuffer(self.best_key, dtype=np.intc)
+        else:
+            self.qualifiers: dict[int, int] = {}
         self._seed(sigma_idx)
 
     # -- inspection --
@@ -536,38 +501,124 @@ class SsfindState:
             count = sum(map(np.bitwise_count, masks))
             self.dirty.update(seeded[count >= self.min_need].tolist())
 
-    def _mark_suspicious_cells(self, chks: Iterable[int]) -> None:
-        rmask, dirty, check_gens = self.rmask, self.dirty, self.code.check_gens
-        for chk in chks:
-            for g, cellbit in check_gens(chk):
-                rmask[g] |= cellbit
-                dirty.add(g)
+    def _retire(self, g: int, mask: int) -> None:
+        """Absorb the qubits of generator g's view mask into the envelope and
+        retire each in every generator holding it, by the code's slot tables.
 
-    def _retire(self, qubits: Iterable[int]) -> None:
-        # A qubit's checks all lie in the grid of every generator holding it,
-        # so a generator unseeded here is seeded by this pick's fresh checks.
-        retired, dirty, qubit_gens = self.retired, self.dirty, self.code.qubit_gens
-        for q in qubits:
-            for g, posbit in qubit_gens(q):
-                retired[g] |= posbit
-                dirty.add(g)
+        A qubit's checks all lie in the grid of every generator holding it,
+        so a generator unseeded here is seeded by this pick's fresh checks."""
+        code, retired, dirty, envelope = self.code, self.retired, self.dirty, self.envelope_set
+        n, dc = code.n, code.delta_c
+        c, v = divmod(g, n)
+        row, col = code.base.adj_c[c], code.base.adj_v[v]
+        vv = mask & ((1 << dc) - 1)
+        while vv:
+            low = vv & -vv
+            vv ^= low
+            nu = row[low.bit_length() - 1]
+            envelope.add(nu * n + v)
+            for cn, bit, _ in code._bit_slots[nu]:
+                h = cn + v
+                retired[h] |= bit
+                dirty.add(h)
+        cc, base, cn = mask >> dc, n * n + c * code.m, c * n
+        while cc:
+            low = cc & -cc
+            cc ^= low
+            zeta = col[low.bit_length() - 1]
+            envelope.add(base + zeta)
+            for w, bit, _ in code._check_slots[zeta]:
+                h = cn + w
+                retired[h] |= bit
+                dirty.add(h)
+
+    def _mark_fresh(self, g: int, fresh: int) -> None:
+        """Make the checks of generator g's grid cells ``fresh`` suspicious and
+        mark their cell in every generator whose grid holds them.
+
+        Check (nu, zeta) lies in the grid of generator (c', v') for each
+        bit slot (c', row bit) of nu and check slot (v', column bit) of zeta,
+        in the cell row bit * column bit."""
+        code, rmask, dirty = self.code, self.rmask, self.dirty
+        n, m, dv = code.n, code.m, code.delta_v
+        c, v = divmod(g, n)
+        row, col = code.base.adj_c[c], code.base.adj_v[v]
+        bit_slots, check_slots = code._bit_slots, code._check_slots
+        suspicious = self.suspicious_set
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            i, j = divmod(low.bit_length() - 1, dv)
+            nu, zeta = row[i], col[j]
+            suspicious.add(nu * m + zeta)
+            cols = check_slots[zeta]
+            for cn, _, rowbit in bit_slots[nu]:
+                for w, _, colbit in cols:
+                    h = cn + w
+                    rmask[h] |= rowbit * colbit
+                    dirty.add(h)
 
     # -- scoring --
 
     def _rescore(self) -> list[int]:
-        """Best qualifying candidate of each dirty generator that can have one,
-        looked up by its local state; empties the dirty set.  Returns the
-        generators refreshed, ascending."""
-        rmask, retired, need = self.rmask, self.retired, self.min_need
-        if need > 0:
-            gens = sorted(g for g in self.dirty if rmask[g].bit_count() >= need)
-        else:
-            gens = sorted(self.dirty)
+        """Refresh the best candidate of each dirty generator that can have
+        one, and empty the dirty set.  One pass forms each state, reads the
+        memo and writes every hit into the mode's store; the misses are then
+        scored in one batch and written the same way.  Returns the generators
+        refreshed, ascending."""
+        gens = sorted(self.dirty)
         self.dirty.clear()
-        width = self.tables.width
-        states = [rmask[g] << width | retired[g] for g in gens]
-        self.bests.adopt(gens, self.memo.lookup(states))
-        return gens
+        refreshed, missed = self._refresh(gens, self.memo.entries)
+        if missed:
+            width, rmask, retired = self.tables.width, self.rmask, self.retired
+            states = [rmask[g] << width | retired[g] for g in missed]
+            self._refresh(missed, self.memo._score(states))
+        return refreshed
+
+    def _refresh(self, gens: list[int], best: dict[int, int]) -> tuple[list[int], list[int]]:
+        """Write each generator's best candidate, read from ``best`` by its
+        state, into the mode's store; a lazy decode first drops generators
+        with fewer than min_need suspicious cells.  Returns the generators
+        kept and those whose state ``best`` lacks."""
+        rmask, retired, width = self.rmask, self.retired, self.tables.width
+        missed = []
+        if self.mode == "eager":
+            keys, positions = self.best_key, self.best_pos
+            for g in gens:
+                b = best.get(rmask[g] << width | retired[g])
+                if b is None:
+                    missed.append(g)
+                else:
+                    keys[g] = b >> 32
+                    positions[g] = b & _POS_BITS
+            return gens, missed
+        need, qualifiers, kept = self.min_need, self.qualifiers, []
+        for g in gens:
+            r = rmask[g]
+            if r.bit_count() < need:
+                continue
+            kept.append(g)
+            b = best.get(r << width | retired[g])
+            if b is None:
+                missed.append(g)
+            elif b == _NO_BEST:
+                qualifiers.pop(g, None)
+            else:
+                qualifiers[g] = b
+        return kept, missed
+
+    def _select(self) -> tuple[int, int] | None:
+        """(generator, table position) of the lowest-scoring qualifier; ties
+        go to the lowest generator."""
+        if self.mode == "eager":
+            g = int(self._key_view.argmin())
+            if self.best_key[g] == _NO_KEY:
+                return None
+            return g, self.best_pos[g]
+        if not self.qualifiers:
+            return None
+        _, g = min((b >> 32, g) for g, b in self.qualifiers.items())
+        return g, self.qualifiers[g] & _POS_BITS
 
     # -- main loop --
 
@@ -581,7 +632,7 @@ class SsfindState:
             scored = self._rescore()
             if rescored_log is not None:
                 rescored_log.append(tuple(scored))
-            picked = self.bests.select()
+            picked = self._select()
             if picked is None:
                 break
             # A pick is alive, so it shares no qubit with the envelope and
@@ -596,22 +647,12 @@ class SsfindState:
             mask = t.masks[p]
             rmask = self.rmask[g]
             num = (t.py_uq[p] & ~rmask & t.gridfull).bit_count()
-            qubits = code.gen_qubits(g, mask)
-            envelope.update(qubits)
-            self._retire(qubits)
+            self._retire(g, mask)
             # rmask[g] holds exactly the cells of g whose check is suspicious,
             # so these are the covered checks that turn suspicious now.
             fresh = t.py_cov[p] & ~rmask
             if fresh:
-                grid = code.gen_checks(g)
-                chks = []
-                while fresh:
-                    low = fresh & -fresh
-                    chks.append(grid[low.bit_length() - 1])
-                    fresh ^= low
-                suspicious.update(chks)
-                self._mark_suspicious_cells(chks)
-            # Positional fields: keywords cost a frozen dataclass about 1 µs more.
+                self._mark_fresh(g, fresh)
             trace.append(
                 TraceEntry(
                     len(trace) + 1, g, mask, num, t.py_den[p],
@@ -631,21 +672,33 @@ class SsfindState:
         )
 
     def _verify_exit(self) -> None:
-        """From-scratch exit audit: rebuild suspicious cells from R and confirm
-        no alive candidate qualifies.  Unseeded generators (lazy mode) are
-        untouched and cannot qualify by the mode precondition, which is
-        checked here against min_untouched, independently of min_need."""
-        if self.mode == "lazy" and not 2 * self.config.epsilon < self.tables.min_untouched:
-            raise AssertionError("lazy mode ran although untouched sets qualify")
+        """From-scratch exit audit: rebuild suspicious cells from R and
+        retired view bits from the envelope, and confirm no alive candidate
+        qualifies.  Unseeded generators (lazy mode) are untouched and cannot
+        qualify by the mode precondition, which is checked here against
+        min_untouched, independently of min_need; nor can they hold an
+        envelope qubit, whose checks all lie in their grid."""
+        if self.mode == "lazy":
+            if not 2 * self.config.epsilon < self.tables.min_untouched:
+                raise AssertionError("lazy mode ran although untouched sets qualify")
+            if not self.retired.keys() <= self.rmask.keys():
+                raise AssertionError("retired view bits recorded for an unseeded generator")
+        code, envelope = self.code, self.envelope_set
         for g in self.seeded_gens():
             rebuilt = 0
-            for cell, chk in enumerate(self.code.gen_checks(g)):
+            for cell, chk in enumerate(code.gen_checks(g)):
                 if chk in self.suspicious_set:
                     rebuilt |= 1 << cell
             if rebuilt != self.rmask[g]:
                 raise AssertionError(
                     f"incremental suspicious-cell mask diverged for generator {g}"
                 )
+            rebuilt = 0
+            for bit, q in enumerate(code.gen_qubits(g)):
+                if q in envelope:
+                    rebuilt |= 1 << bit
+            if rebuilt != self.retired[g]:
+                raise AssertionError(f"retired view bits diverged for generator {g}")
             qualifying = self._qualifying(g)
             if qualifying:
                 raise AssertionError(

@@ -18,6 +18,7 @@ search's incremental state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -285,9 +286,15 @@ def alive_masks(state, g: int) -> list[int]:
     return [m for m in state.tables.masks if not (m & retired)]
 
 
+@functools.cache
+def mask_positions(tables) -> dict[int, int]:
+    """Mask -> its position in a degree pair's view tables."""
+    return {m: p for p, m in enumerate(tables.masks)}
+
+
 def cached_score(state, g: int, mask: int) -> Fraction:
     """Score from the incrementally maintained suspicious-cell mask."""
     t = state.tables
-    p = t.pos_of_mask[mask]
+    p = mask_positions(t)[mask]
     num = (t.py_uq[p] & ~state.rmask[g] & t.gridfull).bit_count()
     return Fraction(num, t.py_den[p])

@@ -39,6 +39,7 @@ from oracles import (
     alive_masks,
     brute_reduce,
     cached_score,
+    mask_positions,
     mask_to_qubitset,
     qnbhd,
     qnbhd_unique,
@@ -228,10 +229,9 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
             continue
         retired = st.retired[g]
         rmask = st.rmask[g]
-        for mask in tables.masks:
+        for pos, mask in enumerate(tables.masks):
             if mask & retired:
                 continue
-            pos = tables.pos_of_mask[mask]
             num = (tables.py_uq[pos] & ~rmask & tables.gridfull).bit_count()
             # num / den > 2eps, cross-multiplied to stay in integers
             assert num * twoeps.denominator > twoeps.numerator * tables.py_den[pos], (
@@ -257,6 +257,7 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
     suspicious = CheckSet.from_indices(code, sorted(st.suspicious_set))
     lcm = math.lcm(*tables.py_den)
     scale = [lcm // den for den in tables.py_den]
+    positions = mask_positions(tables)
     for g in range(code.num_gens):
         if not st.seeded[g]:
             continue
@@ -266,7 +267,7 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
         not_r = ~st.rmask[g] & tables.gridfull
 
         def key(m):
-            pos = tables.pos_of_mask[m]
+            pos = positions[m]
             return (tables.py_uq[pos] & not_r).bit_count() * scale[pos]
 
         chosen = masks if full_scan else [min(masks, key=key)]

@@ -18,7 +18,6 @@ from hgpdecode.reduction import (
 
 from oracles import (
     Candidate,
-    brute_reduce,
     enumerate_minsets,
     is_locally_reduced,
     mask_to_qubitset,
@@ -176,14 +175,6 @@ def test_reduce_error_exact_examples(path_code, k33_code):
         for q in range(code.num_qubits):
             single = QubitSet.from_indices(code, [q])
             assert reduce_error(code, single, "exact") == single
-
-
-def test_reduce_error_exact_matches_brute_force(path_code):
-    code = path_code
-    rng = random.Random(21)
-    for _ in range(50):
-        e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), 3))
-        assert reduce_error(code, e, "exact") == brute_reduce(code, e)
 
 
 def test_reduce_error_exact_tie_breaking(single_edge_code):

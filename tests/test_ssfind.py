@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hgpdecode.graphs import BipartiteGraph, gen_biregular
-from hgpdecode.hgp import CheckSet, QubitSet, build_hgp, syndrome
+from hgpdecode.hgp import CheckSet, HgpCode, QubitSet, build_hgp, syndrome
 from hgpdecode.reduction import ReductionConfigError, locally_reduced_masks, part_sizes
 from hgpdecode.ssfind import (
     _NO_BEST,
@@ -33,6 +33,7 @@ from oracles import (
     cached_score,
     candidate_seeding,
     enumerate_minsets,
+    mask_positions,
     mask_to_qubitset,
     qnbhd,
     score,
@@ -164,7 +165,7 @@ def test_ssfind_iteration_cap(mid_code, monkeypatch):
     """The cap can fire for the fault it names: with retirement switched off
     a pick stays alive and is taken again without adding a qubit, so the
     search runs into the cap after exactly num_qubits picks."""
-    monkeypatch.setattr(SsfindState, "_retire", lambda self, qubits: None)
+    monkeypatch.setattr(SsfindState, "_retire", lambda self, g, mask: None)
     sig = syndrome(mid_code, QubitSet.of([(3, 4)]))
     for cfg, mode in ((lazy_config(), "lazy"), (eager_config(), "eager")):
         assert SsfindState(mid_code, sig, cfg).mode == mode
@@ -172,6 +173,61 @@ def test_ssfind_iteration_cap(mid_code, monkeypatch):
             ssfind(mid_code, sig, cfg)
         assert len(exc.value.trace) == mid_code.num_qubits
         assert len({(t.generator, t.mask) for t in exc.value.trace}) < mid_code.num_qubits
+
+
+def test_verify_exit_audits_retired(mid_code):
+    """The exit audit rebuilds every seeded generator's retired view bits from
+    the envelope: one flipped bit of ``retired`` after a run makes it raise
+    and name ``retired``, whether the flip retires a qubit outside the
+    envelope or revives one inside it, and so does a retired bit on a
+    generator a lazy decode never seeded."""
+    rng = random.Random(37)
+    e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 2))
+    sig = syndrome(mid_code, e)
+    for cfg in (lazy_config(), eager_config()):
+        st = SsfindState(mid_code, sig, cfg)
+        assert st.run().trace
+        st._verify_exit()
+        retired = {g: st.retired[g] for g in st.seeded_gens()}
+        g = min(g for g, bits in retired.items() if bits)
+        flips = [(g, retired[g] & -retired[g])]
+        if st.mode == "lazy":
+            full = (1 << st.tables.width) - 1
+            g = min(g for g, bits in retired.items() if bits != full)
+            free = full & ~retired[g]
+            flips.append((g, free & -free))
+            flips.append((min(set(range(mid_code.num_gens)) - set(retired)), 1))
+        for g, bit in flips:
+            st.retired[g] ^= bit
+            with pytest.raises(AssertionError, match="retired"):
+                st._verify_exit()
+            st.retired[g] ^= bit
+            if st.mode == "lazy" and not st.retired[g]:
+                del st.retired[g]
+        st._verify_exit()
+
+
+def test_pick_walk_builds_no_incidence_lists(mid_code, monkeypatch):
+    """A decode walks the code's slot tables itself: with ``qubit_gens`` and
+    ``check_gens`` made to raise, lazy and eager decodes complete with the
+    traces they have without the patch.  Trace entries are immutable."""
+    rng = random.Random(41)
+    e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 3))
+    sig = syndrome(mid_code, e)
+    cfgs = (lazy_config("1/6"), eager_config())
+    want = [ssfind(mid_code, sig, cfg).trace for cfg in cfgs]
+    assert all(want)
+
+    def refuse(self, index):
+        raise AssertionError("per-qubit or per-check list built during a decode")
+
+    monkeypatch.setattr(HgpCode, "qubit_gens", refuse)
+    monkeypatch.setattr(HgpCode, "check_gens", refuse)
+    with pytest.raises(AssertionError):
+        mid_code.check_gens(0)
+    assert [ssfind(mid_code, sig, cfg).trace for cfg in cfgs] == want
+    with pytest.raises(AttributeError):
+        want[0][0].generator = 0
 
 
 def test_ssfind_degree_cap():
@@ -308,7 +364,7 @@ def brute_min_need(delta_v, delta_c, twoeps):
     for mask in locally_reduced_masks(delta_v, delta_c):
         a_v, a_c = part_sizes(mask, delta_c)
         den = a_v * delta_v + a_c * delta_c
-        need = t.py_uq[t.pos_of_mask[mask]].bit_count() - math.floor(twoeps * den)
+        need = t.py_uq[mask_positions(t)[mask]].bit_count() - math.floor(twoeps * den)
         out = need if out is None else min(out, need)
     return out
 
@@ -332,40 +388,50 @@ def test_min_need_matches_brute_force(degrees):
 
 
 def test_rescore_scope(mid_code):
+    """Each rescore batch is exactly the generators whose state can have
+    changed.  Lazy: the seeded generators that reach min_need, then those a
+    pick touched that reach it.  Eager: every generator, then exactly those
+    a pick touched, with no min_need cut."""
     rng = random.Random(31)
     e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 3))
     sig = syndrome(mid_code, e)
-    cfg = lazy_config("1/6", record_rescored=True)
-    res = ssfind(mid_code, sig, cfg)
-    assert res.rescored is not None
-    assert len(res.rescored) == res.iterations + 1
-    need = brute_min_need(3, 6, 2 * cfg.epsilon)
     grid = {
         g: qnbhd(mid_code, supp_generator(mid_code, g)).members
         for g in range(mid_code.num_gens)
     }
-
-    def reaching(gens, suspicious):
-        return {g for g in gens if len(grid[g] & suspicious) >= need}
-
-    # Initial batch: exactly the seeded catalog's generators with at least
-    # min_need suspicious cells, and the cut leaves some out.
     catalog = set(candidate_seeding(mid_code, sig))
-    assert set(res.rescored[0]) == reaching(catalog, sig.members)
-    assert reaching(catalog, sig.members) < catalog
-    # Later batches: exactly the generators the pick touched (through a
-    # retired qubit or a freshly suspicious check) that reach min_need.
-    suspicious = set(sig.members)
-    for k, entry in enumerate(res.trace, start=0):
-        chosen = mask_to_qubitset(mid_code, entry.generator, entry.mask)
-        fresh = qnbhd(mid_code, chosen).members - suspicious
-        suspicious |= fresh
-        touched = {
-            g
-            for g in range(mid_code.num_gens)
-            if grid[g] & fresh or not supp_generator(mid_code, g).isdisjoint(chosen)
-        }
-        assert list(res.rescored[k + 1]) == sorted(reaching(touched, suspicious))
+    for cfg in (lazy_config("1/6", record_rescored=True), eager_config(record_rescored=True)):
+        res = ssfind(mid_code, sig, cfg)
+        assert res.rescored is not None
+        assert len(res.rescored) == res.iterations + 1
+        eager = res.mode == "eager"
+        need = brute_min_need(3, 6, 2 * cfg.epsilon)
+        assert (need <= 0) == eager
+
+        def reaching(gens, suspicious):
+            return {g for g in gens if len(grid[g] & suspicious) >= need}
+
+        if eager:
+            assert list(res.rescored[0]) == list(range(mid_code.num_gens))
+        else:
+            # The seeded catalog's generators with at least min_need
+            # suspicious cells, and the cut leaves some out.
+            assert set(res.rescored[0]) == reaching(catalog, sig.members)
+            assert reaching(catalog, sig.members) < catalog
+        # Later batches: the generators the pick touched, through a retired
+        # qubit or a freshly suspicious check.
+        suspicious = set(sig.members)
+        for k, entry in enumerate(res.trace):
+            chosen = mask_to_qubitset(mid_code, entry.generator, entry.mask)
+            fresh = qnbhd(mid_code, chosen).members - suspicious
+            suspicious |= fresh
+            touched = {
+                g
+                for g in range(mid_code.num_gens)
+                if grid[g] & fresh or not supp_generator(mid_code, g).isdisjoint(chosen)
+            }
+            want = touched if eager else reaching(touched, suspicious)
+            assert list(res.rescored[k + 1]) == sorted(want)
 
 
 @pytest.mark.parametrize(
@@ -442,15 +508,17 @@ def marked_by_checks(code, chks):
 
 
 class _BatchOnlyMemo:
-    """Stands in for the best-candidate memo: records the states a rescore
-    looks up and reports that none qualifies, so no view is scored."""
+    """Stands in for the best-candidate memo: holds no state, so a rescore
+    misses on every generator, records each batch of missed states sent to
+    be scored and reports that none qualifies, so no view is scored."""
 
     def __init__(self):
+        self.entries = {}
         self.batches = []
 
-    def lookup(self, states):
+    def _score(self, states):
         self.batches.append(list(states))
-        return [_NO_BEST] * len(states)
+        return dict.fromkeys(states, _NO_BEST)
 
 
 @pytest.mark.parametrize(
@@ -496,7 +564,10 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
                 kept += bool(first)
             st.memo = _BatchOnlyMemo()
             assert st._rescore() == first
-            assert st.memo.batches == [[want.get(g, 0) << width for g in first]]
+            # The memo is empty, so every refreshed generator's state is sent
+            # to be scored, in generator order, in one batch.
+            states = [want.get(g, 0) << width for g in first]
+            assert st.memo.batches == ([states] if states else [])
             assert not st.dirty
     # The lazy min_need cut both drops and keeps generators, and a two-word
     # grid has suspicious cells in its high word.
@@ -622,7 +693,9 @@ def test_best_candidate_memo_matches_exact_oracle(degrees, monkeypatch):
     ties = 0
     for twoeps in (Fraction(1, 10), t.min_untouched):
         memo = t.best_memo(twoeps)
-        found = memo.lookup([r << width | x for r, x in states])
+        packed = [r << width | x for r, x in states]
+        fresh = memo._score(packed)
+        found = [fresh[s] for s in packed]
         assert len(memo.entries) == len(set(states))
         qualified = 0
         for (rmask, retired), best in zip(states, found):
