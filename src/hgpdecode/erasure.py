@@ -99,7 +99,7 @@ def erase_decode_quantum(
     rows_touched = len(row_pos) + outside
     solution = None if outside else solver.solve(BitVector(len(row_pos), b_bits))
     if solution is None:
-        return DecodeVerdict(QubitSet.of(), "no-solution", None, rows_touched)
+        return DecodeVerdict(QubitSet.from_indices(code, ()), "no-solution", None, rows_touched)
 
     correction = QubitSet.from_indices(code, (cols[p] for p in solution.support()))
     status = "success"

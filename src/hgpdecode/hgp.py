@@ -14,15 +14,19 @@ for numpy passes over a whole syndrome; nothing of size N² is materialized
 (N = n² + m² reaches 72,000 here while every neighborhood has constant size).
 The stabilizer span and the logical count come from the base code's
 kernels too (``StabilizerSpan``), so no N-column matrix is built.
-Coordinate pairs remain in ``QubitSet``/``CheckSet``, which carry sets
-between the stages and to files, and in ``syndrome``, which counts an
-error's check incidences by coordinate pairs.  The set-level model the
-integer incidence is tested against is ``tests/oracles.py``.
+``QubitSet``/``CheckSet``, which carry sets between the stages, hold the
+code's integer indices as well, and ``syndrome`` XORs each error qubit's
+checks.  Coordinate pairs appear only in the sets' views (``vv_part``,
+``cc_part``, ``members``), in ``QubitSet.of``/``CheckSet.of`` and in the
+qubit-set file format.  The set-level model the integer incidence is
+tested against, by coordinate pairs, is ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import starmap
 
 from .gf2 import BitMatrix, RestrictedSolver
 from .graphs import BipartiteGraph, LineParseError, content_lines
@@ -41,78 +45,103 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QubitSet:
-    """A set of qubits, split into its vertex-vertex and check-check parts.
+class _IndexSet:
+    """A set of one code's qubit or check indices, with the code's base sizes.
 
-    ``vv_part`` holds pairs over (left x left) base vertices, ``cc_part`` pairs
-    over (right x right); the two blocks are disjoint by construction.
+    ``n`` and ``m`` name the code the indices belong to: the set operators
+    refuse a set with other base sizes, and ``to_indices`` a code with
+    them (``ValueError``).  ``from_indices`` and ``of`` check the range,
+    which a subclass names in ``_count`` (the code attribute counting its
+    indices); the constructor and the operators trust their indices.
     """
 
-    vv_part: frozenset[tuple[int, int]] = frozenset()
-    cc_part: frozenset[tuple[int, int]] = frozenset()
+    n: int
+    m: int
+    indices: frozenset[int] = frozenset()
 
     @classmethod
-    def of(cls, vv=(), cc=()) -> QubitSet:
-        return cls(frozenset(vv), frozenset(cc))
+    def from_indices(cls, code: HgpCode, indices):
+        s = frozenset(indices)
+        if s and (min(s) < 0 or max(s) >= getattr(code, cls._count)):
+            raise IndexError(f"{cls.__name__} index out of range for this code")
+        return cls(code.n, code.m, s)
 
-    @property
-    def weight(self) -> int:
-        return len(self.vv_part) + len(self.cc_part)
+    def _same(self, other):
+        """``other`` (a set or a code), once its base sizes match this set's."""
+        if (other.n, other.m) != (self.n, self.m):
+            raise ValueError(f"(n, m) = ({other.n}, {other.m}) met a {type(self).__name__} of ({self.n}, {self.m})")
+        return other
 
-    def __or__(self, other: QubitSet) -> QubitSet:
-        return QubitSet(self.vv_part | other.vv_part, self.cc_part | other.cc_part)
+    def __len__(self) -> int:
+        return len(self.indices)
 
-    def __xor__(self, other: QubitSet) -> QubitSet:
-        return QubitSet(self.vv_part ^ other.vv_part, self.cc_part ^ other.cc_part)
+    def __or__(self, other):
+        return type(self)(self.n, self.m, self.indices | self._same(other).indices)
 
-    def __and__(self, other: QubitSet) -> QubitSet:
-        return QubitSet(self.vv_part & other.vv_part, self.cc_part & other.cc_part)
+    def __xor__(self, other):
+        return type(self)(self.n, self.m, self.indices ^ self._same(other).indices)
 
-    def __le__(self, other: QubitSet) -> bool:
-        return self.vv_part <= other.vv_part and self.cc_part <= other.cc_part
+    def __and__(self, other):
+        return type(self)(self.n, self.m, self.indices & self._same(other).indices)
 
-    def isdisjoint(self, other: QubitSet) -> bool:
-        return self.vv_part.isdisjoint(other.vv_part) and self.cc_part.isdisjoint(other.cc_part)
+    def __le__(self, other) -> bool:
+        return self.indices <= self._same(other).indices
+
+    def isdisjoint(self, other) -> bool:
+        return self.indices.isdisjoint(self._same(other).indices)
 
     def to_indices(self, code: HgpCode) -> list[int]:
-        out = [code.vv_index(i, j) for i, j in self.vv_part]
-        out += [code.cc_index(i, j) for i, j in self.cc_part]
-        return sorted(out)
-
-    @classmethod
-    def from_indices(cls, code: HgpCode, indices) -> QubitSet:
-        vv, cc = [], []
-        for q in indices:
-            kind, i, j = code.qubit_coords(q)
-            (vv if kind == "VV" else cc).append((i, j))
-        return cls.of(vv, cc)
+        self._same(code)
+        return sorted(self.indices)
 
 
 @dataclass(frozen=True)
-class CheckSet:
-    """A set of X-type parity checks, as (left, right) base-vertex pairs."""
+class QubitSet(_IndexSet):
+    """A set of qubits of one code, held as the code's qubit indices (the VV
+    block row-major, then the CC block; see ``HgpCode``).
 
-    members: frozenset[tuple[int, int]] = frozenset()
+    ``vv_part`` (pairs over left x left base vertices) and ``cc_part`` (pairs
+    over right x right) are coordinate views for the file format and the
+    tests, computed on first use; the decoder never reads them.
+    """
 
-    @classmethod
-    def of(cls, members) -> CheckSet:
-        return cls(frozenset(members))
-
-    def __or__(self, other: CheckSet) -> CheckSet:
-        return CheckSet(self.members | other.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, item) -> bool:
-        return item in self.members
-
-    def to_indices(self, code: HgpCode) -> list[int]:
-        return sorted(code.check_index(i, j) for i, j in self.members)
+    _count = "num_qubits"
 
     @classmethod
-    def from_indices(cls, code: HgpCode, indices) -> CheckSet:
-        return cls.of(code.check_coords(x) for x in indices)
+    def of(cls, code: HgpCode, vv=(), cc=()) -> QubitSet:
+        """The set of these VV and CC coordinate pairs of ``code``."""
+        return cls(code.n, code.m, frozenset([*starmap(code.vv_index, vv), *starmap(code.cc_index, cc)]))
+
+    @property
+    def weight(self) -> int:
+        return len(self.indices)
+
+    @functools.cached_property
+    def vv_part(self) -> frozenset[tuple[int, int]]:
+        return frozenset(divmod(q, self.n) for q in self.indices if q < self.n**2)
+
+    @functools.cached_property
+    def cc_part(self) -> frozenset[tuple[int, int]]:
+        return frozenset(divmod(q - self.n**2, self.m) for q in self.indices if q >= self.n**2)
+
+
+@dataclass(frozen=True)
+class CheckSet(_IndexSet):
+    """A set of X-type parity checks of one code, held as check indices.
+
+    ``members`` is the coordinate view, (left, right) base-vertex pairs,
+    computed on first use; the decoder never reads it."""
+
+    _count = "num_checks"
+
+    @classmethod
+    def of(cls, code: HgpCode, members=()) -> CheckSet:
+        """The set of these (left, right) check pairs of ``code``."""
+        return cls(code.n, code.m, frozenset(starmap(code.check_index, members)))
+
+    @functools.cached_property
+    def members(self) -> frozenset[tuple[int, int]]:
+        return frozenset(divmod(x, self.m) for x in self.indices)
 
 
 class HgpCode:
@@ -393,26 +422,12 @@ def build_hgp(graph: BipartiteGraph) -> HgpCode:
     return HgpCode(graph)
 
 
-def _incidences(code: HgpCode, qubits: QubitSet) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for nu, v in qubits.vv_part:
-        if not (0 <= nu < code.n and 0 <= v < code.n):
-            raise IndexError(f"VV qubit ({nu}, {v}) out of range")
-        for zeta in code.base.adj_v[v]:
-            key = (nu, zeta)
-            counts[key] = counts.get(key, 0) + 1
-    for c, zeta in qubits.cc_part:
-        if not (0 <= c < code.m and 0 <= zeta < code.m):
-            raise IndexError(f"CC qubit ({c}, {zeta}) out of range")
-        for nu in code.base.adj_c[c]:
-            key = (nu, zeta)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def syndrome(code: HgpCode, error: QubitSet) -> CheckSet:
     """Checks with an odd number of incidences into the error."""
-    return CheckSet.of(k for k, cnt in _incidences(code, error).items() if cnt & 1)
+    flagged: set[int] = set()
+    for q in error.to_indices(code):
+        flagged.symmetric_difference_update(code.qubit_checks(q))
+    return CheckSet(code.n, code.m, frozenset(flagged))
 
 
 # --- qubit-set file format: one qubit per line, "VV i j" or "CC i j" ---
@@ -427,8 +442,10 @@ def qubitset_to_text(qubits: QubitSet) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def qubitset_from_text(text: str, code: HgpCode | None = None) -> QubitSet:
-    vv, cc = [], []
+def qubitset_from_text(text: str, code: HgpCode) -> QubitSet:
+    """The qubit set a file lists; a qubit out of ``code``'s range or listed
+    twice raises ``QubitParseError`` naming its line."""
+    seen: dict[int, int] = {}
     for line_no, raw, line in content_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("VV", "CC"):
@@ -437,9 +454,11 @@ def qubitset_from_text(text: str, code: HgpCode | None = None) -> QubitSet:
             i, j = int(parts[1]), int(parts[2])
         except ValueError:
             raise QubitParseError(line_no, f"coordinates must be integers in {raw!r}") from None
-        if code is not None:
-            limit = code.n if parts[0] == "VV" else code.m
-            if not (0 <= i < limit and 0 <= j < limit):
-                raise QubitParseError(line_no, f"qubit ({i}, {j}) out of range for this code")
-        (vv if parts[0] == "VV" else cc).append((i, j))
-    return QubitSet.of(vv, cc)
+        try:
+            q = (code.vv_index if parts[0] == "VV" else code.cc_index)(i, j)
+        except IndexError:
+            raise QubitParseError(line_no, f"qubit ({i}, {j}) out of range for this code") from None
+        if q in seen:
+            raise QubitParseError(line_no, f"qubit {parts[0]} {i} {j} repeats line {seen[q]}")
+        seen[q] = line_no
+    return QubitSet(code.n, code.m, frozenset(seen))

@@ -101,5 +101,5 @@ def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitS
         hits = Counter(g for q in err for g, _ in code.qubit_gens(q))
         improving = [g for g, h in hits.items() if 2 * h > width]
         if not improving:
-            return QubitSet.from_indices(code, sorted(err))
+            return QubitSet.from_indices(code, err)
         err.symmetric_difference_update(code.gen_qubits(min(improving)))

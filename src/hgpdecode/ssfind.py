@@ -662,8 +662,8 @@ class SsfindState:
         if self.config.verify_exit:
             self._verify_exit()
         return SsfindResult(
-            envelope=QubitSet.from_indices(code, sorted(envelope)),
-            suspicious=CheckSet.from_indices(code, sorted(suspicious)),
+            envelope=QubitSet.from_indices(code, envelope),
+            suspicious=CheckSet.from_indices(code, suspicious),
             trace=tuple(trace),
             iterations=len(trace),
             mode=self.mode,

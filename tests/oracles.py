@@ -1,15 +1,21 @@
 """Set-level references the tests compare the package against.
 
-The package runs on integer indices: ``HgpCode``'s incidence methods
+The package runs on integer indices: ``QubitSet``/``CheckSet`` hold the
+code's qubit and check indices, ``HgpCode``'s incidence methods
 (``gen_qubits``, ``check_qubits``, ``qubit_gens``, ``check_gens``, ...) and
-the ``ssfind`` view tables of each degree pair.  The oracles here model the
-same objects the way the paper states them: qubits and checks as coordinate
-pairs of the base graph, candidates as (generator, mask) pairs scored with
-Fractions, and span membership by row echelon elimination.
+the ``ssfind`` view tables of each degree pair read them, and ``syndrome``
+XORs each qubit's checks.  The oracles here model the same objects the way
+the paper states them: qubits and checks as coordinate pairs of the base
+graph, candidates as (generator, mask) pairs scored with Fractions, and span
+membership by row echelon elimination.
 
 Each oracle computes from the base graph's adjacency lists and from
 coordinates (``gen_coords``, ``check_coords``, ``vv_index``/``cc_index``),
 never from the integer incidence or the view tables it is compared against.
+Sets enter through ``QubitSet.of``/``CheckSet.of`` and are read through
+their coordinate views (``vv_part``, ``cc_part``, ``members``); the check
+incidences of a set are counted over those pairs (``_incidences``), and
+``score`` counts a candidate's pairs without building a set.
 Candidates come from the mask catalog ``locally_reduced_masks``, which
 ``test_reduction`` checks against its definition.  ``alive_masks`` and
 ``cached_score`` are the other side of the comparison: they read a finished
@@ -26,7 +32,7 @@ from typing import Iterator
 
 from hgpdecode.gf2 import BitMatrix
 from hgpdecode.graphs import BipartiteGraph, _side_data
-from hgpdecode.hgp import CheckSet, HgpCode, QubitSet, _incidences
+from hgpdecode.hgp import CheckSet, HgpCode, QubitSet
 from hgpdecode.reduction import check_view_width, locally_reduced_masks, part_sizes
 
 
@@ -114,7 +120,7 @@ def supp_generator(code: HgpCode, g: int) -> QubitSet:
     c, v = code.gen_coords(g)
     vv = [(nu, v) for nu in code.base.adj_c[c]]
     cc = [(c, zeta) for zeta in code.base.adj_v[v]]
-    return QubitSet.of(vv, cc)
+    return QubitSet.of(code, vv, cc)
 
 
 def supp_check(code: HgpCode, x: int) -> QubitSet:
@@ -122,17 +128,38 @@ def supp_check(code: HgpCode, x: int) -> QubitSet:
     nu, zeta = code.check_coords(x)
     vv = [(nu, v) for v in code.base.adj_c[zeta]]
     cc = [(c, zeta) for c in code.base.adj_v[nu]]
-    return QubitSet.of(vv, cc)
+    return QubitSet.of(code, vv, cc)
+
+
+def _incidences(code: HgpCode, vv, cc) -> dict[tuple[int, int], int]:
+    """Check pair -> how many of the VV pairs ``vv`` and CC pairs ``cc`` it
+    touches: VV qubit (nu, v) meets the checks (nu, zeta) for zeta a
+    neighbor of v, CC qubit (c, zeta) the checks (nu, zeta) for nu one of c."""
+    counts: dict[tuple[int, int], int] = {}
+    for nu, v in vv:
+        for zeta in code.base.adj_v[v]:
+            counts[nu, zeta] = counts.get((nu, zeta), 0) + 1
+    for c, zeta in cc:
+        for nu in code.base.adj_c[c]:
+            counts[nu, zeta] = counts.get((nu, zeta), 0) + 1
+    return counts
 
 
 def qnbhd(code: HgpCode, qubits: QubitSet) -> CheckSet:
     """All checks incident to the set."""
-    return CheckSet.of(_incidences(code, qubits).keys())
+    return CheckSet.of(code, _incidences(code, qubits.vv_part, qubits.cc_part))
 
 
 def qnbhd_unique(code: HgpCode, qubits: QubitSet) -> CheckSet:
     """Checks with exactly one incidence into the set."""
-    return CheckSet.of(k for k, cnt in _incidences(code, qubits).items() if cnt == 1)
+    counts = _incidences(code, qubits.vv_part, qubits.cc_part)
+    return CheckSet.of(code, (k for k, cnt in counts.items() if cnt == 1))
+
+
+def syndrome_pairs(code: HgpCode, qubits: QubitSet) -> CheckSet:
+    """Checks with an odd number of incidences into the set."""
+    counts = _incidences(code, qubits.vv_part, qubits.cc_part)
+    return CheckSet.of(code, (k for k, cnt in counts.items() if cnt & 1))
 
 
 def project(qubits: QubitSet, axis: str, index: int | None = None) -> set[int]:
@@ -244,21 +271,27 @@ def enumerate_minsets(code: HgpCode, generator: int) -> Iterator[Candidate]:
         yield Candidate(generator, mask, a_v, a_c)
 
 
-def mask_to_qubitset(code: HgpCode, generator: int, mask: int) -> QubitSet:
-    """Unpack a local-view mask into the qubits it selects."""
+def mask_pairs(code: HgpCode, generator: int, mask: int) -> tuple[list, list]:
+    """The VV and CC coordinate pairs a local-view mask selects."""
     c, v = code.gen_coords(generator)
     row = code.base.adj_c[c]
     col = code.base.adj_v[v]
     vv = [(row[i], v) for i in range(code.delta_c) if (mask >> i) & 1]
     cc = [(c, col[j]) for j in range(code.delta_v) if (mask >> (code.delta_c + j)) & 1]
-    return QubitSet.of(vv, cc)
+    return vv, cc
+
+
+def mask_to_qubitset(code: HgpCode, generator: int, mask: int) -> QubitSet:
+    """Unpack a local-view mask into the qubits it selects."""
+    return QubitSet.of(code, *mask_pairs(code, generator, mask))
 
 
 def score(code: HgpCode, candidate: Candidate, suspicious: CheckSet) -> Fraction:
-    """|unique checks outside the suspicious set| / (delta * weighted norm)."""
-    subset = mask_to_qubitset(code, candidate.generator, candidate.mask)
-    uniq = qnbhd_unique(code, subset)
-    num = sum(1 for chk in uniq.members if chk not in suspicious.members)
+    """|unique checks outside the suspicious set| / (delta * weighted norm),
+    counted over the candidate's coordinate pairs."""
+    counts = _incidences(code, *mask_pairs(code, candidate.generator, candidate.mask))
+    flagged = suspicious.members
+    num = sum(1 for chk, cnt in counts.items() if cnt == 1 and chk not in flagged)
     den = candidate.a_v * code.delta_v + candidate.a_c * code.delta_c
     return Fraction(num, den)
 

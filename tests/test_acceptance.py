@@ -36,9 +36,11 @@ from hgpdecode.ssfind import DecoderConfig, min_untouched_score, ssfind
 
 from oracles import (
     Candidate,
+    _incidences,
     alive_masks,
     brute_reduce,
     cached_score,
+    mask_pairs,
     mask_positions,
     mask_to_qubitset,
     qnbhd,
@@ -46,7 +48,6 @@ from oracles import (
     score,
     supp_check,
     supp_generator,
-    weighted_norm,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,10 +109,11 @@ def test_checks_commute_with_generators_across_seeded_family():
     pairs = 0
     for n in sizes:
         code = build_hgp(gen_biregular(n, 3, 6, seed=n))
+        check_supports = [supp_check(code, x) for x in range(code.num_checks)]
         for g in range(code.num_gens):
             gsup = supp_generator(code, g)
             for x in qnbhd(code, gsup).to_indices(code):
-                assert (supp_check(code, x) & gsup).weight % 2 == 0, (n, g, x)
+                assert (check_supports[x] & gsup).weight % 2 == 0, (n, g, x)
                 pairs += 1
     elapsed = time.perf_counter() - t0
     ok = elapsed < 10.0
@@ -239,15 +241,20 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
                 mask,
             )
 
-    # (c) growth bound replayed from the trace with exact arithmetic
-    envelope = QubitSet.of()
+    # (c) growth bound replayed from the trace with exact arithmetic, on the
+    # envelope's coordinate pairs: |VV| / delta_c + |CC| / delta_v is its
+    # weighted norm, and its neighborhood the checks it has incidences into
+    vv, cc = set(), set()
     for entry in res.trace:
         assert Fraction(entry.score_num, entry.score_den) <= twoeps
-        envelope = envelope | mask_to_qubitset(code, entry.generator, entry.mask)
-        assert envelope.weight == entry.envelope_size
-        bound = len(sigma_set) + (Fraction(1, 4) + twoeps) * delta * weighted_norm(code, envelope)
-        assert Fraction(len(qnbhd(code, envelope))) <= bound, entry
-    assert envelope == res.envelope
+        pick_vv, pick_cc = mask_pairs(code, entry.generator, entry.mask)
+        vv.update(pick_vv)
+        cc.update(pick_cc)
+        assert len(vv) + len(cc) == entry.envelope_size
+        norm = Fraction(len(vv), code.delta_c) + Fraction(len(cc), code.delta_v)
+        bound = len(sigma_set) + (Fraction(1, 4) + twoeps) * delta * norm
+        assert Fraction(len(_incidences(code, vv, cc))) <= bound, entry
+    assert QubitSet.of(code, vv, cc) == res.envelope
 
     # (d) cached scores agree with a from-scratch recomputation: the cheapest
     # alive candidate of every seeded generator each trial, everything on

@@ -168,6 +168,18 @@ def test_decode_refuses_a_non_ascii_digit(tmp_path, graph_file, capsys):
     assert captured.out == ""
 
 
+def test_decode_refuses_a_repeated_qubit(tmp_path, graph_file, capsys):
+    # Read as a set, the file would decode one qubit while listing two.
+    error_path = tmp_path / "error.txt"
+    error_path.write_text("VV 0 0\nCC 1 1\nVV 0 0\n")
+    argv = ["decode", "--graph", str(graph_file), "--error", str(error_path),
+            "--epsilon", "1/20"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: line 3: qubit VV 0 0 repeats line 1" in captured.err
+    assert captured.out == ""
+
+
 def test_montecarlo_output_is_reproducible(tmp_path, capsys):
     config = CampaignConfig(
         n=12, delta_v=3, delta_c=6, graph_seed=5,

@@ -46,19 +46,20 @@ def _random_error(code, rng, weight):
             vv.add((rng.randrange(n), rng.randrange(n)))
         else:
             cc.add((rng.randrange(m), rng.randrange(m)))
-    return QubitSet.of(vv, cc)
+    return QubitSet.of(code, vv, cc)
 
 
 def test_empty_everything_succeeds(path_code):
-    verdict = erase_decode_quantum(path_code, syndrome(path_code, QubitSet.of()), QubitSet.of())
-    assert verdict == DecodeVerdict(QubitSet.of(), "success", None, 0)
+    empty = QubitSet.of(path_code)
+    verdict = erase_decode_quantum(path_code, syndrome(path_code, empty), empty)
+    assert verdict == DecodeVerdict(empty, "success", None, 0)
 
 
 def test_flagged_check_away_from_envelope_is_unsolvable(path_code):
-    sigma = CheckSet.of([(0, 0)])
-    verdict = erase_decode_quantum(path_code, sigma, QubitSet.of())
+    sigma = CheckSet.of(path_code, [(0, 0)])
+    verdict = erase_decode_quantum(path_code, sigma, QubitSet.of(path_code))
     assert verdict.status == "no-solution"
-    assert verdict.correction == QubitSet.of()
+    assert verdict.correction == QubitSet.of(path_code)
     assert verdict.coset_equivalent is None
     assert verdict.rows_touched == 1
 
@@ -103,15 +104,16 @@ def test_solution_confined_to_strict_superset_envelope(mid_code):
 
 
 def test_verify_coset_examples(path_code, single_edge_code):
-    error = QubitSet.of(vv=[(0, 0), (1, 1)])
+    error = QubitSet.of(path_code, vv=[(0, 0), (1, 1)])
     assert verify_coset(path_code, error, error)
     for g in range(path_code.num_gens):
         toggled = error ^ supp_generator(path_code, g)
         assert verify_coset(path_code, toggled, error)
     # Single-edge code: the only generator support is both qubits at once, so
     # a one-qubit difference crosses cosets.
-    assert verify_coset(single_edge_code, QubitSet.of(vv=[(0, 0)], cc=[(0, 0)]), QubitSet.of())
-    assert not verify_coset(single_edge_code, QubitSet.of(vv=[(0, 0)]), QubitSet.of())
+    code = single_edge_code
+    assert verify_coset(code, QubitSet.of(code, vv=[(0, 0)], cc=[(0, 0)]), QubitSet.of(code))
+    assert not verify_coset(code, QubitSet.of(code, vv=[(0, 0)]), QubitSet.of(code))
 
 
 def test_coset_equivalence_implies_equal_syndromes(mid_code):
@@ -153,7 +155,7 @@ def test_factorization_cache_and_determinism(mid_code):
     assert first == second
     assert mid_code._erasure_solver[2] is solver
     # A different syndrome against the same envelope reuses the factorization.
-    sub = QubitSet.of(vv=list(error.vv_part)[:1])
+    sub = QubitSet.of(mid_code, vv=list(error.vv_part)[:1])
     erase_decode_quantum(mid_code, syndrome(mid_code, sub), error)
     assert mid_code._erasure_solver[2] is solver
     # A different envelope replaces the single cached factorization.
@@ -165,20 +167,21 @@ def test_full_envelope_ambiguity_split(path_code, single_edge_code):
     # Path-graph code keeps one logical qubit, so the all-qubits envelope
     # admits solutions from different cosets; the single-edge code does not.
     everything = QubitSet.of(
+        path_code,
         vv=[(i, j) for i in range(path_code.n) for j in range(path_code.n)],
         cc=[(i, j) for i in range(path_code.m) for j in range(path_code.m)],
     )
-    sigma = syndrome(path_code, QubitSet.of())
+    sigma = syndrome(path_code, QubitSet.of(path_code))
     flagged = erase_decode_quantum(path_code, sigma, everything, detect_ambiguity=True)
     assert flagged.status == "ambiguous-logical"
-    assert flagged.correction == QubitSet.of()
+    assert flagged.correction == QubitSet.of(path_code)
 
     silent = erase_decode_quantum(path_code, sigma, everything)
     assert silent.status == "success"
 
-    both = QubitSet.of(vv=[(0, 0)], cc=[(0, 0)])
+    both = QubitSet.of(single_edge_code, vv=[(0, 0)], cc=[(0, 0)])
     tiny = erase_decode_quantum(
-        single_edge_code, syndrome(single_edge_code, QubitSet.of()), both,
+        single_edge_code, syndrome(single_edge_code, QubitSet.of(single_edge_code)), both,
         detect_ambiguity=True,
     )
     assert tiny.status == "success"
@@ -188,11 +191,12 @@ def test_ambiguity_matches_logical_count(path_code, single_edge_code, k33_code):
     # With every qubit erased, ambiguity is exactly "k > 0".
     for code in (path_code, single_edge_code, k33_code):
         everything = QubitSet.of(
+            code,
             vv=[(i, j) for i in range(code.n) for j in range(code.n)],
             cc=[(i, j) for i in range(code.m) for j in range(code.m)],
         )
         verdict = erase_decode_quantum(
-            code, syndrome(code, QubitSet.of()), everything, detect_ambiguity=True
+            code, syndrome(code, QubitSet.of(code)), everything, detect_ambiguity=True
         )
         assert (verdict.status == "ambiguous-logical") == (code.k > 0)
 
@@ -217,7 +221,7 @@ def test_coset_and_ambiguity_build_no_full_matrix(monkeypatch):
     assert verdict.status == "success" and verdict.coset_equivalent is True
     g = supp_generator(code, 5)
     assert verify_coset(code, error ^ g, error)
-    assert not verify_coset(code, error ^ QubitSet.of(vv=[(0, 0)]), error)
+    assert not verify_coset(code, error ^ QubitSet.of(code, vv=[(0, 0)]), error)
     assert shapes and max(cols for _, cols in shapes) < code.num_qubits
 
 
@@ -252,7 +256,7 @@ def test_ambiguity_verdicts_match_list_route(path_code, k33_code, mid_code):
     late = 0
     for code in codes:
         everything = QubitSet.from_indices(code, range(code.num_qubits))
-        cases = [(QubitSet.of(), everything)]
+        cases = [(QubitSet.of(code), everything)]
         for _ in range(12):
             error = _random_error(code, rng, rng.randint(1, 4))
             extra = rng.sample(range(code.num_qubits), rng.randint(0, code.num_qubits // 3))
@@ -267,7 +271,7 @@ def test_ambiguity_verdicts_match_list_route(path_code, k33_code, mid_code):
             for g in range(code.num_gens)
             if column.isdisjoint(supp_generator(code, g))
         ][:3]
-        cases.append((QubitSet.of(), functools.reduce(QubitSet.__or__, beside, column)))
+        cases.append((QubitSet.of(code), functools.reduce(QubitSet.__or__, beside, column)))
         for error, envelope in cases:
             sigma = syndrome(code, error)
             verdict = erase_decode_quantum(code, sigma, envelope, detect_ambiguity=True)
@@ -307,7 +311,7 @@ def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
     rng = random.Random(101)
     code = mid_code
     everything = QubitSet.from_indices(code, range(code.num_qubits))
-    cases = [(QubitSet.of(), everything)]
+    cases = [(QubitSet.of(code), everything)]
     for _ in range(15):
         error = _random_error(code, rng, rng.randint(1, 5))
         extra = rng.sample(range(code.num_qubits), rng.randint(0, 20))

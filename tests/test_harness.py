@@ -14,12 +14,14 @@ from hgpdecode.graphs import (
     gen_biregular,
     write_graph,
 )
+from hgpdecode.erasure import erase_decode_quantum
 from hgpdecode.harness import (
     CampaignConfig,
     CampaignConfigError,
     _mix64,
     _one_trial,
     _resolve_workers,
+    _run_trials,
     campaign_to_text,
     decode_once,
     montecarlo,
@@ -29,7 +31,15 @@ from hgpdecode.harness import (
     resolve_epsilon,
     summarize,
 )
-from hgpdecode.hgp import QubitParseError, QubitSet, build_hgp, qubitset_from_text, qubitset_to_text
+from hgpdecode.hgp import (
+    HgpCode,
+    QubitParseError,
+    QubitSet,
+    build_hgp,
+    qubitset_from_text,
+    qubitset_to_text,
+    syndrome,
+)
 from hgpdecode.ssfind import DecoderConfig, trace_from_text
 
 
@@ -348,3 +358,51 @@ def test_campaign_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert grown < 256 * 1024, f"heap grew {grown // 1024} KiB over 200 trials"
+
+
+# --------------------------------------------------------------------------
+# the trial path runs on integer indices
+# --------------------------------------------------------------------------
+
+
+def _refusing(name):
+    def accessor(self, *args):
+        raise AssertionError(f"HgpCode.{name} called")
+    return accessor
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_trial_path_calls_no_coordinate_accessor(monkeypatch):
+    """Lazy and eager campaign trials and an ambiguity-checked solve run with
+    every coordinate accessor of ``HgpCode`` raising, and give what they give
+    with the accessors in place.  The patched run goes first, on its own code
+    object, so it starts from no cached factorization."""
+    graph = gen_biregular(60, 3, 6, seed=1)
+    runs = []
+    for spec, trials in (("1/20", 40), ("audit:3", 3)):
+        config = CampaignConfig(
+            n=60, delta_v=3, delta_c=6, graph_seed=1, trials=trials,
+            weights=(2, 5, 9), epsilon=spec, seed=11,
+        )
+        runs.append((config, *resolve_epsilon(spec, graph)))
+
+    def run_all():
+        code = build_hgp(graph)
+        texts = [
+            reports_to_text(_run_trials(code, config, eps, audited, range(config.trials)), include_wall=False)
+            for config, eps, audited in runs
+        ]
+        error = QubitSet.from_indices(code, [5, 77, 3700])
+        envelope = error | QubitSet.from_indices(code, range(0, code.num_qubits, 97))
+        verdict = erase_decode_quantum(
+            code, syndrome(code, error), envelope, detect_ambiguity=True, true_error=error
+        )
+        return texts, verdict
+
+    with monkeypatch.context() as patched:
+        for name in ("qubit_coords", "check_coords", "vv_index", "cc_index", "check_index"):
+            patched.setattr(HgpCode, name, _refusing(name))
+        got = run_all()
+    assert got == run_all()
+    lazy, eager = got[0]
+    assert "success" in lazy and "success" in eager

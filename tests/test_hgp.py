@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgpdecode.erasure import verify_coset
 from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver
 from hgpdecode.graphs import audit_expansion, gen_biregular
 from hgpdecode.hgp import (
@@ -29,6 +30,7 @@ from oracles import (
     qnbhd_unique,
     supp_check,
     supp_generator,
+    syndrome_pairs,
     weighted_norm,
     x_check_matrix,
 )
@@ -60,7 +62,7 @@ def test_build_single_edge(single_edge_code):
     assert code.num_qubits == 2
     assert code.num_checks == 1
     assert code.num_gens == 1
-    assert supp_generator(code, 0) == QubitSet.of([(0, 0)], [(0, 0)])
+    assert supp_generator(code, 0) == QubitSet.of(code, [(0, 0)], [(0, 0)])
     assert code.k == 0
 
 
@@ -96,9 +98,9 @@ def test_k_matches_base_rank_identity(single_edge_code, path_code, k33_code, mid
 def test_supp_examples_on_path(path_code):
     code = path_code
     z = code.gen_index(0, 0)
-    assert supp_generator(code, z) == QubitSet.of([(0, 0), (1, 0)], [(0, 0)])
+    assert supp_generator(code, z) == QubitSet.of(code, [(0, 0), (1, 0)], [(0, 0)])
     x = code.check_index(0, 0)
-    assert supp_check(code, x) == QubitSet.of([(0, 0), (0, 1)], [(0, 0)])
+    assert supp_check(code, x) == QubitSet.of(code, [(0, 0), (0, 1)], [(0, 0)])
 
 
 def test_supp_sizes(k33_code, mid_code):
@@ -136,9 +138,10 @@ def test_index_errors(path_code):
 
 
 def test_qnbhd_examples(path_code, k33_code):
-    assert qnbhd(path_code, QubitSet.of([(0, 0)])) == CheckSet.of([(0, 0)])
-    assert qnbhd(path_code, QubitSet()) == CheckSet()
-    assert qnbhd_unique(path_code, QubitSet()) == CheckSet()
+    empty = QubitSet.of(path_code)
+    assert qnbhd(path_code, QubitSet.of(path_code, [(0, 0)])) == CheckSet.of(path_code, [(0, 0)])
+    assert qnbhd(path_code, empty) == CheckSet.of(path_code)
+    assert qnbhd_unique(path_code, empty) == CheckSet.of(path_code)
     # A full generator support has no unique neighbors inside its own
     # check grid: every grid check sees exactly two of its qubits.
     code = k33_code
@@ -165,7 +168,7 @@ def test_unique_nbhd_closed_form(mid_code):
         cc = sorted(supp.cc_part)
         a = rng.randint(0, len(vv))
         b = rng.randint(0, len(cc))
-        sub = QubitSet.of(rng.sample(vv, a), rng.sample(cc, b))
+        sub = QubitSet.of(code, rng.sample(vv, a), rng.sample(cc, b))
         assert len(qnbhd_unique(code, sub)) == a * dv + b * dc - 2 * a * b
         assert len(qnbhd(code, sub)) == a * dv + b * dc - a * b
 
@@ -288,13 +291,13 @@ def test_stabilizer_span_matches_row_basis_oracle(name, flip):
     assert verdicts[True] >= 60 and verdicts[False] >= 60
 
 
-def test_project_examples():
-    s = QubitSet.of([(0, 0), (1, 0)])
+def test_project_examples(path_code):
+    s = QubitSet.of(path_code, [(0, 0), (1, 0)])
     assert project(s, "V2") == {0}
     assert project(s, "V1") == {0, 1}
     assert project(s, "V1", index=0) == {0}
-    assert project(QubitSet(), "C1") == set()
-    assert project(QubitSet(), "C2", index=3) == set()
+    assert project(QubitSet.of(path_code), "C1") == set()
+    assert project(QubitSet.of(path_code), "C2", index=3) == set()
     with pytest.raises(ValueError):
         project(s, "Q1")
 
@@ -303,28 +306,28 @@ def test_project_slices_partition(mid_code):
     rng = random.Random(3)
     vv = [(rng.randrange(12), rng.randrange(12)) for _ in range(20)]
     cc = [(rng.randrange(6), rng.randrange(6)) for _ in range(10)]
-    s = QubitSet.of(vv, cc)
+    s = QubitSet.of(mid_code, vv, cc)
     assert sum(len(project(s, "V1", index=i)) for i in project(s, "V1")) == len(s.vv_part)
     assert sum(len(project(s, "C2", index=j)) for j in project(s, "C2")) == len(s.cc_part)
 
 
 def test_weighted_norm(mid_code):
     code = mid_code  # (delta_v, delta_c) = (3, 6)
-    s = QubitSet.of([(0, 0), (0, 1)], [(0, 0), (0, 1), (1, 0)])
+    s = QubitSet.of(code, [(0, 0), (0, 1)], [(0, 0), (0, 1), (1, 0)])
     norm = weighted_norm(code, s)
     assert norm == Fraction(4, 3)
     delta = code.delta_v * code.delta_c
     assert delta * norm == 24 == 2 * code.delta_v + 3 * code.delta_c
-    assert weighted_norm(code, QubitSet()) == 0
-    assert weighted_norm(code, QubitSet.of([(5, 5)])) == Fraction(1, 6)
+    assert weighted_norm(code, QubitSet.of(code)) == 0
+    assert weighted_norm(code, QubitSet.of(code, [(5, 5)])) == Fraction(1, 6)
 
 
 def test_syndrome_examples(path_code, k33_code):
-    assert syndrome(path_code, QubitSet()) == CheckSet()
-    assert syndrome(path_code, QubitSet.of([(0, 0)])) == CheckSet.of([(0, 0)])
+    assert syndrome(path_code, QubitSet.of(path_code)) == CheckSet.of(path_code)
+    assert syndrome(path_code, QubitSet.of(path_code, [(0, 0)])) == CheckSet.of(path_code, [(0, 0)])
     for code in (path_code, k33_code):
         for g in range(code.num_gens):
-            assert syndrome(code, supp_generator(code, g)) == CheckSet()
+            assert syndrome(code, supp_generator(code, g)) == CheckSet.of(code)
 
 
 def test_syndrome_invariant_under_generator_toggle(mid_code):
@@ -333,7 +336,7 @@ def test_syndrome_invariant_under_generator_toggle(mid_code):
     for _ in range(25):
         vv = {(rng.randrange(12), rng.randrange(12)) for _ in range(6)}
         cc = {(rng.randrange(6), rng.randrange(6)) for _ in range(3)}
-        e = QubitSet.of(vv, cc)
+        e = QubitSet.of(code, vv, cc)
         g = rng.randrange(code.num_gens)
         assert syndrome(code, e ^ supp_generator(code, g)) == syndrome(code, e)
 
@@ -365,11 +368,11 @@ def test_minimally_expanding_sets(k33_code, mid_code):
             v_prime = set(rng.sample(range(code.n), rng.randint(1, 3)))
             gamma_c = {nu for c in c_prime for nu in code.base.adj_c[c]}
             gamma_v = {zeta for v in v_prime for zeta in code.base.adj_v[v]}
-            s_v = QubitSet.of((nu, v) for nu in gamma_c for v in v_prime)
-            s_c = QubitSet.of((), ((c, zeta) for c in c_prime for zeta in gamma_v))
+            s_v = QubitSet.of(code, ((nu, v) for nu in gamma_c for v in v_prime))
+            s_c = QubitSet.of(code, (), ((c, zeta) for c in c_prime for zeta in gamma_v))
             assert qnbhd(code, s_v) == qnbhd(code, s_c)
             assert qnbhd(code, s_v) == CheckSet.of(
-                (nu, zeta) for nu in gamma_c for zeta in gamma_v
+                code, ((nu, zeta) for nu in gamma_c for zeta in gamma_v)
             )
 
 
@@ -388,7 +391,7 @@ def test_max_expanding_lower_bound(k33_code, mid_code):
             cc = set()
             for c in rng.sample(range(code.m), rng.randint(0, 2)):
                 cc |= {(c, zeta) for zeta in rng.sample(range(code.m), rng.randint(1, 3))}
-            s = QubitSet.of(vv, cc)
+            s = QubitSet.of(code, vv, cc)
             if s.weight == 0:
                 continue
             eps_hat = Fraction(0)
@@ -412,26 +415,85 @@ def test_design_distance_hint_skipped_at_scale():
 
 
 def test_qubitset_text_roundtrip(mid_code):
-    s = QubitSet.of([(3, 5), (0, 0)], [(2, 4)])
+    s = QubitSet.of(mid_code, [(3, 5), (0, 0)], [(2, 4)])
     text = qubitset_to_text(s)
     assert text == "VV 0 0\nVV 3 5\nCC 2 4\n"
     assert qubitset_from_text(text, mid_code) == s
-    assert qubitset_to_text(QubitSet()) == ""
-    assert qubitset_from_text("", mid_code) == QubitSet()
-    assert qubitset_from_text("# comment\n\nVV 1 1\n") == QubitSet.of([(1, 1)])
+    assert qubitset_to_text(QubitSet.of(mid_code)) == ""
+    assert qubitset_from_text("", mid_code) == QubitSet.of(mid_code)
+    assert qubitset_from_text("# comment\n\nVV 1 1\n", mid_code) == QubitSet.of(mid_code, [(1, 1)])
 
 
 def test_qubitset_parse_errors(mid_code):
     with pytest.raises(QubitParseError, match="line 1"):
-        qubitset_from_text("XX 0 0\n")
+        qubitset_from_text("XX 0 0\n", mid_code)
     with pytest.raises(QubitParseError, match="line 2"):
-        qubitset_from_text("VV 0 0\nVV 1\n")
+        qubitset_from_text("VV 0 0\nVV 1\n", mid_code)
     with pytest.raises(QubitParseError, match="line 3"):
-        qubitset_from_text("VV 0 0\nCC 1 1\nVV a 2\n")
+        qubitset_from_text("VV 0 0\nCC 1 1\nVV a 2\n", mid_code)
     with pytest.raises(QubitParseError, match="line 1"):
         qubitset_from_text("VV 0 12\n", mid_code)
     with pytest.raises(QubitParseError, match="line 1"):
         qubitset_from_text("CC 6 0\n", mid_code)
+
+
+def test_qubitset_reader_refuses_a_repeated_qubit(mid_code):
+    with pytest.raises(QubitParseError, match="line 2: qubit VV 0 0 repeats line 1"):
+        qubitset_from_text("VV 0 0\nVV 0 0\n", mid_code)
+    with pytest.raises(QubitParseError, match="line 4: qubit CC 2 4 repeats line 2"):
+        qubitset_from_text("VV 2 4\nCC 2 4\n# again\nCC  2 4\n", mid_code)
+    # The same pair in the two blocks is two qubits.
+    assert qubitset_from_text("VV 2 4\nCC 2 4\n", mid_code).weight == 2
+
+
+def test_sets_of_another_code_do_not_combine(mid_code, path_code):
+    """Every binary set operation, ``to_indices``, ``syndrome`` and
+    ``verify_coset`` refuse a set whose base sizes (n, m) differ from the
+    other operand's or the code's."""
+    mine, theirs = QubitSet.of(mid_code, [(0, 0)]), QubitSet.of(path_code, [(0, 0)])
+    checks, other_checks = CheckSet.of(mid_code, [(0, 0)]), CheckSet.of(path_code, [(0, 0)])
+    refused = [
+        lambda: mine | theirs, lambda: mine ^ theirs, lambda: mine & theirs,
+        lambda: mine <= theirs, lambda: mine.isdisjoint(theirs),
+        lambda: checks | other_checks, lambda: checks <= other_checks,
+        lambda: mine.to_indices(path_code), lambda: checks.to_indices(path_code),
+        lambda: syndrome(path_code, mine),
+        lambda: verify_coset(mid_code, mine, theirs),
+        lambda: verify_coset(path_code, mine, mine),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match=r"\(n, m\)"):
+            call()
+    # The (m, n) dual of a code with n != m is another code too.
+    with pytest.raises(ValueError):
+        mine.to_indices(dual(mid_code))
+    with pytest.raises(IndexError):
+        QubitSet.from_indices(mid_code, [mid_code.num_qubits])
+    with pytest.raises(IndexError):
+        CheckSet.from_indices(mid_code, [-1])
+
+
+@pytest.mark.parametrize("graph", [(12, 3, 6, 5), (60, 3, 6, 1)], ids=["mid", "n60"])
+def test_syndrome_matches_pair_counting_oracle(graph):
+    """``syndrome`` (XOR of each qubit's checks, by index) against the
+    oracle that counts each check's incidences over coordinate pairs, on
+    VV-only, CC-only and mixed sets, some of them generator supports, whose
+    checks all meet the set twice."""
+    n, dv, dc, seed = graph
+    code = build_hgp(gen_biregular(n, dv, dc, seed=seed))
+    nn = code.n * code.n
+    rng = random.Random(f"syndrome-{graph}")
+    for t in range(150):
+        kind = t % 3
+        pool = range(nn) if kind == 0 else range(nn, code.num_qubits) if kind == 1 else range(code.num_qubits)
+        error = QubitSet.from_indices(code, rng.sample(pool, rng.randint(1, min(40, len(pool)))))
+        if kind == 2 and t % 2:
+            error = error ^ supp_generator(code, rng.randrange(code.num_gens))
+        want = syndrome_pairs(code, error)
+        assert syndrome(code, error) == want, (kind, sorted(error.indices))
+        assert syndrome(code, error ^ supp_generator(code, t % code.num_gens)) == want
+    for g in range(0, code.num_gens, 7):
+        assert syndrome_pairs(code, supp_generator(code, g)) == CheckSet.of(code)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=179), max_size=25))

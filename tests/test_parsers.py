@@ -122,10 +122,9 @@ def test_failed_handshake_is_refused_before_building(monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(_LINE, st.tuples(st.sampled_from(["VV", "CC"]), _SMALL_INT, _SMALL_INT)
-                          .map(lambda t: " ".join(map(str, t)))), max_size=8).map("\n".join),
-       st.booleans())
-def test_qubit_reader_raises_only_qubit_parse_errors(text, with_code):
-    _parse(lambda t: qubitset_from_text(t, _CODE if with_code else None), QubitParseError, text)
+                          .map(lambda t: " ".join(map(str, t)))), max_size=8).map("\n".join))
+def test_qubit_reader_raises_only_qubit_parse_errors(text):
+    _parse(lambda t: qubitset_from_text(t, _CODE), QubitParseError, text)
 
 
 @settings(max_examples=100, deadline=None)

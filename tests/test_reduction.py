@@ -122,8 +122,8 @@ def test_enumerate_minsets_cap():
 
 
 def test_mask_to_qubitset(path_code, mid_code):
-    assert mask_to_qubitset(path_code, 0, 1) == QubitSet.of([(0, 0)])
-    assert mask_to_qubitset(path_code, 0, 4) == QubitSet.of((), [(0, 0)])
+    assert mask_to_qubitset(path_code, 0, 1) == QubitSet.of(path_code, [(0, 0)])
+    assert mask_to_qubitset(path_code, 0, 4) == QubitSet.of(path_code, (), [(0, 0)])
     rng = random.Random(9)
     for _ in range(30):
         g = rng.randrange(mid_code.num_gens)
@@ -171,7 +171,7 @@ def test_reduced_nbhd_bound_via_set_route(mid_code):
 def test_reduce_error_exact_examples(path_code, k33_code):
     for code in (path_code, k33_code):
         for g in range(code.num_gens):
-            assert reduce_error(code, supp_generator(code, g), "exact") == QubitSet()
+            assert reduce_error(code, supp_generator(code, g), "exact") == QubitSet.of(code)
         for q in range(code.num_qubits):
             single = QubitSet.from_indices(code, [q])
             assert reduce_error(code, single, "exact") == single
@@ -180,8 +180,8 @@ def test_reduce_error_exact_examples(path_code, k33_code):
 def test_reduce_error_exact_tie_breaking(single_edge_code):
     # Both cosets of weight 1: the representative is the lex-smaller index.
     code = single_edge_code
-    vv = QubitSet.of([(0, 0)])
-    cc = QubitSet.of((), [(0, 0)])
+    vv = QubitSet.of(code, [(0, 0)])
+    cc = QubitSet.of(code, (), [(0, 0)])
     assert reduce_error(code, vv, "exact") == vv
     assert reduce_error(code, cc, "exact") == vv
 
@@ -272,9 +272,9 @@ def test_reduce_error_greedy_matches_list_route(mid_code):
 
 def test_reduce_error_errors(mid_code):
     with pytest.raises(ValueError, match="20 generators"):
-        reduce_error(mid_code, QubitSet(), "exact")
+        reduce_error(mid_code, QubitSet.of(mid_code), "exact")
     with pytest.raises(ValueError, match="mode"):
-        reduce_error(mid_code, QubitSet(), "best")
+        reduce_error(mid_code, QubitSet.of(mid_code), "best")
 
 
 @given(st.integers(min_value=1, max_value=511))

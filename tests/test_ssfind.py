@@ -115,7 +115,7 @@ def test_score_examples(mid_code):
     covered = qnbhd(mid_code, mask_to_qubitset(mid_code, 7, cand.mask))
     assert score(mid_code, cand, covered) == 0
     single_vv = Candidate.build(mid_code, 7, 1)
-    assert score(mid_code, single_vv, CheckSet()) == 1
+    assert score(mid_code, single_vv, CheckSet.of(mid_code)) == 1
 
 
 def test_score_balanced_pair_unique_equals_syndrome():
@@ -128,19 +128,19 @@ def test_score_balanced_pair_unique_equals_syndrome():
 
 
 def test_ssfind_empty_syndrome(mid_code):
-    res = ssfind(mid_code, CheckSet(), lazy_config(verify_exit=True))
-    assert res.envelope == QubitSet()
+    res = ssfind(mid_code, CheckSet.of(mid_code), lazy_config(verify_exit=True))
+    assert res.envelope == QubitSet.of(mid_code)
     assert res.trace == ()
     assert res.mode == "lazy"
     # A full generator support is syndrome-free, so it finds nothing either.
     e = supp_generator(mid_code, 13)
     res = ssfind(mid_code, syndrome(mid_code, e), lazy_config())
-    assert res.envelope == QubitSet()
+    assert res.envelope == QubitSet.of(mid_code)
 
 
 def test_ssfind_single_qubit_lazy_covers():
     code = build_hgp(gen_biregular(60, 3, 6, seed=1))
-    e = QubitSet.of([(7, 31)])
+    e = QubitSet.of(code, [(7, 31)])
     sig = syndrome(code, e)
     res = ssfind(code, sig, lazy_config(verify_exit=True))
     assert res.mode == "lazy"
@@ -153,7 +153,7 @@ def test_ssfind_single_qubit_lazy_covers():
 def test_ssfind_eager_explosion(mid_code):
     # With 2*eps at or above every untouched score, qualification never stops
     # until every candidate is retired: the envelope is the full qubit set.
-    e = QubitSet.of([(3, 4)])
+    e = QubitSet.of(mid_code, [(3, 4)])
     res = ssfind(mid_code, syndrome(mid_code, e), eager_config(verify_exit=True))
     assert res.mode == "eager"
     assert res.envelope.weight == mid_code.num_qubits
@@ -166,7 +166,7 @@ def test_ssfind_iteration_cap(mid_code, monkeypatch):
     a pick stays alive and is taken again without adding a qubit, so the
     search runs into the cap after exactly num_qubits picks."""
     monkeypatch.setattr(SsfindState, "_retire", lambda self, g, mask: None)
-    sig = syndrome(mid_code, QubitSet.of([(3, 4)]))
+    sig = syndrome(mid_code, QubitSet.of(mid_code, [(3, 4)]))
     for cfg, mode in ((lazy_config(), "lazy"), (eager_config(), "eager")):
         assert SsfindState(mid_code, sig, cfg).mode == mode
         with pytest.raises(SsfindIterationError) as exc:
@@ -234,12 +234,12 @@ def test_ssfind_degree_cap():
     # Complete bipartite 11 x 10: a 21-qubit local view, one above the cap.
     wide = build_hgp(BipartiteGraph.from_left_adjacency(10, [range(10)] * 11))
     with pytest.raises(ReductionConfigError):
-        ssfind(wide, CheckSet(), lazy_config())
+        ssfind(wide, CheckSet.of(wide), lazy_config())
 
 
 def test_candidate_seeding(path_code, mid_code):
-    assert candidate_seeding(path_code, CheckSet()) == {}
-    e = QubitSet.of([(0, 0)])
+    assert candidate_seeding(path_code, CheckSet.of(path_code)) == {}
+    e = QubitSet.of(path_code, [(0, 0)])
     sig = syndrome(path_code, e)
     seeded = candidate_seeding(path_code, sig)
     expected = {
@@ -267,7 +267,7 @@ def test_determinism(mid_code):
 
 
 def test_mode_threshold(mid_code):
-    sig = syndrome(mid_code, QubitSet.of([(0, 0)]))
+    sig = syndrome(mid_code, QubitSet.of(mid_code, [(0, 0)]))
     with pytest.warns(UserWarning):
         boundary = DecoderConfig(epsilon=Fraction(5, 18))  # 2*eps == 5/9
     assert ssfind(mid_code, sig, boundary).mode == "eager"
@@ -320,7 +320,7 @@ def test_state_reads_per_generator(mid_code):
 
 def replay(code, sigma, res, twoeps):
     """Re-derive every per-iteration quantity via the set machinery."""
-    env = QubitSet()
+    env = QubitSet.of(code)
     reach = set(sigma.members)
     gamma = set()
     dv, dc = code.delta_v, code.delta_c
@@ -328,7 +328,7 @@ def replay(code, sigma, res, twoeps):
     for t in res.trace:
         chosen = mask_to_qubitset(code, t.generator, t.mask)
         assert env.isdisjoint(chosen)
-        before = CheckSet.of(reach)
+        before = CheckSet.of(code, reach)
         cand = Candidate.build(code, t.generator, t.mask)
         assert score(code, cand, before) == Fraction(t.score_num, t.score_den)
         assert Fraction(t.score_num, t.score_den) <= twoeps
@@ -535,7 +535,7 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
     t = _view_tables(*degrees)
     width, gens = t.width, range(code.num_gens)
     rng = random.Random(73)
-    sigmas = [CheckSet.of(())]
+    sigmas = [CheckSet.of(code)]
     for w in (1, 2, 4):
         e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), w))
         sigmas.append(syndrome(code, e))
