@@ -244,6 +244,28 @@ class RestrictedSolver:
                     x |= 1 << col
             yield BitVector(self.cols, x)
 
+    def kernel_words(self) -> list[int]:
+        """The ``kernel_basis()`` vectors bit-sliced by column: bit t of
+        ``words[j]`` is coordinate j of the t-th kernel vector.
+
+        All vectors are back-substituted at once.  Free column t gets the
+        word ``1 << t`` (its own vector holds it, no other does); then each
+        pivot column, in descending order, gets the XOR of the words of its
+        echelon row's other columns, which are higher and already set.
+        Columns off the support get 0."""
+        words = [0] * self.cols
+        for t, free in enumerate(self.free_columns()):
+            words[free] = 1 << t
+        for col in self._pivot_cols_desc:
+            rest = self._pivots[col][0] ^ (1 << col)
+            acc = 0
+            while rest:
+                low = rest & -rest
+                acc ^= words[low.bit_length() - 1]
+                rest ^= low
+            words[col] = acc
+        return words
+
     def kernel_basis(self) -> list[BitVector]:
         """A basis of ``{x supported on the factored columns : A·x = 0}``.
 

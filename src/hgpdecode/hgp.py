@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _IndexSet:
     """A set of one code's qubit or check indices, with the code's base sizes.
 
@@ -53,11 +53,23 @@ class _IndexSet:
     them (``ValueError``).  ``from_indices`` and ``of`` check the range,
     which a subclass names in ``_count`` (the code attribute counting its
     indices); the constructor and the operators trust their indices.
+
+    The class is frozen, hashable and equal by its fields, but its
+    constructor writes the fields straight into the instance ``__dict__``
+    (the generated frozen ``__init__`` sets each through
+    ``object.__setattr__``, at about twice the cost); subclasses are
+    declared with ``init=False`` so that they inherit it.
     """
 
     n: int
     m: int
-    indices: frozenset[int] = frozenset()
+    indices: frozenset[int]
+
+    def __init__(self, n: int, m: int, indices: frozenset[int] = frozenset()):
+        fields = self.__dict__
+        fields["n"] = n
+        fields["m"] = m
+        fields["indices"] = indices
 
     @classmethod
     def from_indices(cls, code: HgpCode, indices):
@@ -95,7 +107,7 @@ class _IndexSet:
         return sorted(self.indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QubitSet(_IndexSet):
     """A set of qubits of one code, held as the code's qubit indices (the VV
     block row-major, then the CC block; see ``HgpCode``).
@@ -125,7 +137,7 @@ class QubitSet(_IndexSet):
         return frozenset(divmod(q - self.n**2, self.m) for q in self.indices if q >= self.n**2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckSet(_IndexSet):
     """A set of X-type parity checks of one code, held as check indices.
 
@@ -350,7 +362,9 @@ class StabilizerSpan:
     because no nonzero row-space vector lies on the free columns alone.
 
     ``contains`` pays O(|D|·Δ); the tables hold O(n + m) words, one bit per
-    kernel vector.  ``rank`` is the generator matrix's rank, mn − k_H·k_Hᵀ.
+    kernel vector, back-substituted bit-sliced by ``kernel_words`` so that
+    set-up builds no kernel vector and costs one elimination of H and of Hᵀ.
+    ``rank`` is the generator matrix's rank, mn − k_H·k_Hᵀ.
     """
 
     def __init__(self, code: HgpCode):
@@ -358,8 +372,9 @@ class StabilizerSpan:
         h = BitMatrix.from_row_supports(base.m, base.n, base.adj_c)
         ht = BitMatrix.from_row_supports(base.n, base.m, base.adj_v)
         self._code = code
-        self._vv_words, vv_free = _kernel_words(RestrictedSolver(h, range(base.n)))
-        self._cc_words, cc_free = _kernel_words(RestrictedSolver(ht, range(base.m)))
+        vv, cc = RestrictedSolver(h, range(base.n)), RestrictedSolver(ht, range(base.m))
+        self._vv_words, self._cc_words = vv.kernel_words(), cc.kernel_words()
+        vv_free, cc_free = vv.free_columns(), cc.free_columns()
         self._vv_free = frozenset(vv_free)
         self._cc_free = frozenset(cc_free)
         k, kt = len(vv_free), len(cc_free)
@@ -386,16 +401,6 @@ class StabilizerSpan:
                 if c1 in cc_free:
                     acc[n + c1] = acc.get(n + c1, 0) ^ cc_words[c2]
         return not flagged and not any(acc.values())
-
-
-def _kernel_words(solver: RestrictedSolver) -> tuple[list[int], list[int]]:
-    """Per column, the word whose bit t says the t-th kernel vector holds it;
-    and the free columns."""
-    words = [0] * solver.cols
-    for t, x in enumerate(solver.kernel_basis()):
-        for col in x.support():
-            words[col] |= 1 << t
-    return words, solver.free_columns()
 
 
 def _min_kernel_weight(check_rows, width: int) -> int | None:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -192,11 +193,14 @@ class _ViewTables:
     CC qubit of a local view; a mask's unique cells are those covering exactly
     one of the pair, its covered cells those covering at least one.
 
-    A score num/den has num <= delta_v*delta_c and den one of a few values, so
-    every possible score is sorted once into ``scores``.  ``ranks[den_off[p] +
-    num]`` is the index in ``scores`` of the score num/den[p]: equal fractions
-    share a rank, and ranks order exactly as the fractions do.  The unique-cell
-    masks are split into 64-bit words, low word first, for ``np.bitwise_count``.
+    A score num/den has num <= delta_v*delta_c and den one of a few values.
+    With ``scale`` the lcm of those dens, num/den is held as the integer
+    num*(scale/den), so scores sort and hash as small ints and compare
+    exactly as the fractions do.  Every possible score is sorted once into
+    ``scores`` (scaled), and ``ranks[den_off[p] + num]`` is the index in
+    ``scores`` of the score num/den[p]: equal fractions share a rank, and
+    ranks order exactly as the fractions do.  The unique-cell masks are split
+    into 64-bit words, low word first, for ``np.bitwise_count``.
 
     A mask with a VV and b CC qubits has den = a*delta_v + b*delta_c and
     den - 2ab unique cells whatever the generator.  ``shapes`` lists the
@@ -237,11 +241,11 @@ class _ViewTables:
         self.min_untouched = min(Fraction(u, d) for u, d in self.shapes)
         nums = range(self.grid_bits + 1)
         dens = sorted(set(den))
-        self.scores = sorted({Fraction(k, d) for d in dens for k in nums})
+        self.scale = math.lcm(*dens)
+        scaled = [k * (self.scale // d) for d in dens for k in nums]
+        self.scores = sorted(set(scaled))
         rank = {v: r for r, v in enumerate(self.scores)}
-        self.ranks = np.array(
-            [rank[Fraction(k, d)] for d in dens for k in nums], dtype=np.int32
-        )
+        self.ranks = np.array([rank[v] for v in scaled], dtype=np.int32)
         offset = {d: i * len(nums) for i, d in enumerate(dens)}
         self.den_off = np.array([offset[d] for d in den], dtype=np.int32)
         # int32 holds every mask: a view of 32 or more qubits would have over
@@ -250,6 +254,7 @@ class _ViewTables:
         self.words = -(-self.grid_bits // 64)
         self.np_uq = self.split_words(uq)
         self._memos: dict[int, _BestMemo] = {}
+        self._by_epsilon: dict[tuple[int, int], tuple[int, int]] = {}
 
     def split_words(self, grids: list[int]) -> list[np.ndarray]:
         """One uint64 array per 64-bit word of the grid masks, low word first."""
@@ -260,13 +265,29 @@ class _ViewTables:
             for w in range(self.words)
         ]
 
-    def best_memo(self, twoeps: Fraction) -> _BestMemo:
-        """The best-candidate memo for threshold twoeps, shared by every decode
-        of every code with this degree pair and the same cutoff rank."""
-        cutoff = bisect.bisect_right(self.scores, twoeps) - 1
-        if cutoff not in self._memos:
-            self._memos[cutoff] = _BestMemo(self, cutoff)
-        return self._memos[cutoff]
+    def at_epsilon(self, epsilon: Fraction) -> tuple[_BestMemo, int]:
+        """The best-candidate memo and min_need of a decode at ``epsilon``.
+
+        The memo is shared by every decode of every code with this degree
+        pair and the same cutoff rank, the rank of the largest score <=
+        2*epsilon.  The cutoff and min_need are computed once per epsilon and
+        kept, one small entry per distinct epsilon the process decodes at,
+        keyed by (numerator, denominator): a tuple hashes in a third of the
+        time a Fraction does."""
+        key = epsilon.numerator, epsilon.denominator
+        consts = self._by_epsilon.get(key)
+        if consts is None:
+            twoeps = 2 * epsilon
+            # A scaled score is an integer, so it is <= twoeps*scale exactly
+            # when it is <= the floor of twoeps*scale.
+            top = twoeps.numerator * self.scale // twoeps.denominator
+            cutoff = bisect.bisect_right(self.scores, top) - 1
+            consts = self._by_epsilon[key] = (cutoff, self.min_need(twoeps))
+        cutoff, need = consts
+        memo = self._memos.get(cutoff)
+        if memo is None:
+            memo = self._memos[cutoff] = _BestMemo(self, cutoff)
+        return memo, need
 
     def min_need(self, twoeps: Fraction) -> int:
         """Fewest suspicious unique cells any mask needs to score <= twoeps.
@@ -401,12 +422,10 @@ class SsfindState:
         self.code = code
         self.config = config
         self.tables = _view_tables(code.delta_v, code.delta_c)
-        twoeps = 2 * config.epsilon
-        self.memo = self.tables.best_memo(twoeps)
-        # A generator with fewer suspicious cells has no qualifying candidate;
-        # at most 0, an untouched candidate qualifies and every generator is
-        # seeded from the start.
-        self.min_need = self.tables.min_need(twoeps)
+        # A generator with fewer than min_need suspicious cells has no
+        # qualifying candidate; at most 0, an untouched candidate qualifies
+        # and every generator is seeded from the start.
+        self.memo, self.min_need = self.tables.at_epsilon(config.epsilon)
         eager = self.min_need <= 0
         self.mode = "eager" if eager else "lazy"
         g_count = code.num_gens

@@ -19,7 +19,10 @@ incidences of a set are counted over those pairs (``_incidences``), and
 Candidates come from the mask catalog ``locally_reduced_masks``, which
 ``test_reduction`` checks against its definition.  ``alive_masks`` and
 ``cached_score`` are the other side of the comparison: they read a finished
-search's incremental state.
+search's incremental state.  Fast paths the package retired stay here as
+the references their replacements are tested against: the per-vector
+``kernel_words``, the subset enumeration of ``expansion_by_enumeration``
+and the ``Fraction``-sorted ``score_ranks``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from hgpdecode.gf2 import BitMatrix
+from hgpdecode.gf2 import BitMatrix, RestrictedSolver
 from hgpdecode.graphs import BipartiteGraph, _side_data
 from hgpdecode.hgp import CheckSet, HgpCode, QubitSet
 from hgpdecode.reduction import check_view_width, locally_reduced_masks, part_sizes
@@ -81,6 +84,16 @@ class RowBasis:
         return len(self._pivots)
 
 
+def kernel_words(solver: RestrictedSolver) -> list[int]:
+    """``solver.kernel_words()`` one vector at a time: per column, the word
+    whose bit t says the t-th ``kernel_basis()`` vector holds it."""
+    words = [0] * solver.cols
+    for t, x in enumerate(solver.kernel_basis()):
+        for col in x.support():
+            words[col] |= 1 << t
+    return words
+
+
 # --- base graphs ---
 
 
@@ -93,6 +106,23 @@ def neighbors(graph: BipartiteGraph, side: str, vertices) -> set[int]:
             raise ValueError(f"{side} vertex {v} out of range [0, {size})")
         out.update(adj[v])
     return out
+
+
+def expansion_by_enumeration(graph: BipartiteGraph, side: str, s_max: int) -> dict[int, Fraction]:
+    """``audit_expansion(graph, side, s_max).worst_epsilon_by_size`` by
+    enumerating every subset of each size with ``itertools.combinations``."""
+    size, degree, _ = _side_data(graph, side)
+    masks = graph.left_masks() if side == "left" else graph.right_masks()
+    worst = {}
+    for s in range(1, s_max + 1):
+        min_gamma = degree * s
+        for subset in itertools.combinations(range(size), s):
+            acc = 0
+            for v in subset:
+                acc |= masks[v]
+            min_gamma = min(min_gamma, acc.bit_count())
+        worst[s] = 1 - Fraction(min_gamma, degree * s)
+    return worst
 
 
 def unique_neighbors(graph: BipartiteGraph, side: str, vertices) -> set[int]:
@@ -317,6 +347,18 @@ def alive_masks(state, g: int) -> list[int]:
     """The masks of generator g that share no qubit with the envelope."""
     retired = state.retired[g]
     return [m for m in state.tables.masks if not (m & retired)]
+
+
+def score_ranks(delta_v: int, delta_c: int) -> tuple[list[Fraction], dict[tuple[int, int], int]]:
+    """Every score num/den a degree pair's masks can take, sorted as
+    Fractions, and the rank of each (num, den) among them; dens are the
+    mask weights a*delta_v + b*delta_c of the locally reduced masks."""
+    sizes = {part_sizes(m, delta_c) for m in locally_reduced_masks(delta_v, delta_c)}
+    dens = {a * delta_v + b * delta_c for a, b in sizes}
+    nums = range(delta_v * delta_c + 1)
+    scores = sorted({Fraction(k, d) for d in dens for k in nums})
+    rank = {f: r for r, f in enumerate(scores)}
+    return scores, {(k, d): rank[Fraction(k, d)] for d in dens for k in nums}
 
 
 @functools.cache

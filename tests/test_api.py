@@ -21,7 +21,7 @@ REMOVED = {
     "supp_generator", "supp_check", "qnbhd", "qnbhd_unique", "project", "weighted_norm", "dual",
     "Candidate", "enumerate_minsets", "is_locally_reduced", "mask_to_qubitset",
     "score", "candidate_seeding", "x_check_matrix", "generator_matrix", "_x_matrix",
-    "_gen_matrix", "alive_masks", "cached_score", "_incidences",
+    "_gen_matrix", "alive_masks", "cached_score", "_incidences", "_kernel_words",
 }
 
 

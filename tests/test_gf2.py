@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hgpdecode.gf2 import BitMatrix, BitVector, Gf2DimensionError, RestrictedSolver
 
-from oracles import RowBasis
+from oracles import RowBasis, kernel_words
 
 
 # --- independent oracle: textbook dense RREF solve (lists of lists, no bitsets) ---
@@ -236,6 +236,30 @@ def test_kernel_basis_properties(m, rng):
         assert m.mul_vector(k).bits == 0
         assert k.bits & ~solver.support_mask == 0
         assert span.add(k.bits)  # linearly independent
+
+
+def test_kernel_words_match_per_vector_oracle():
+    """The bit-sliced back-substitution gives the words the kernel vectors
+    give one at a time: on random matrices of full and partial support, on
+    rank-deficient ones (repeated and summed rows), on the zero matrix (every
+    column free) and with k = 0 (full column rank)."""
+    rng = random.Random(73)
+    cases = [BitMatrix(4, 6, [0] * 4), BitMatrix(5, 5, [1 << i for i in range(5)])]
+    for _ in range(120):
+        rows, cols = rng.randint(1, 24), rng.randint(1, 24)
+        bits = [rng.getrandbits(cols) for _ in range(rows)]
+        if rows > 2 and rng.random() < 0.5:
+            bits[-1] = bits[0] ^ bits[1]
+            bits[-2] = bits[0]
+        cases.append(BitMatrix(rows, cols, bits))
+    deficient = empty = 0
+    for m in cases:
+        for support in (range(m.cols), sorted(rng.sample(range(m.cols), rng.randint(0, m.cols)))):
+            solver = RestrictedSolver(m, support)
+            assert solver.kernel_words() == kernel_words(solver)
+            empty += bool(support) and not solver.free_columns()
+            deficient += solver.rank < m.rows
+    assert empty and deficient
 
 
 def test_row_basis_incremental_rank():

@@ -19,7 +19,8 @@ from hgpdecode.graphs import (
     write_graph,
 )
 
-from oracles import neighbors, unique_neighbors
+from conftest import make_k44_incidence
+from oracles import expansion_by_enumeration, neighbors, unique_neighbors
 
 
 def test_k33_is_forced(k33_graph):
@@ -93,6 +94,55 @@ def test_audit_k33(k33_graph):
     p2 = audit_expansion(k33_graph, "left", 2)
     assert p2.worst_epsilon_by_size[2] == Fraction(1, 2)
     assert p2.worst_up_to() == Fraction(1, 2)
+
+
+def complete_graph_incidence(vertices: int) -> BipartiteGraph:
+    """Bits on the vertices of the complete graph, checks on its edges (the
+    graph demo 05 audits, at 20 vertices)."""
+    edges = list(itertools.combinations(range(vertices), 2))
+    adj_v = [[] for _ in range(vertices)]
+    for idx, (u, v) in enumerate(edges):
+        adj_v[u].append(idx)
+        adj_v[v].append(idx)
+    return BipartiteGraph.from_left_adjacency(len(edges), adj_v)
+
+
+# name -> (graph, left s_max, right s_max).  K3,3 and n=12 are audited up to
+# the size of each side; the K20 incidence's right side has 190 vertices, so
+# enumeration stops at size 2 there.
+AUDIT_CASES = {
+    "golden-n60": (lambda: gen_biregular(60, 3, 6, seed=1), 3, 3),
+    "lazy-n240": (lambda: gen_biregular(240, 3, 6, seed=7), 2, 3),
+    "6-12-n96": (lambda: gen_biregular(96, 6, 12, seed=1), 3, 3),
+    "k33": (lambda: gen_biregular(3, 3, 3, seed=0), 3, 3),
+    "3-6-n12": (lambda: gen_biregular(12, 3, 6, seed=5), 12, 6),
+    "2-5-n20": (lambda: gen_biregular(20, 2, 5, seed=3), 4, 4),
+    "4-4-n16": (lambda: gen_biregular(16, 4, 4, seed=3), 4, 4),
+    "k44-incidence": (make_k44_incidence, 4, 4),
+    "k20-incidence": (lambda: complete_graph_incidence(20), 4, 2),
+    # Bits 0 and 1 (and checks 0 and 1) are twins, the only pair with |Γ| = 2:
+    # the minimum at s = 2 sits at the first index the last member can take.
+    "twins-n6": (
+        lambda: BipartiteGraph.from_left_adjacency(6, [(0, 1), (0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]),
+        6,
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(AUDIT_CASES))
+def test_certified_audit_matches_enumeration(name):
+    """The branch-and-bound audit gives every size's worst epsilon exactly as
+    enumerating every subset does, on both sides."""
+    make, s_left, s_right = AUDIT_CASES[name]
+    graph = make()
+    for side, s_max in (("left", s_left), ("right", s_right)):
+        profile = audit_expansion(graph, side, s_max)
+        assert profile.certified and profile.max_set_size == s_max
+        assert profile.worst_epsilon_by_size == expansion_by_enumeration(graph, side, s_max), side
+    if name == "golden-n60":
+        # Two bits share all three checks, so a left pair reaches |Γ| = 3.
+        assert audit_expansion(graph, "left", 2).worst_epsilon_by_size[2] == Fraction(1, 2)
 
 
 def test_audit_argument_errors(k33_graph):

@@ -12,6 +12,7 @@ from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver
 from hgpdecode.graphs import audit_expansion, gen_biregular
 from hgpdecode.hgp import (
     CheckSet,
+    _IndexSet,
     QubitParseError,
     QubitSet,
     build_hgp,
@@ -24,6 +25,7 @@ from oracles import (
     RowBasis,
     dual,
     generator_matrix,
+    kernel_words,
     mask_to_qubitset,
     project,
     qnbhd,
@@ -291,6 +293,26 @@ def test_stabilizer_span_matches_row_basis_oracle(name, flip):
     assert verdicts[True] >= 60 and verdicts[False] >= 60
 
 
+def test_generator_basis_builds_no_kernel_vector(monkeypatch):
+    """Set-up of the span at lazy-n240's size back-substitutes the kernels
+    bit-sliced: with the per-vector routes raising it completes, and its
+    words are the per-vector ones."""
+    code = build_hgp(gen_biregular(240, 3, 6, seed=7))
+
+    def refuse(self):
+        raise AssertionError("a kernel vector was built")
+
+    monkeypatch.setattr(RestrictedSolver, "iter_kernel", refuse)
+    monkeypatch.setattr(RestrictedSolver, "kernel_basis", refuse)
+    span = code.generator_basis()
+    monkeypatch.undo()
+    h = BitMatrix.from_row_supports(code.m, code.n, code.base.adj_c)
+    for words, matrix, cols in ((span._vv_words, h, code.n), (span._cc_words, h.transpose(), code.m)):
+        assert words == kernel_words(RestrictedSolver(matrix, range(cols)))
+    r = RowBasis(h).rank
+    assert span.rank == code.num_gens - (code.n - r) * (code.m - r)
+
+
 def test_project_examples(path_code):
     s = QubitSet.of(path_code, [(0, 0), (1, 0)])
     assert project(s, "V2") == {0}
@@ -471,6 +493,22 @@ def test_sets_of_another_code_do_not_combine(mid_code, path_code):
         QubitSet.from_indices(mid_code, [mid_code.num_qubits])
     with pytest.raises(IndexError):
         CheckSet.from_indices(mid_code, [-1])
+
+
+def test_index_sets_share_one_constructor(mid_code):
+    """``QubitSet``/``CheckSet`` inherit ``_IndexSet``'s constructor, and stay
+    frozen, hashable and equal by class and fields, with their cached views."""
+    assert QubitSet.__init__ is _IndexSet.__init__ is CheckSet.__init__
+    a = QubitSet(mid_code.n, mid_code.m, frozenset({0, 150}))
+    b = QubitSet.of(mid_code, [(0, 0)], [(1, 0)])
+    assert a == b and hash(a) == hash(b)
+    assert a != CheckSet(a.n, a.m, a.indices) and QubitSet(a.n, a.m) == QubitSet.of(mid_code)
+    assert (a.vv_part, a.cc_part) == ({(0, 0)}, {(1, 0)})
+    assert CheckSet(a.n, a.m, frozenset({7})).members == {(1, 1)}
+    with pytest.raises(AttributeError):
+        a.indices = frozenset()
+    with pytest.raises(AttributeError):
+        a.other = 1
 
 
 @pytest.mark.parametrize("graph", [(12, 3, 6, 5), (60, 3, 6, 1)], ids=["mid", "n60"])

@@ -37,6 +37,7 @@ from oracles import (
     mask_to_qubitset,
     qnbhd,
     score,
+    score_ranks,
     supp_generator,
 )
 
@@ -108,6 +109,22 @@ def test_view_tables_match_per_cell_definition(degrees):
         untouched = Fraction(uq.bit_count(), a_v * dv + a_c * dc)
         lowest = untouched if lowest is None else min(lowest, untouched)
     assert t.min_untouched == lowest
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [(1, 1), (1, 2), (2, 2), (2, 5), (3, 3), (3, 6), (3, 7), (4, 4), (4, 8), (8, 9), (6, 12)],
+    ids=lambda d: f"{d[0]}-{d[1]}",
+)
+def test_score_ranks_match_fraction_oracle(degrees):
+    """The integer scores num*(scale/den) sort as the Fractions num/den do,
+    and every mask's (den_off, num) slot holds its Fraction score's rank."""
+    t = _view_tables(*degrees)
+    scores, rank = score_ranks(*degrees)
+    assert [Fraction(x, t.scale) for x in t.scores] == scores
+    for off, den in set(zip(t.den_off.tolist(), t.py_den)):
+        got = t.ranks[off : off + t.grid_bits + 1].tolist()
+        assert got == [rank[k, den] for k in range(t.grid_bits + 1)], den
 
 
 def test_score_examples(mid_code):
@@ -692,7 +709,7 @@ def test_best_candidate_memo_matches_exact_oracle(degrees, monkeypatch):
     cells = unique_cells(dv, dc)
     ties = 0
     for twoeps in (Fraction(1, 10), t.min_untouched):
-        memo = t.best_memo(twoeps)
+        memo, _ = t.at_epsilon(twoeps / 2)
         packed = [r << width | x for r, x in states]
         fresh = memo._score(packed)
         found = [fresh[s] for s in packed]
@@ -700,7 +717,7 @@ def test_best_candidate_memo_matches_exact_oracle(degrees, monkeypatch):
         qualified = 0
         for (rmask, retired), best in zip(states, found):
             key, pos = best >> 32, best & 0xFFFFFFFF
-            got = None if key == _NO_KEY else (t.scores[key], pos)
+            got = None if key == _NO_KEY else (Fraction(t.scores[key], t.scale), pos)
             want = brute_best(cells, twoeps, rmask, retired)
             assert got == want, (twoeps, rmask, retired)
             if want is None:
@@ -768,8 +785,8 @@ def test_memo_cold_warm_and_overflow_give_identical_decodes(monkeypatch):
     monkeypatch.setattr(sys.modules["hgpdecode.ssfind"], "_MEMO_CAP", cap)
     monkeypatch.setattr(t, "_memos", {})
     for cfg, _, _ in runs:
-        t.best_memo(2 * cfg.epsilon).entries = _WatchedEntries()
+        t.at_epsilon(cfg.epsilon)[0].entries = _WatchedEntries()
     assert decode_all() == cold
     for cfg, _, _ in runs:
-        entries = t.best_memo(2 * cfg.epsilon).entries
+        entries = t.at_epsilon(cfg.epsilon)[0].entries
         assert entries.clears >= 2 and entries.peak == cap
