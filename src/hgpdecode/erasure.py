@@ -7,6 +7,17 @@ compared to the code — only checks adjacent to the envelope can constrain
 the correction, and a flagged check outside them rules every correction out,
 so the solve touches at most ``(Δ_V + Δ_C)·|envelope| + |σ|`` rows.
 
+The system is peeled first, as an erasure decoder peels (Delfosse & Zémor):
+a check left with one unknown envelope qubit forces that qubit's value in
+every solution.  When peeling forces every qubit, the solution is unique, so
+it is the canonical one and there is no kernel to test; a lazy envelope of
+a few qubits is solved this way in O(Δ·|envelope|) row operations.  When a
+qubit is left over, the whole envelope is factorized by elimination and
+peeling's values are not used, so the canonical solution, the status and
+``rows_touched`` are the ones elimination alone gives.  The last
+factorization is kept on the code; the eager whole-code envelope never
+peels, and every solve after the first hits it.
+
 Any solution is as good as the true error whenever the envelope stays below
 the code distance: two solutions differ by a kernel element supported on the
 envelope, and below distance such an element is a sum of generator supports.
@@ -16,10 +27,10 @@ returned as-is.  Coset checks and the ambiguity test both ask the code's
 ``StabilizerSpan``, built from the base code's kernels: no N-column matrix is
 formed at any size.
 
-The restricted matrix is built from the envelope side: each envelope
-column lists its checks, every row collects the columns that name it, and
-each row is packed once, so building costs O(Δ·|envelope|) list appends and
-no check's support is scanned for envelope membership.
+The restricted matrix is built from the envelope side: each envelope column
+lists its checks, and every row collects the columns that name it as a bit
+mask, so building costs O(Δ·|envelope|) dict updates and no check's support
+is scanned for envelope membership.
 """
 
 from __future__ import annotations
@@ -73,6 +84,13 @@ def erase_decode_quantum(
     vertex-vertex block before the check-check block and pins down which
     solution the canonical solve returns.
 
+    The system is first peeled: a row with one unknown column forces that
+    column's value in every solution.  When peeling forces every column,
+    the solution is unique, so it is the canonical one; if it breaks a row,
+    no solution exists.  Either way there is no kernel to search.  When a
+    column is left over, the whole envelope is factorized and solved as
+    below, whatever peeling found.
+
     ``detect_ambiguity`` additionally inspects a kernel basis of the
     restricted system and downgrades the status to ``"ambiguous-logical"``
     when solutions from distinct stabilizer cosets exist: some kernel vector
@@ -83,24 +101,51 @@ def erase_decode_quantum(
 
     The last factorization is kept on the code, keyed by its columns alone,
     so consecutive solves on the same envelope only pay for
-    back-substitution.  Every eager-mode solve hits it: the envelope is the
-    whole code.
+    back-substitution, and are not peeled again.  Every eager-mode solve
+    hits it: the envelope is the whole code.
     """
     cols = tuple(envelope.to_indices(code))
-    row_pos, solver = _restricted_system(code, cols)
-    b_bits = 0
-    outside = 0
-    for x in sigma.to_indices(code):
-        p = row_pos.get(x)
-        if p is None:
-            outside += 1
-        else:
-            b_bits |= 1 << p
+    flagged = set(sigma.to_indices(code))
+    cached = getattr(code, "_erasure_solver", None)
+    if cached is not None and cached[0] == cols:
+        _, row_pos, solver = cached
+    else:
+        col_checks = list(map(code.qubit_checks, cols))
+        rows: dict[int, int] = {}
+        # Highest column first: each row's bit mask is allocated at its
+        # full size once, and a whole-code envelope's 4 500-bit rows are
+        # not regrown in turn, which fragments the heap.
+        for p in reversed(range(len(cols))):
+            bit = 1 << p
+            for x in col_checks[p]:
+                rows[x] = rows.get(x, 0) | bit
+        # Until a factorization is needed, only the keys of row_pos are read.
+        row_pos, solver = rows, None
+    outside = len(flagged.difference(row_pos))
     rows_touched = len(row_pos) + outside
-    solution = None if outside else solver.solve(BitVector(len(row_pos), b_bits))
+    if outside:
+        return _verdict(code, None, "no-solution", true_error, rows_touched)
+    if solver is None:
+        values, unknown = _peel(rows, col_checks, flagged)
+        if not unknown:
+            # The forced values are the only candidate: a solution exactly
+            # when their syndrome is sigma.
+            picked = [p for p in range(len(cols)) if values >> p & 1]
+            odd: set[int] = set()
+            for p in picked:
+                odd.symmetric_difference_update(col_checks[p])
+            if odd != flagged:
+                return _verdict(code, None, "no-solution", true_error, rows_touched)
+            correction = QubitSet.from_indices(code, (cols[p] for p in picked))
+            return _verdict(code, correction, "success", true_error, rows_touched)
+        del col_checks
+        row_pos, solver = _factorize(code, cols, rows)
+    b_bits = 0
+    for x in flagged:
+        b_bits |= 1 << row_pos[x]
+    solution = solver.solve(BitVector(len(row_pos), b_bits))
     if solution is None:
-        return DecodeVerdict(QubitSet.from_indices(code, ()), "no-solution", None, rows_touched)
-
+        return _verdict(code, None, "no-solution", true_error, rows_touched)
     correction = QubitSet.from_indices(code, (cols[p] for p in solution.support()))
     status = "success"
     if detect_ambiguity:
@@ -109,32 +154,54 @@ def erase_decode_quantum(
             if not span.contains(cols[p] for p in k.support()):
                 status = "ambiguous-logical"
                 break
+    return _verdict(code, correction, status, true_error, rows_touched)
+
+
+def _verdict(code, correction, status, true_error, rows_touched) -> DecodeVerdict:
+    """The verdict; no correction means no solution, judged on no coset."""
+    if correction is None:
+        return DecodeVerdict(QubitSet.from_indices(code, ()), status, None, rows_touched)
     equivalent = None
     if true_error is not None:
         equivalent = verify_coset(code, correction, true_error)
     return DecodeVerdict(correction, status, equivalent, rows_touched)
 
 
-def _restricted_system(code: HgpCode, cols: tuple[int, ...]) -> tuple[dict[int, int], RestrictedSolver]:
-    """The position of each of the columns' checks among them, ascending,
-    and the factorization of the checks x cols matrix.
+def _peel(rows: dict[int, int], col_checks: list[list[int]], flagged: set[int]) -> tuple[int, int]:
+    """(values, unknown): the column values peeling forces, and the columns
+    it leaves unforced, as bit masks over column positions.
 
-    The cache is checked before any check is looked up.  The matrix is built
-    from the columns' checks: every row collects its column positions and is
-    packed once.  The per-column and per-row lists are dropped before the
-    factorization, so a whole-code solve never holds them alongside it."""
-    cached = getattr(code, "_erasure_solver", None)
-    if cached is not None and cached[0] == cols:
-        return cached[1], cached[2]
-    col_checks = list(map(code.qubit_checks, cols))
-    row_pos = {x: r for r, x in enumerate(sorted(set().union(*col_checks)))}
-    supports: list[list[int]] = [[] for _ in row_pos]
-    for p, chks in enumerate(col_checks):
-        for x in chks:
-            supports[row_pos[x]].append(p)
-    del col_checks
-    sub = BitMatrix.from_row_supports(len(row_pos), len(cols), supports)
-    del supports
+    ``rows`` maps each check to its columns, ``col_checks`` each column to
+    its checks.  A row whose columns are all known but one forces that one
+    to the row's syndrome bit plus the known values, the same in every
+    solution.  A row is queued when it is left with one unknown column, and
+    only the rows of a newly forced column are looked at again, so the peel
+    costs O(Δ·|columns|) row operations."""
+    unknown, values = (1 << len(col_checks)) - 1, 0
+    ready = [chk for chk, bits in rows.items() if not bits & bits - 1]
+    while ready:
+        chk = ready.pop()
+        bits = rows[chk]
+        last = bits & unknown
+        if not last:
+            continue
+        if (chk in flagged) ^ (bits & values).bit_count() & 1:
+            values |= last
+        unknown ^= last
+        for x in col_checks[last.bit_length() - 1]:
+            left = rows[x] & unknown
+            if left and not left & left - 1:
+                ready.append(x)
+    return values, unknown
+
+
+def _factorize(code: HgpCode, cols: tuple[int, ...], rows: dict[int, int]) -> tuple[dict[int, int], RestrictedSolver]:
+    """The position of each of the columns' checks among them, ascending,
+    and the factorization of the checks x cols matrix, kept on the code.
+    ``rows`` maps each check to its columns as a bit mask, its matrix row."""
+    order = sorted(rows)
+    row_pos = {x: r for r, x in enumerate(order)}
+    sub = BitMatrix(len(order), len(cols), [rows[x] for x in order])
     solver = RestrictedSolver(sub, range(len(cols)))
     code._erasure_solver = (cols, row_pos, solver)
     return row_pos, solver

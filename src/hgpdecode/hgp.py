@@ -15,10 +15,10 @@ for numpy passes over a whole syndrome; nothing of size N² is materialized
 The stabilizer span and the logical count come from the base code's
 kernels too (``StabilizerSpan``), so no N-column matrix is built.
 ``QubitSet``/``CheckSet``, which carry sets between the stages, hold the
-code's integer indices as well, and ``syndrome`` XORs each error qubit's
-checks.  Coordinate pairs appear only in the sets' views (``vv_part``,
-``cc_part``, ``members``), in ``QubitSet.of``/``CheckSet.of`` and in the
-qubit-set file format.  The set-level model the integer incidence is
+code's integer indices as well, and ``syndrome`` toggles each error qubit's
+checks on the base graph's adjacency.  Coordinate pairs appear only in the
+sets' views (``vv_part``, ``cc_part``, ``members``), in
+``QubitSet.of``/``CheckSet.of`` and in the qubit-set file format.  The set-level model the integer incidence is
 tested against, by coordinate pairs, is ``tests/oracles.py``.
 """
 
@@ -363,18 +363,22 @@ class StabilizerSpan:
 
     ``contains`` pays O(|D|·Δ); the tables hold O(n + m) words, one bit per
     kernel vector, back-substituted bit-sliced by ``kernel_words`` so that
-    set-up builds no kernel vector and costs one elimination of H and of Hᵀ.
+    set-up builds no kernel vector and costs one elimination of H and, when
+    k_Hᵀ = m − rank H is not 0 (rank Hᵀ = rank H), one of Hᵀ.
     ``rank`` is the generator matrix's rank, mn − k_H·k_Hᵀ.
     """
 
     def __init__(self, code: HgpCode):
         base = code.base
         h = BitMatrix.from_row_supports(base.m, base.n, base.adj_c)
-        ht = BitMatrix.from_row_supports(base.n, base.m, base.adj_v)
         self._code = code
-        vv, cc = RestrictedSolver(h, range(base.n)), RestrictedSolver(ht, range(base.m))
-        self._vv_words, self._cc_words = vv.kernel_words(), cc.kernel_words()
-        vv_free, cc_free = vv.free_columns(), cc.free_columns()
+        vv = RestrictedSolver(h, range(base.n))
+        self._vv_words, vv_free = vv.kernel_words(), vv.free_columns()
+        self._cc_words, cc_free = [0] * base.m, []
+        if base.m > vv.rank:
+            ht = BitMatrix.from_row_supports(base.n, base.m, base.adj_v)
+            cc = RestrictedSolver(ht, range(base.m))
+            self._cc_words, cc_free = cc.kernel_words(), cc.free_columns()
         self._vv_free = frozenset(vv_free)
         self._cc_free = frozenset(cc_free)
         k, kt = len(vv_free), len(cc_free)
@@ -428,10 +432,28 @@ def build_hgp(graph: BipartiteGraph) -> HgpCode:
 
 
 def syndrome(code: HgpCode, error: QubitSet) -> CheckSet:
-    """Checks with an odd number of incidences into the error."""
+    """Checks with an odd number of incidences into the error: each error
+    qubit's checks, walked on the base graph's adjacency as ``qubit_checks``
+    lists them, are toggled in and out of the flagged set."""
+    n, m, nn = code.n, code.m, code.n * code.n
+    adj_c, adj_v = code.base.adj_c, code.base.adj_v
     flagged: set[int] = set()
+    add, remove = flagged.add, flagged.remove
     for q in error.to_indices(code):
-        flagged.symmetric_difference_update(code.qubit_checks(q))
+        # VV qubit (nu, v): checks nu*m + zeta, zeta in adj_v[v].  CC qubit
+        # (c, zeta): checks nu*m + zeta, nu in adj_c[c].
+        if q < nn:
+            nu, v = divmod(q, n)
+            base, step, ends = nu * m, 1, adj_v[v]
+        else:
+            c, base = divmod(q - nn, m)
+            step, ends = m, adj_c[c]
+        for y in ends:
+            x = base + step * y
+            if x in flagged:
+                remove(x)
+            else:
+                add(x)
     return CheckSet(code.n, code.m, frozenset(flagged))
 
 

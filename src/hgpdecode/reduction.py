@@ -10,14 +10,14 @@ shared across all generators and all codes with those degrees.
 Toggling a generator's support never changes the syndrome; exact reduction is
 a brute-force search over all togglings (tiny codes only), greedy reduction
 the scalable fixpoint stand-in used to prepare trial errors.  Greedy reduction
-counts each generator's hits on the error through the qubits' incidence, so
-a pass costs O(|E|·Δ) and builds no generator's qubit list until it toggles.
+counts each generator's hits on the error on the code's slot tables, so a
+pass costs O(|E|·Δ) and builds no qubit's generator list, nor a generator's
+qubit list until it toggles.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 
 from .gf2 import BitVector
 from .hgp import HgpCode, QubitSet
@@ -93,12 +93,28 @@ def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitS
     if mode != "greedy":
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
     # Toggling g strictly shrinks E exactly when E holds more than half of
-    # g's delta_v + delta_c qubits.  A generator's hits on E are counted
-    # through the qubits' incidence, and the lowest improving one toggles.
+    # g's delta_v + delta_c qubits.  A generator's hits on E are counted on
+    # the code's slot tables, as ``qubit_gens`` lists them, and the lowest
+    # improving one toggles.
+    n, m, nn = code.n, code.m, code.n * code.n
+    bit_slots, check_slots = code._bit_slots, code._check_slots
     width = code.delta_v + code.delta_c
     err = set(error.to_indices(code))
     while True:
-        hits = Counter(g for q in err for g, _ in code.qubit_gens(q))
+        hits: dict[int, int] = {}
+        get = hits.get
+        for q in err:
+            # VV qubit (nu, v): generators c*n + v over nu's bit slots.  CC
+            # qubit (c, zeta): generators c*n + w over zeta's check slots.
+            if q < nn:
+                nu, base = divmod(q, n)
+                slots = bit_slots[nu]
+            else:
+                c, zeta = divmod(q - nn, m)
+                base, slots = c * n, check_slots[zeta]
+            for offset, _, _ in slots:
+                g = base + offset
+                hits[g] = get(g, 0) + 1
         improving = [g for g, h in hits.items() if 2 * h > width]
         if not improving:
             return QubitSet.from_indices(code, err)

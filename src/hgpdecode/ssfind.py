@@ -25,29 +25,34 @@ not seen are scored, together, by vectorized bitwise ops over the whole mask
 table.  The memo holds at most _MEMO_CAP states and is cleared when full; it
 changes no result, only how often a state is scored.
 
-A lazy decode's work follows the generators its syndrome touches.  Its state
-holds an entry only for a generator that has a suspicious cell or a retired
-qubit, and a rescore skips every dirty generator with too few suspicious cells
-to qualify: a candidate scores at most 2*epsilon only when at least
-need = |unique cells| - floor(2*epsilon*den) of its unique cells are
-suspicious, so a generator whose suspicious-cell count is below the smallest
-need over the table has no qualifier.  Suspicious cells only accumulate, so
-such a generator never had one either.  In eager mode the smallest need is
-at most 0 and nothing is skipped.  The syndrome's cells are marked in one
-numpy pass over the code's slot arrays, which forms every (generator, cell)
-pair at once.  A pick walks the same slot tables for its few qubits and
-fresh checks, so it costs the incidence it touches and builds no
-per-qubit or per-check list.
+A generator's whole search state is one word, ``rmask << width | retired``,
+which is also its memo key.  A lazy decode's work follows the generators its
+syndrome touches, and its state holds a word only for a generator that can
+qualify or that a pick touched: a candidate scores at most 2*epsilon only
+when at least need = |unique cells| - floor(2*epsilon*den) of its unique
+cells are suspicious, so a generator whose suspicious-cell count is below
+the smallest need over the table has no qualifier.  Suspicious cells only
+accumulate, so such a generator never had one either.  The syndrome's cells
+are marked in one numpy pass over the code's slot arrays, which forms every
+(generator, cell) pair at once; only the generators that reach min_need
+enter the state, and any other one enters with its cells from the seed's
+arrays when a pick first touches it, which on lazy-n240 happens a few times
+in a hundred decodes.  In eager mode the smallest need is at most 0, every
+generator has a word from the start and nothing is skipped.
 
-A rescore is one pass over the dirty generators: it forms each local state,
-reads the memo, and writes the hit straight into the best-candidate store;
-the misses are scored afterwards in one batch.  A lazy decode's store is a
-map holding only the touched generators that have a qualifier, so no lazy
-decode allocates or scans anything of size num_gens.  An eager decode,
-where every generator qualifies from the start, keeps one rank key per
-generator in an ``array.array`` of C ints, whose item writes cost what a
-list's do, and selects by numpy argmin over a zero-copy view of it; argmin
-keeps the first minimum, so ties go to the lowest generator.
+The search is one loop: rescore, select, absorb.  A rescore reads the memo
+for every generator whose word changed and writes each hit straight into
+the best-candidate store; the misses are then scored in one batch.  A lazy
+decode's store is a map holding only the touched generators that have a
+qualifier, each packed as ``key << 64 | generator << 32 | position``, so
+the pick is a C-level ``min`` over its values and no lazy decode allocates
+or scans anything of size num_gens.  An eager decode, where every generator
+qualifies from the start, keeps one rank key per generator in an
+``array.array`` of C ints, whose item writes cost what a list's do, and
+selects by numpy argmin over a zero-copy view of it; argmin keeps the first
+minimum, so ties go to the lowest generator in both stores.  A pick walks
+the code's slot tables for its few qubits and fresh checks, so it costs the
+incidence it touches and builds no per-qubit or per-check list.
 
 Scoring thresholds, tie-breaking (lowest score, then generator index, then
 mask) and retirement (candidates sharing a qubit with the envelope never
@@ -89,9 +94,10 @@ __all__ = [
 
 # Rank key of a candidate that is retired or scores above 2*epsilon.
 _NO_KEY = np.iinfo(np.int32).max
-# A memoized best candidate is key << 32 | table position; one shared object
-# stands for "nothing qualifies", which most lazy states are.
-_NO_BEST = _NO_KEY << 32
+# A memoized best candidate is key << 64 | table position, which leaves bits
+# 32-63 free for a lazy qualifier's generator; one shared object stands for
+# "nothing qualifies", which most lazy states are.
+_NO_BEST = _NO_KEY << 64
 _POS_BITS = (1 << 32) - 1
 _WORD = (1 << 64) - 1
 # (state, mask) pairs scored per numpy pass: keeps a rescore's temporaries
@@ -305,7 +311,7 @@ class _BestMemo:
     The state ``rmask << width | retired`` fixes every candidate's score and
     whether it is alive, so the best candidate is a function of it alone:
     lowest rank key, then lowest table position.  ``entries`` maps a state to
-    that candidate packed as ``key << 32 | position``, or to _NO_BEST when
+    that candidate packed as ``key << 64 | position``, or to _NO_BEST when
     nothing qualifies.  It holds at most _MEMO_CAP states and is cleared when
     full."""
 
@@ -338,7 +344,7 @@ class _BestMemo:
             pos = key.argmin(axis=1)
             best = key[np.arange(len(chunk)), pos]
             for s, k, p in zip(chunk, best.tolist(), pos.tolist()):
-                fresh[s] = _NO_BEST if k == _NO_KEY else k << 32 | p
+                fresh[s] = _NO_BEST if k == _NO_KEY else k << 64 | p
         entries = self.entries
         for s, b in fresh.items():
             if len(entries) >= _MEMO_CAP:
@@ -360,32 +366,33 @@ def min_untouched_score(delta_v: int, delta_c: int) -> Fraction:
 # --- decoder state ---
 
 
-class _ZeroDefault(dict):
-    """Generator -> bitmask holding only the generators a lazy decode
-    touched; any other generator reads 0 without being added."""
+def _join_words(words: list[np.ndarray]) -> list[int]:
+    """Grid masks as ints, from one uint64 array per 64-bit word, low first."""
+    out = words[0].tolist()
+    for w in range(1, len(words)):
+        out = [r | x << (64 * w) for r, x in zip(out, words[w].tolist())]
+    return out
 
-    def __missing__(self, g: int) -> int:
-        return 0
 
+class _GenView(Sequence):
+    """A read-only per-generator value for every generator index, computed
+    by ``read(g)`` and never materialized; ``sum(seeded)`` counts the seeded
+    generators."""
 
-class _SeededView(Sequence):
-    """``seeded[g]`` for every generator index, read-only: a list of bools
-    that is never materialized, so ``sum(seeded)`` counts seeded generators."""
-
-    def __init__(self, members, num_gens: int):
-        self._members = members
+    def __init__(self, read, num_gens: int):
+        self._read = read
         self._len = num_gens
 
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, g: int) -> bool:
+    def __getitem__(self, g: int):
         if not 0 <= g < self._len:
             raise IndexError(f"generator {g} out of range [0, {self._len})")
-        return g in self._members
+        return self._read(g)
 
-    def __iter__(self) -> Iterator[bool]:
-        return map(self._members.__contains__, range(self._len))
+    def __iter__(self) -> Iterator:
+        return map(self._read, range(self._len))
 
 
 @dataclass(frozen=True)
@@ -409,13 +416,17 @@ class SsfindState:
     The finished search is the result's ``state``: ``seeded``, ``rmask`` and
     ``retired`` read its per-generator state.
 
-    ``rmask[g]`` (suspicious grid cells) and ``retired[g]`` (view bits of
-    envelope qubits) read 0 for a generator the decode never touched.  A
-    lazy decode keeps them in maps holding only touched generators, so its
-    cost follows the syndrome.  An eager decode seeds every generator, and
-    keeps them in lists, whose updates cost about half as much.  A generator
-    is seeded once one of its grid's checks is suspicious, or from the
-    start in eager mode."""
+    A generator's state is one word, ``rmask << width | retired``: its
+    suspicious grid cells and the view bits of its envelope qubits, which is
+    also its key in the best-candidate memo.  ``rmask[g]`` and
+    ``retired[g]`` read the two parts, 0 for a generator the decode never
+    touched.  An eager decode keeps a word for every generator in a list.  A
+    lazy decode keeps words in a map, entered when the state is built for the
+    generators whose syndrome cells reach min_need and, for any other
+    generator, on its first touch by a pick; until then a generator's
+    suspicious cells are read from the seed's sorted arrays.  A generator is
+    seeded once one of its grid's checks is suspicious, or from the start in
+    eager mode."""
 
     def __init__(self, code: HgpCode, sigma: CheckSet, config: DecoderConfig):
         check_view_width(code.delta_v + code.delta_c)
@@ -432,19 +443,23 @@ class SsfindState:
         sigma_idx = sigma.to_indices(code)
         self.envelope_set: set[int] = set()
         self.suspicious_set = set(sigma_idx)
-        self.retired: dict[int, int] | list[int] = [0] * g_count if eager else _ZeroDefault()
-        self.rmask: dict[int, int] | list[int] = [0] * g_count if eager else _ZeroDefault()
         self.trace: list[TraceEntry] = []
-        self.dirty: set[int] = set(range(g_count)) if eager else set()
-        # Best candidates.  Eager: a rank key and a table position per
+        self.words: dict[int, int] | list[int] = [0] * g_count if eager else {}
+        # The syndrome's seeded generators, ascending, and their suspicious
+        # cells per 64-bit word of the grid (lazy mode).
+        self._seed_gens = np.empty(0, dtype=np.intp)
+        self._seed_masks: list[np.ndarray] = []
+        # Best candidates.  Eager: a rank key and the packed memo entry per
         # generator; the keys are a C int array, written at list speed and
         # read by argmin through a zero-copy numpy view.  Lazy: generator ->
-        # key << 32 | position for the touched generators that have a
-        # qualifier, and no others, so nothing of size num_gens is allocated.
+        # key << 64 | generator << 32 | position for the touched generators
+        # that have a qualifier, and no others, so that the lowest value is
+        # the pick and nothing of size num_gens is allocated.
         if eager:
             self.best_key = array("i", [_NO_KEY]) * g_count
-            # Read only where best_key holds a rank, written with it.
-            self.best_pos = [0] * g_count
+            # The packed memo entry; read only where best_key holds a rank,
+            # written with it.
+            self.best = [0] * g_count
             self._key_view = np.frombuffer(self.best_key, dtype=np.intc)
         else:
             self.qualifiers: dict[int, int] = {}
@@ -452,16 +467,36 @@ class SsfindState:
 
     # -- inspection --
 
+    def _word(self, g: int) -> int:
+        """Generator g's state word; reading enters nothing."""
+        if self.mode == "eager":
+            return self.words[g]
+        word = self.words.get(g)
+        return self._seed_words.get(g, 0) if word is None else word
+
     def seeded_gens(self) -> Iterable[int]:
         """The seeded generators, ascending."""
         if self.mode == "eager":
             return range(self.code.num_gens)
-        return sorted(self.rmask)
+        return sorted(self.words.keys() | self._seed_words.keys())
 
     @property
     def seeded(self) -> Sequence[bool]:
-        members = range(self.code.num_gens) if self.mode == "eager" else self.rmask
-        return _SeededView(members, self.code.num_gens)
+        g_count = self.code.num_gens
+        if self.mode == "eager":
+            return _GenView(range(g_count).__contains__, g_count)
+        # A set's own membership test, so that sum(seeded) runs in C.
+        return _GenView((self.words.keys() | self._seed_words.keys()).__contains__, g_count)
+
+    @property
+    def rmask(self) -> Sequence[int]:
+        width = self.tables.width
+        return _GenView(lambda g: self._word(g) >> width, self.code.num_gens)
+
+    @property
+    def retired(self) -> Sequence[int]:
+        low = (1 << self.tables.width) - 1
+        return _GenView(lambda g: self._word(g) & low, self.code.num_gens)
 
     def _qualifying(self, g: int) -> list[int]:
         """Alive masks of generator g that score at most 2*epsilon.
@@ -470,8 +505,9 @@ class SsfindState:
         t = self.tables
         twoeps = 2 * self.config.epsilon
         p, q = twoeps.numerator, twoeps.denominator
-        not_r = ~self.rmask[g] & t.gridfull
-        retired = self.retired[g]
+        word = self._word(g)
+        not_r = ~(word >> t.width) & t.gridfull
+        retired = word & ((1 << t.width) - 1)
         return [
             mask
             for uq, den, mask in zip(t.py_uq, t.py_den, t.masks)
@@ -482,7 +518,9 @@ class SsfindState:
 
     def _seed(self, chks: list[int]) -> None:
         """Mark the syndrome's cells in one numpy pass over the code's slot
-        keys, and enqueue the generators that reach min_need.
+        keys.  Eager: every seeded generator's word is written.  Lazy: only
+        the generators that reach min_need are entered, and the rest stay in
+        the seed's arrays until a pick touches them.
 
         Every (generator, grid cell) pair of the syndrome is formed at once
         and sorted by generator.  A generator meets each check in one cell,
@@ -490,7 +528,7 @@ class SsfindState:
         suspicious-cell mask."""
         if not chks:
             return
-        code, words = self.code, self.tables.words
+        code, t = self.code, self.tables
         nu, zeta = np.divmod(np.array(chks, dtype=np.intp), code.m)
         keys = (code._bit_keys[nu][:, :, None] + code._check_keys[zeta][:, None, :]).ravel()
         keys.sort()
@@ -499,186 +537,183 @@ class SsfindState:
         first[0] = True
         np.not_equal(gens[1:], gens[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        if words == 1:
+        if t.words == 1:
             cells = [np.left_shift(np.uint64(1), (keys & 63).astype(np.uint64))]
         else:
             cell = keys & ((1 << code._cell_shift) - 1)
             bits = np.left_shift(np.uint64(1), (cell & 63).astype(np.uint64))
             word, zero = cell >> 6, np.uint64(0)
-            cells = [np.where(word == w, bits, zero) for w in range(words)]
+            cells = [np.where(word == w, bits, zero) for w in range(t.words)]
         masks = [np.bitwise_or.reduceat(c, starts) for c in cells]
-        rmasks = masks[0].tolist()
-        for w in range(1, words):
-            rmasks = [r | x << (64 * w) for r, x in zip(rmasks, masks[w].tolist())]
         seeded = gens[starts]
-        rmask = self.rmask
-        if self.mode == "eager":
-            for g, r in zip(seeded.tolist(), rmasks):
-                rmask[g] = r
-        else:
-            rmask.update(zip(seeded.tolist(), rmasks))
-            count = sum(map(np.bitwise_count, masks))
-            self.dirty.update(seeded[count >= self.min_need].tolist())
+        if self.mode == "lazy":
+            self._seed_gens, self._seed_masks = seeded, masks
+            enter = sum(map(np.bitwise_count, masks)) >= self.min_need
+            seeded = seeded[enter]
+            masks = [w[enter] for w in masks]
+        words, width = self.words, t.width
+        for g, r in zip(seeded.tolist(), _join_words(masks)):
+            words[g] = r << width
 
-    def _retire(self, g: int, mask: int) -> None:
-        """Absorb the qubits of generator g's view mask into the envelope and
-        retire each in every generator holding it, by the code's slot tables.
-
-        A qubit's checks all lie in the grid of every generator holding it,
-        so a generator unseeded here is seeded by this pick's fresh checks."""
-        code, retired, dirty, envelope = self.code, self.retired, self.dirty, self.envelope_set
-        n, dc = code.n, code.delta_c
-        c, v = divmod(g, n)
-        row, col = code.base.adj_c[c], code.base.adj_v[v]
-        vv = mask & ((1 << dc) - 1)
-        while vv:
-            low = vv & -vv
-            vv ^= low
-            nu = row[low.bit_length() - 1]
-            envelope.add(nu * n + v)
-            for cn, bit, _ in code._bit_slots[nu]:
-                h = cn + v
-                retired[h] |= bit
-                dirty.add(h)
-        cc, base, cn = mask >> dc, n * n + c * code.m, c * n
-        while cc:
-            low = cc & -cc
-            cc ^= low
-            zeta = col[low.bit_length() - 1]
-            envelope.add(base + zeta)
-            for w, bit, _ in code._check_slots[zeta]:
-                h = cn + w
-                retired[h] |= bit
-                dirty.add(h)
-
-    def _mark_fresh(self, g: int, fresh: int) -> None:
-        """Make the checks of generator g's grid cells ``fresh`` suspicious and
-        mark their cell in every generator whose grid holds them.
-
-        Check (nu, zeta) lies in the grid of generator (c', v') for each
-        bit slot (c', row bit) of nu and check slot (v', column bit) of zeta,
-        in the cell row bit * column bit."""
-        code, rmask, dirty = self.code, self.rmask, self.dirty
-        n, m, dv = code.n, code.m, code.delta_v
-        c, v = divmod(g, n)
-        row, col = code.base.adj_c[c], code.base.adj_v[v]
-        bit_slots, check_slots = code._bit_slots, code._check_slots
-        suspicious = self.suspicious_set
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            i, j = divmod(low.bit_length() - 1, dv)
-            nu, zeta = row[i], col[j]
-            suspicious.add(nu * m + zeta)
-            cols = check_slots[zeta]
-            for cn, _, rowbit in bit_slots[nu]:
-                for w, _, colbit in cols:
-                    h = cn + w
-                    rmask[h] |= rowbit * colbit
-                    dirty.add(h)
-
-    # -- scoring --
-
-    def _rescore(self) -> list[int]:
-        """Refresh the best candidate of each dirty generator that can have
-        one, and empty the dirty set.  One pass forms each state, reads the
-        memo and writes every hit into the mode's store; the misses are then
-        scored in one batch and written the same way.  Returns the generators
-        refreshed, ascending."""
-        gens = sorted(self.dirty)
-        self.dirty.clear()
-        refreshed, missed = self._refresh(gens, self.memo.entries)
-        if missed:
-            width, rmask, retired = self.tables.width, self.rmask, self.retired
-            states = [rmask[g] << width | retired[g] for g in missed]
-            self._refresh(missed, self.memo._score(states))
-        return refreshed
-
-    def _refresh(self, gens: list[int], best: dict[int, int]) -> tuple[list[int], list[int]]:
-        """Write each generator's best candidate, read from ``best`` by its
-        state, into the mode's store; a lazy decode first drops generators
-        with fewer than min_need suspicious cells.  Returns the generators
-        kept and those whose state ``best`` lacks."""
-        rmask, retired, width = self.rmask, self.retired, self.tables.width
-        missed = []
-        if self.mode == "eager":
-            keys, positions = self.best_key, self.best_pos
-            for g in gens:
-                b = best.get(rmask[g] << width | retired[g])
-                if b is None:
-                    missed.append(g)
-                else:
-                    keys[g] = b >> 32
-                    positions[g] = b & _POS_BITS
-            return gens, missed
-        need, qualifiers, kept = self.min_need, self.qualifiers, []
-        for g in gens:
-            r = rmask[g]
-            if r.bit_count() < need:
-                continue
-            kept.append(g)
-            b = best.get(r << width | retired[g])
-            if b is None:
-                missed.append(g)
-            elif b == _NO_BEST:
-                qualifiers.pop(g, None)
-            else:
-                qualifiers[g] = b
-        return kept, missed
-
-    def _select(self) -> tuple[int, int] | None:
-        """(generator, table position) of the lowest-scoring qualifier; ties
-        go to the lowest generator."""
-        if self.mode == "eager":
-            g = int(self._key_view.argmin())
-            if self.best_key[g] == _NO_KEY:
-                return None
-            return g, self.best_pos[g]
-        if not self.qualifiers:
-            return None
-        _, g = min((b >> 32, g) for g, b in self.qualifiers.items())
-        return g, self.qualifiers[g] & _POS_BITS
+    @functools.cached_property
+    def _seed_words(self) -> dict[int, int]:
+        """The word each seeded generator has from the syndrome alone, built
+        from the seed's arrays on first use (lazy mode).  A pick enters a
+        generator that is not held yet a few times in a hundred lazy-n240
+        decodes, so a decode seldom pays for it."""
+        if not self._seed_masks:
+            return {}
+        width = self.tables.width
+        return {g: r << width for g, r in zip(self._seed_gens.tolist(), _join_words(self._seed_masks))}
 
     # -- main loop --
 
     def run(self) -> SsfindResult:
-        code, t, trace = self.code, self.tables, self.trace
+        """Rescore, select and absorb until no candidate qualifies.
+
+        A rescore refreshes the best candidate of every generator whose word
+        a pick changed (every generator at first in eager mode, the entered
+        ones in lazy mode), skipping lazy generators below min_need: each
+        word is looked up in the memo and the misses are scored in one batch.
+        The pick is the lowest rank key, then the lowest generator.  A pick
+        adds its view's qubits to the envelope and retires each in every
+        generator holding it, then makes its covered checks suspicious and
+        marks each fresh one's cell in every generator whose grid holds it,
+        walking the code's slot tables: a qubit's checks all lie in the grid
+        of every generator holding it, so a lazy generator is entered here
+        at the latest once it holds an envelope qubit or a suspicious cell
+        that the syndrome did not flag."""
+        code, t, trace, config = self.code, self.tables, self.trace, self.config
+        n, m, dv, dc = code.n, code.m, code.delta_v, code.delta_c
+        nn, num_qubits = n * n, code.num_qubits
+        adj_c, adj_v = code.base.adj_c, code.base.adj_v
+        bit_slots, check_slots = code._bit_slots, code._check_slots
+        masks, py_uq, py_cov, py_den = t.masks, t.py_uq, t.py_cov, t.py_den
+        width, gridfull, vv_bits = t.width, t.gridfull, (1 << dc) - 1
         envelope, suspicious = self.envelope_set, self.suspicious_set
-        rescored_log: list[tuple[int, ...]] | None = (
-            [] if self.config.record_rescored else None
-        )
+        words, need = self.words, self.min_need
+        entries, score = self.memo.entries, self.memo._score
+        eager = self.mode == "eager"
+        lazy = not eager
+        if eager:
+            keys, packed, key_view = self.best_key, self.best, self._key_view
+            dirty = range(code.num_gens)
+        else:
+            qualifiers = self.qualifiers
+            dirty = list(words)
+        log: list[tuple[int, ...]] | None = [] if config.record_rescored else None
         while True:
-            scored = self._rescore()
-            if rescored_log is not None:
-                rescored_log.append(tuple(scored))
-            picked = self._select()
-            if picked is None:
-                break
+            # Rescore: the memo's entries, then the states it lacks, scored
+            # in one batch.
+            lookup, todo = entries.get, dirty
+            while todo:
+                missed = []
+                if eager:
+                    for g in todo:
+                        b = lookup(words[g])
+                        if b is None:
+                            missed.append(g)
+                        else:
+                            keys[g] = b >> 64
+                            packed[g] = b
+                else:
+                    for g in todo:
+                        s = words[g]
+                        if (s >> width).bit_count() < need:
+                            continue
+                        b = lookup(s)
+                        if b is None:
+                            missed.append(g)
+                        elif b == _NO_BEST:
+                            qualifiers.pop(g, None)
+                        else:
+                            qualifiers[g] = b | g << 32
+                if not missed:
+                    break
+                lookup, todo = score([words[g] for g in missed]).get, missed
+            if log is not None:
+                if lazy:
+                    dirty = [g for g in dirty if (words[g] >> width).bit_count() >= need]
+                log.append(tuple(sorted(dirty)))
+            # Select.
+            if eager:
+                g = int(key_view.argmin())
+                if keys[g] == _NO_KEY:
+                    break
+                p = packed[g] & _POS_BITS
+            else:
+                if not qualifiers:
+                    break
+                best = min(qualifiers.values())
+                g, p = best >> 32 & _POS_BITS, best & _POS_BITS
             # A pick is alive, so it shares no qubit with the envelope and
             # adds at least one: a correct search stops within num_qubits picks.
-            if len(trace) >= code.num_qubits:
+            if len(trace) >= num_qubits:
                 raise SsfindIterationError(
-                    f"{code.num_qubits} picks made with qualifying candidates "
+                    f"{num_qubits} picks made with qualifying candidates "
                     "remaining (every pick should add at least one qubit)",
                     tuple(trace),
                 )
-            g, p = picked
-            mask = t.masks[p]
-            rmask = self.rmask[g]
-            num = (t.py_uq[p] & ~rmask & t.gridfull).bit_count()
-            self._retire(g, mask)
-            # rmask[g] holds exactly the cells of g whose check is suspicious,
-            # so these are the covered checks that turn suspicious now.
-            fresh = t.py_cov[p] & ~rmask
-            if fresh:
-                self._mark_fresh(g, fresh)
+            # Absorb: retire the view's qubits, then mark the fresh checks.
+            mask = masks[p]
+            rmask = words[g] >> width
+            num = (py_uq[p] & ~rmask & gridfull).bit_count()
+            dirty = set()
+            touch = dirty.add
+            c, v = divmod(g, n)
+            row, col = adj_c[c], adj_v[v]
+            vv = mask & vv_bits
+            while vv:
+                low = vv & -vv
+                vv ^= low
+                nu = row[low.bit_length() - 1]
+                envelope.add(nu * n + v)
+                for cn, bit, _ in bit_slots[nu]:
+                    h = cn + v
+                    if lazy and h not in words:
+                        words[h] = self._seed_words.get(h, 0)
+                    words[h] |= bit
+                    touch(h)
+            cc, base, cn = mask >> dc, nn + c * m, c * n
+            while cc:
+                low = cc & -cc
+                cc ^= low
+                zeta = col[low.bit_length() - 1]
+                envelope.add(base + zeta)
+                for w, bit, _ in check_slots[zeta]:
+                    h = cn + w
+                    if lazy and h not in words:
+                        words[h] = self._seed_words.get(h, 0)
+                    words[h] |= bit
+                    touch(h)
+            # words[g] held exactly the cells of g whose check is suspicious,
+            # so these are the covered checks that turn suspicious now.  Check
+            # (nu, zeta) lies in the grid of generator (c', v') for each bit
+            # slot (c', row bit) of nu and check slot (v', column bit) of
+            # zeta, in the cell row bit * column bit.
+            fresh = py_cov[p] & ~rmask
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                i, j = divmod(low.bit_length() - 1, dv)
+                nu, zeta = row[i], col[j]
+                suspicious.add(nu * m + zeta)
+                cols = check_slots[zeta]
+                for cn, _, rowbit in bit_slots[nu]:
+                    row_cells = rowbit << width
+                    for w, _, colbit in cols:
+                        h = cn + w
+                        if lazy and h not in words:
+                            words[h] = self._seed_words.get(h, 0)
+                        words[h] |= row_cells * colbit
+                        touch(h)
             trace.append(
                 TraceEntry(
-                    len(trace) + 1, g, mask, num, t.py_den[p],
+                    len(trace) + 1, g, mask, num, py_den[p],
                     len(envelope), len(suspicious),
                 )
             )
-        if self.config.verify_exit:
+        if config.verify_exit:
             self._verify_exit()
         return SsfindResult(
             envelope=QubitSet.from_indices(code, envelope),
@@ -687,7 +722,7 @@ class SsfindState:
             iterations=len(trace),
             mode=self.mode,
             state=self,
-            rescored=tuple(rescored_log) if rescored_log is not None else None,
+            rescored=tuple(log) if log is not None else None,
         )
 
     def _verify_exit(self) -> None:
@@ -697,18 +732,16 @@ class SsfindState:
         qualify by the mode precondition, which is checked here against
         min_untouched, independently of min_need; nor can they hold an
         envelope qubit, whose checks all lie in their grid."""
-        if self.mode == "lazy":
-            if not 2 * self.config.epsilon < self.tables.min_untouched:
-                raise AssertionError("lazy mode ran although untouched sets qualify")
-            if not self.retired.keys() <= self.rmask.keys():
-                raise AssertionError("retired view bits recorded for an unseeded generator")
+        if self.mode == "lazy" and not 2 * self.config.epsilon < self.tables.min_untouched:
+            raise AssertionError("lazy mode ran although untouched sets qualify")
         code, envelope = self.code, self.envelope_set
+        rmask, retired = self.rmask, self.retired
         for g in self.seeded_gens():
             rebuilt = 0
             for cell, chk in enumerate(code.gen_checks(g)):
                 if chk in self.suspicious_set:
                     rebuilt |= 1 << cell
-            if rebuilt != self.rmask[g]:
+            if rebuilt != rmask[g]:
                 raise AssertionError(
                     f"incremental suspicious-cell mask diverged for generator {g}"
                 )
@@ -716,7 +749,7 @@ class SsfindState:
             for bit, q in enumerate(code.gen_qubits(g)):
                 if q in envelope:
                     rebuilt |= 1 << bit
-            if rebuilt != self.retired[g]:
+            if rebuilt != retired[g]:
                 raise AssertionError(f"retired view bits diverged for generator {g}")
             qualifying = self._qualifying(g)
             if qualifying:

@@ -21,8 +21,9 @@ Candidates come from the mask catalog ``locally_reduced_masks``, which
 ``cached_score`` are the other side of the comparison: they read a finished
 search's incremental state.  Fast paths the package retired stay here as
 the references their replacements are tested against: the per-vector
-``kernel_words``, the subset enumeration of ``expansion_by_enumeration``
-and the ``Fraction``-sorted ``score_ranks``.
+``kernel_words``, the subset enumeration of ``expansion_by_enumeration``,
+the ``Fraction``-sorted ``score_ranks`` and ``solve_by_elimination``, the
+envelope solve with no peeling, on rows built from the checks' supports.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from hgpdecode.gf2 import BitMatrix, RestrictedSolver
+from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver
 from hgpdecode.graphs import BipartiteGraph, _side_data
 from hgpdecode.hgp import CheckSet, HgpCode, QubitSet
 from hgpdecode.reduction import check_view_width, locally_reduced_masks, part_sizes
@@ -255,6 +256,39 @@ def generator_matrix(code: HgpCode) -> BitMatrix:
     """Generators-by-qubits support matrix; its row space is the stabilizer span."""
     supports = (supp_generator(code, g).to_indices(code) for g in range(code.num_gens))
     return BitMatrix.from_row_supports(code.num_gens, code.num_qubits, supports)
+
+
+def solve_by_elimination(code: HgpCode, sigma: CheckSet, envelope: QubitSet, detect_ambiguity: bool = False):
+    """(correction, status, rows_touched) of the envelope solve by eliminating
+    the whole restricted system, with no peeling: rows are the envelope's
+    checks, ascending, and each row is its check's support restricted to the
+    envelope's columns, ascending by qubit index.  The canonical solution
+    sets the free columns to 0; with ``detect_ambiguity`` a kernel vector
+    outside the generator matrix's row space makes it ambiguous."""
+    cols = envelope.to_indices(code)
+    col_pos = {q: p for p, q in enumerate(cols)}
+    rows = sorted(qnbhd(code, envelope).to_indices(code))
+    flagged = sigma.to_indices(code)
+    outside = set(flagged) - set(rows)
+    rows_touched = len(rows) + len(outside)
+    solution = None
+    if not outside:
+        supports = (
+            [col_pos[q] for q in supp_check(code, x).to_indices(code) if q in col_pos] for x in rows
+        )
+        solver = RestrictedSolver(BitMatrix.from_row_supports(len(rows), len(cols), supports), range(len(cols)))
+        row_pos = {x: r for r, x in enumerate(rows)}
+        solution = solver.solve(BitVector.from_support(len(rows), [row_pos[x] for x in flagged]))
+    if solution is None:
+        return QubitSet.of(code), "no-solution", rows_touched
+    status = "success"
+    if detect_ambiguity:
+        span = RowBasis(generator_matrix(code))
+        for k in solver.kernel_basis():
+            if not span.contains(sum(1 << cols[p] for p in k.support())):
+                status = "ambiguous-logical"
+                break
+    return QubitSet.from_indices(code, [cols[p] for p in solution.support()]), status, rows_touched
 
 
 # --- candidates ---

@@ -15,13 +15,17 @@ MODULES = [
     for name in ("classical", "cli", "erasure", "gf2", "graphs", "harness", "hgp", "reduction", "ssfind")
 ]
 # Names that moved to tests/oracles.py or were deleted as wrappers: from gf2,
-# graphs, hgp, reduction and ssfind, then HgpCode and SsfindState members.
+# graphs, hgp, reduction and ssfind, then HgpCode and SsfindState members;
+# then the ssfind and erasure helpers and the SsfindState steps that the
+# fused pick loop and the peel-first solve replaced.
 REMOVED = {
     "RowBasis", "rank", "in_rowspace", "solve_restricted", "neighbors", "unique_neighbors",
     "supp_generator", "supp_check", "qnbhd", "qnbhd_unique", "project", "weighted_norm", "dual",
     "Candidate", "enumerate_minsets", "is_locally_reduced", "mask_to_qubitset",
     "score", "candidate_seeding", "x_check_matrix", "generator_matrix", "_x_matrix",
     "_gen_matrix", "alive_masks", "cached_score", "_incidences", "_kernel_words",
+    "_ZeroDefault", "_SeededView", "_restricted_system",
+    "_rescore", "_refresh", "_select", "_retire", "_mark_fresh",
 }
 
 

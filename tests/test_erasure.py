@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hgpdecode.graphs import gen_biregular
 from hgpdecode.hgp import CheckSet, QubitSet, build_hgp, syndrome
 from hgpdecode.ssfind import DecoderConfig, ssfind
 
-from oracles import RowBasis, generator_matrix, qnbhd, supp_generator
+from oracles import RowBasis, generator_matrix, qnbhd, solve_by_elimination, supp_generator
 
 
 @pytest.fixture(scope="module")
@@ -148,19 +149,28 @@ def test_rows_touched_is_the_adjacency_bound(mid_code):
 def test_factorization_cache_and_determinism(mid_code):
     rng = random.Random(59)
     error = _random_error(mid_code, rng, 5)
+    # A generator support in the envelope puts a stabilizer in the kernel, so
+    # peeling leaves columns over and the envelope is factorized.
+    envelope = error | supp_generator(mid_code, 3)
     sigma = syndrome(mid_code, error)
-    first = erase_decode_quantum(mid_code, sigma, error)
+    first = erase_decode_quantum(mid_code, sigma, envelope)
     solver = mid_code._erasure_solver[2]
-    second = erase_decode_quantum(mid_code, sigma, error)
+    second = erase_decode_quantum(mid_code, sigma, envelope)
     assert first == second
     assert mid_code._erasure_solver[2] is solver
     # A different syndrome against the same envelope reuses the factorization.
     sub = QubitSet.of(mid_code, vv=list(error.vv_part)[:1])
-    erase_decode_quantum(mid_code, syndrome(mid_code, sub), error)
+    erase_decode_quantum(mid_code, syndrome(mid_code, sub), envelope)
     assert mid_code._erasure_solver[2] is solver
     # A different envelope replaces the single cached factorization.
-    erase_decode_quantum(mid_code, syndrome(mid_code, sub), sub)
+    erase_decode_quantum(mid_code, syndrome(mid_code, sub), sub | supp_generator(mid_code, 7))
     assert mid_code._erasure_solver[2] is not solver
+    # An envelope that peels completely is solved without a factorization
+    # and leaves the cached one in place.
+    cached = mid_code._erasure_solver
+    verdict = erase_decode_quantum(mid_code, syndrome(mid_code, sub), sub)
+    assert verdict.status == "success" and verdict.correction == sub
+    assert mid_code._erasure_solver is cached
 
 
 def test_full_envelope_ambiguity_split(path_code, single_edge_code):
@@ -295,10 +305,11 @@ def _row_driven(code, rows, cols):
 def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
     """The matrix built from the envelope columns' checks equals the one
     built from each of those checks' supports, on random envelopes and the
-    whole-code envelope.  A flagged check that no envelope qubit touches
-    gives no-solution and still counts among the rows touched.  Two solves
-    in a row on one envelope factorize once, and so do eager solves on the
-    whole code."""
+    whole-code envelope.  A solve factorizes exactly when peeling leaves a
+    column over, and otherwise gives the elimination route's verdict.  A
+    flagged check that no envelope qubit touches gives no-solution and
+    still counts among the rows touched.  Two solves in a row on one
+    envelope factorize once, and so do eager solves on the whole code."""
     built = []
 
     class Recording(RestrictedSolver):
@@ -316,26 +327,36 @@ def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
         error = _random_error(code, rng, rng.randint(1, 5))
         extra = rng.sample(range(code.num_qubits), rng.randint(0, 20))
         cases.append((error, error | QubitSet.from_indices(code, extra)))
+    factorized = peeled = 0
     for error, envelope in cases:
         sigma = syndrome(code, error)
         before = len(built)
         verdict = erase_decode_quantum(code, sigma, envelope)
         cols = envelope.to_indices(code)
         rows = sorted(set().union(*map(code.qubit_checks, cols)))
-        assert len(built) == before + 1
-        assert built[-1] == _row_driven(code, rows, cols)
+        if _peel_kind(code, sigma, envelope) == "peeled":
+            peeled += 1
+            assert len(built) == before
+            assert (verdict.correction, verdict.status, verdict.rows_touched) == solve_by_elimination(
+                code, sigma, envelope
+            )
+        else:
+            factorized += 1
+            assert len(built) == before + 1
+            assert built[-1] == _row_driven(code, rows, cols)
         assert verdict.rows_touched == len(rows)
         assert syndrome(code, verdict.correction) == sigma
-    # A flagged check away from the envelope: no row of its own.
+    assert peeled and factorized
+    # A flagged check away from the envelope: no row of its own, and no
+    # matrix is built.
     envelope = QubitSet.from_indices(code, [0])
     near = sorted(code.qubit_checks(0))
     far = next(x for x in range(code.num_checks) if x not in near)
+    solves = len(built)
     verdict = erase_decode_quantum(code, CheckSet.from_indices(code, [far]), envelope)
     assert verdict.status == "no-solution"
     assert verdict.rows_touched == len(near) + 1
-    assert built[-1] == _row_driven(code, near, [0])
-    # The next solve on the same envelope reuses that factorization.
-    solves = len(built)
+    # A one-qubit envelope peels: each of its checks has one column.
     verdict = erase_decode_quantum(code, syndrome(code, envelope), envelope)
     assert verdict.status == "success" and verdict.rows_touched == len(near)
     assert len(built) == solves
@@ -352,3 +373,67 @@ def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
         solvers.append(code._erasure_solver[2])
     assert len(built) == solves + 1
     assert solvers[0] is solvers[1]
+
+
+def _peel_kind(code, sigma, envelope):
+    """How far peeling gets on an envelope solve: ``outside`` (a flagged
+    check has no envelope column), ``peeled`` or ``peeled-no-solution``
+    (every column forced, and the forced values do or do not give sigma),
+    ``partial`` (some columns forced, some left) or ``none``."""
+    cols = envelope.to_indices(code)
+    col_checks = [code.qubit_checks(q) for q in cols]
+    rows = {}
+    for p, chks in enumerate(col_checks):
+        for x in chks:
+            rows[x] = rows.get(x, 0) | 1 << p
+    flagged = set(sigma.to_indices(code))
+    if flagged - rows.keys():
+        return "outside"
+    values, unknown = erasure._peel(rows, col_checks, flagged)
+    if not unknown:
+        forced = QubitSet.from_indices(code, [q for p, q in enumerate(cols) if values >> p & 1])
+        return "peeled" if syndrome(code, forced) == sigma else "peeled-no-solution"
+    return "none" if unknown == (1 << len(cols)) - 1 else "partial"
+
+
+def test_peel_first_solve_matches_elimination(path_code, k33_code, mid_code):
+    """Peeling before elimination changes no verdict: on random envelopes of
+    five codes, with and without ``detect_ambiguity`` and no factorization
+    cached, the solve returns the correction, status and rows_touched of
+    eliminating the whole restricted system.  The envelopes peel completely
+    (to a solution or to none), peel partly or not at all (a generator
+    support or the whole code in the envelope), or miss a flagged check."""
+    rng = random.Random(131)
+    codes = (
+        path_code, k33_code, mid_code,
+        build_hgp(gen_biregular(16, 4, 8, seed=2)),
+        build_hgp(gen_biregular(20, 2, 5, seed=3)),
+    )
+    kinds = collections.Counter()
+    for code in codes:
+        everything = QubitSet.from_indices(code, range(code.num_qubits))
+        cases = [(syndrome(code, _random_error(code, rng, 2)), everything)]
+        for _ in range(12):
+            error = _random_error(code, rng, rng.randint(1, 5))
+            sigma = syndrome(code, error)
+            extra = QubitSet.from_indices(
+                code, rng.sample(range(code.num_qubits), rng.randint(1, min(12, code.num_qubits)))
+            )
+            support = supp_generator(code, rng.randrange(code.num_gens))
+            near = sorted(qnbhd(code, error).to_indices(code))
+            flipped = CheckSet.from_indices(code, rng.sample(near, rng.randint(1, len(near))))
+            cases += [
+                (sigma, error),
+                (sigma, error | extra),
+                (sigma, error | support),
+                (sigma, error ^ extra),
+                (flipped, error),
+            ]
+        for sigma, envelope in cases:
+            kinds[_peel_kind(code, sigma, envelope)] += 1
+            for ambiguity in (False, True):
+                code._erasure_solver = None
+                verdict = erase_decode_quantum(code, sigma, envelope, detect_ambiguity=ambiguity)
+                got = verdict.correction, verdict.status, verdict.rows_touched
+                assert got == solve_by_elimination(code, sigma, envelope, ambiguity)
+    assert set(kinds) == {"outside", "peeled", "peeled-no-solution", "partial", "none"}, kinds

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgpdecode import hgp
 from hgpdecode.erasure import verify_coset
 from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver
 from hgpdecode.graphs import audit_expansion, gen_biregular
@@ -236,9 +237,14 @@ SPAN_CODES = {
 }
 
 
+# The cases whose base has k_Hᵀ = m - rank H = 0, where the span skips the
+# elimination of Hᵀ; every other case has k_Hᵀ > 0 and eliminates it.
+SPAN_KT_ZERO = {("path", False), ("12-3-6", False)}
+
+
 @pytest.mark.parametrize("flip", [False, True], ids=["code", "dual"])
 @pytest.mark.parametrize("name", SPAN_CODES)
-def test_stabilizer_span_matches_row_basis_oracle(name, flip):
+def test_stabilizer_span_matches_row_basis_oracle(name, flip, monkeypatch):
     """``generator_basis()`` (base-code algebra) against the row-echelon
     basis of the full generator matrix: equal rank, equal verdicts on
     stabilizers, stabilizers with one flipped qubit, random kernel vectors of
@@ -246,11 +252,26 @@ def test_stabilizer_span_matches_row_basis_oracle(name, flip):
     block (x in ker H) or z·e_jᵀ on the CC block (z in ker Hᵀ), at any row i
     or column j; such products have zero syndrome.  The (16,4,8), (20,2,5)
     and (4,4) bases have m - rank 1, 1 and 2, so their CC block carries
-    logicals too (the (3,6) bases have none)."""
+    logicals too (the (3,6) bases have none).  The cases cover both sides of
+    the k_Hᵀ = 0 shortcut: set-up factors H alone when k_Hᵀ = 0 and H and
+    Hᵀ otherwise."""
+    assert SPAN_KT_ZERO and len(SPAN_KT_ZERO) < 2 * len(SPAN_CODES)
     code = build_hgp(SPAN_CODES[name]())
     if flip:
         code = dual(code)
+    factored = []
+
+    class Counting(RestrictedSolver):
+        def __init__(self, a, support):
+            factored.append((a.rows, a.cols))
+            super().__init__(a, support)
+
+    monkeypatch.setattr(hgp, "RestrictedSolver", Counting)
     span = code.generator_basis()
+    monkeypatch.undo()
+    k_ht = code.m - RowBasis(BitMatrix.from_row_supports(code.m, code.n, code.base.adj_c)).rank
+    assert (k_ht == 0) == ((name, flip) in SPAN_KT_ZERO)
+    assert factored == [(code.m, code.n)] + ([(code.n, code.m)] if k_ht else [])
     gen_matrix, checks = generator_matrix(code), x_check_matrix(code)
     gens = gen_matrix.row_bits
     oracle = RowBasis(gen_matrix)

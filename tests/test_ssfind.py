@@ -1,5 +1,6 @@
 """Small-set scoring engine: selection, retirement, laziness, invariants."""
 
+import copy
 import hashlib
 import math
 import random
@@ -11,7 +12,7 @@ import pytest
 
 from hgpdecode.graphs import BipartiteGraph, gen_biregular
 from hgpdecode.hgp import CheckSet, HgpCode, QubitSet, build_hgp, syndrome
-from hgpdecode.reduction import ReductionConfigError, locally_reduced_masks, part_sizes
+from hgpdecode.reduction import ReductionConfigError, locally_reduced_masks, part_sizes, reduce_error
 from hgpdecode.ssfind import (
     _NO_BEST,
     _NO_KEY,
@@ -178,16 +179,30 @@ def test_ssfind_eager_explosion(mid_code):
     assert res.iterations <= mid_code.num_qubits
 
 
-def test_ssfind_iteration_cap(mid_code, monkeypatch):
+def _without_retirement(words, width):
+    """A copy of a state's word store with retirement switched off: every
+    write keeps the suspicious cells and drops the retired view bits."""
+    keep = -1 << width
+
+    class Unretiring(type(words)):
+        def __setitem__(self, g, word):
+            super().__setitem__(g, word & keep)
+
+    return Unretiring(words)
+
+
+def test_ssfind_iteration_cap(mid_code):
     """The cap can fire for the fault it names: with retirement switched off
     a pick stays alive and is taken again without adding a qubit, so the
     search runs into the cap after exactly num_qubits picks."""
-    monkeypatch.setattr(SsfindState, "_retire", lambda self, g, mask: None)
     sig = syndrome(mid_code, QubitSet.of(mid_code, [(3, 4)]))
     for cfg, mode in ((lazy_config(), "lazy"), (eager_config(), "eager")):
-        assert SsfindState(mid_code, sig, cfg).mode == mode
+        st = SsfindState(mid_code, sig, cfg)
+        assert st.mode == mode
+        assert ssfind(mid_code, sig, cfg).iterations < mid_code.num_qubits
+        st.words = _without_retirement(st.words, st.tables.width)
         with pytest.raises(SsfindIterationError) as exc:
-            ssfind(mid_code, sig, cfg)
+            st.run()
         assert len(exc.value.trace) == mid_code.num_qubits
         assert len({(t.generator, t.mask) for t in exc.value.trace}) < mid_code.num_qubits
 
@@ -215,12 +230,11 @@ def test_verify_exit_audits_retired(mid_code):
             flips.append((g, free & -free))
             flips.append((min(set(range(mid_code.num_gens)) - set(retired)), 1))
         for g, bit in flips:
-            st.retired[g] ^= bit
+            saved = copy.copy(st.words)
+            st.words[g] = (st.rmask[g] << st.tables.width | st.retired[g]) ^ bit
             with pytest.raises(AssertionError, match="retired"):
                 st._verify_exit()
-            st.retired[g] ^= bit
-            if st.mode == "lazy" and not st.retired[g]:
-                del st.retired[g]
+            st.words = saved
         st._verify_exit()
 
 
@@ -309,14 +323,15 @@ def test_cached_scores_match_slow_route(mid_code):
 
 def test_state_reads_per_generator(mid_code):
     # seeded/rmask/retired read per generator index like lists of length
-    # num_gens, untouched generators as False/0, and reading adds nothing.
+    # num_gens, untouched generators as False/0, and reading enters nothing
+    # into the state's words.
     rng = random.Random(19)
     e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 2))
     sig = syndrome(mid_code, e)
     for cfg in (lazy_config("1/20"), eager_config()):
         res = ssfind(mid_code, sig, cfg)
         st = res.state
-        sizes = len(st.rmask), len(st.retired)
+        size = len(st.words)
         suspicious = res.suspicious.members
         touched = {
             g
@@ -332,7 +347,8 @@ def test_state_reads_per_generator(mid_code):
             assert touched < everything
         for g in everything - touched:
             assert st.rmask[g] == 0 and st.retired[g] == 0
-        assert (len(st.rmask), len(st.retired)) == sizes
+        assert (len(st.rmask), len(st.retired)) == (mid_code.num_gens,) * 2
+        assert len(st.words) == size
 
 
 def replay(code, sigma, res, twoeps):
@@ -547,7 +563,8 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
     """The one-pass numpy seeding leaves the state the per-check marking
     leaves, in lazy and eager mode: the same rmask, the same seeded set and
     the same first rescore batch, on the empty syndrome, error syndromes and
-    random check sets.  At (8, 9) a grid has 72 cells, two 64-bit words."""
+    random check sets.  A lazy state holds words only for the generators
+    that reach min_need.  At (8, 9) a grid has 72 cells, two 64-bit words."""
     code = build_hgp(gen_biregular(n, *degrees, seed=graph_seed))
     t = _view_tables(*degrees)
     width, gens = t.width, range(code.num_gens)
@@ -559,18 +576,19 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
     for k in (1, 5, code.num_checks // 3):
         sigmas.append(CheckSet.from_indices(code, rng.sample(range(code.num_checks), k)))
     high_cells = cut = kept = 0
-    for cfg, mode in ((lazy_config(), "lazy"), (eager_config(), "eager")):
+    configs = (lazy_config(record_rescored=True), "lazy"), (eager_config(record_rescored=True), "eager")
+    for cfg, mode in configs:
         for sig in sigmas:
             st = SsfindState(code, sig, cfg)
             assert st.mode == mode
             want = marked_by_checks(code, sig.to_indices(code))
             high_cells += any(r >> 64 for r in want.values())
+            assert list(st.rmask) == [want.get(g, 0) for g in gens]
+            assert not any(st.retired)
             if st.mode == "lazy":
-                assert dict(st.rmask) == want
                 assert {g for g in gens if st.seeded[g]} == set(want)
                 candidates = want
             else:
-                assert st.rmask == [want.get(g, 0) for g in gens]
                 assert all(st.seeded)
                 candidates = gens
             first = sorted(
@@ -579,17 +597,50 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
             if st.mode == "lazy":
                 cut += len(first) < len(want)
                 kept += bool(first)
+                assert list(st.words) == first
             st.memo = _BatchOnlyMemo()
-            assert st._rescore() == first
+            res = st.run()
+            assert res.rescored == (tuple(first),) and res.trace == ()
             # The memo is empty, so every refreshed generator's state is sent
             # to be scored, in generator order, in one batch.
             states = [want.get(g, 0) << width for g in first]
             assert st.memo.batches == ([states] if states else [])
-            assert not st.dirty
     # The lazy min_need cut both drops and keeps generators, and a two-word
     # grid has suspicious cells in its high word.
     assert cut and kept
     assert high_cells or t.grid_bits <= 64
+
+
+def test_lazy_state_holds_only_generators_that_can_qualify_or_were_touched():
+    """Cost of a lazy decode on lazy-n240's code (N = 72 000, eps = 1/20):
+    its state holds a word exactly for the generators whose syndrome cells
+    reach min_need and those a pick touches, through a picked qubit in their
+    view or a freshly suspicious check in their grid, counted here through
+    ``qubit_gens``/``check_gens``.  That is a small part of the generators
+    the syndrome seeds."""
+    code = build_hgp(gen_biregular(240, 3, 6, seed=7))
+    cfg = DecoderConfig(epsilon=Fraction(1, 20))
+    rng = random.Random(83)
+    held = seeded = picks = 0
+    for k in range(40):
+        e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), 2 + 2 * (k % 5)))
+        sig = syndrome(code, reduce_error(code, e))
+        res = ssfind(code, sig, cfg)
+        st = res.state
+        cells = marked_by_checks(code, sig.to_indices(code))
+        want = {g for g, r in cells.items() if r.bit_count() >= st.min_need}
+        suspicious = set(sig.to_indices(code))
+        for entry in res.trace:
+            chosen = code.gen_qubits(entry.generator, entry.mask)
+            want.update(g for q in chosen for g, _ in code.qubit_gens(q))
+            covered = {x for q in chosen for x in code.qubit_checks(q)}
+            want.update(g for x in covered - suspicious for g, _ in code.check_gens(x))
+            suspicious |= covered
+        assert set(st.words) == want
+        held += len(want)
+        seeded += sum(st.seeded)
+        picks += res.iterations
+    assert picks and 4 * held < seeded
 
 
 def test_trace_text_roundtrip():
@@ -716,7 +767,7 @@ def test_best_candidate_memo_matches_exact_oracle(degrees, monkeypatch):
         assert len(memo.entries) == len(set(states))
         qualified = 0
         for (rmask, retired), best in zip(states, found):
-            key, pos = best >> 32, best & 0xFFFFFFFF
+            key, pos = best >> 64, best & 0xFFFFFFFF
             got = None if key == _NO_KEY else (Fraction(t.scores[key], t.scale), pos)
             want = brute_best(cells, twoeps, rmask, retired)
             assert got == want, (twoeps, rmask, retired)
@@ -731,7 +782,7 @@ def test_best_candidate_memo_matches_exact_oracle(degrees, monkeypatch):
             ties += len(tied) > 1
         assert 0 < qualified < len(states)
         # The fully retired states never qualify.
-        assert found[1] >> 32 == found[2] >> 32 == _NO_KEY
+        assert found[1] >> 64 == found[2] >> 64 == _NO_KEY
     assert len(t._memos) == 2
     # The untouched state at the eager cutoff ties between several masks.
     assert ties
