@@ -22,6 +22,7 @@ from .harness import (
     radius_table_to_text,
 )
 from .hgp import build_hgp
+from .reduction import REDUCTIONS
 from .ssfind import SsfindIterationError
 
 __all__ = ["main"]
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--error", type=Path, required=True, help="qubit-set file with the true error")
     p.add_argument("--epsilon", required=True, help="fraction like 1/20, or audit:<s_max>")
     p.add_argument("--out-dir", type=Path, help="write envelope.txt, trace.txt, verdict.txt here")
-    p.add_argument("--reduce", choices=("none", "greedy", "exact"), default="none")
+    p.add_argument("--reduce", choices=REDUCTIONS, default="none")
     p.add_argument("--detect-ambiguity", action="store_true")
     p.add_argument("--verify-exit", action="store_true")
 
@@ -114,9 +115,6 @@ def _cmd_build_hgp(args) -> int:
     print(f"logical K={code.k}")
     print(f"checks={code.num_checks}")
     print(f"generators={code.num_gens}")
-    hint = code.design_distance_hint
-    if hint is not None:
-        print(f"distance<={hint}")
     return 0
 
 
@@ -128,7 +126,7 @@ def _cmd_decode(args) -> int:
         verify_exit=args.verify_exit,
     )
     verdict = outcome.verdict
-    coset = "-" if verdict.coset_equivalent is None else str(int(verdict.coset_equivalent))
+    coset = "-" if outcome.coset_equivalent is None else str(int(outcome.coset_equivalent))
     print(f"status={verdict.status}")
     print(f"coset_equivalent={coset}")
     print(f"envelope_size={outcome.search.envelope.weight}")

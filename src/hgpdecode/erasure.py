@@ -23,9 +23,10 @@ the code distance: two solutions differ by a kernel element supported on the
 envelope, and below distance such an element is a sum of generator supports.
 ``detect_ambiguity`` verifies this outright by testing each vector of a
 kernel basis of the restricted system; without it the canonical solution is
-returned as-is.  Coset checks and the ambiguity test both ask the code's
-``StabilizerSpan``, built from the base code's kernels: no N-column matrix is
-formed at any size.
+returned as-is.  The solve never sees the true error: a caller that knows it
+judges the correction with ``verify_coset``.  Coset checks and the ambiguity
+test both ask the code's ``StabilizerSpan``, built from the base code's
+kernels: no N-column matrix is formed at any size.
 
 The restricted matrix is built from the envelope side: each envelope column
 lists its checks, and every row collects the columns that name it as a bit
@@ -48,14 +49,13 @@ class DecodeVerdict:
     """Outcome of one envelope solve.
 
     ``status`` is one of ``"success"``, ``"no-solution"``,
-    ``"ambiguous-logical"``.  ``coset_equivalent`` is filled only in test mode
-    (when the true error was supplied), else None.  ``rows_touched`` counts the
-    parity-check rows the solve actually looked at.
+    ``"ambiguous-logical"``; with no solution the correction is empty.
+    ``rows_touched`` counts the parity-check rows the solve actually looked
+    at.
     """
 
     correction: QubitSet
     status: str
-    coset_equivalent: bool | None
     rows_touched: int
 
 
@@ -71,7 +71,6 @@ def erase_decode_quantum(
     envelope: QubitSet,
     *,
     detect_ambiguity: bool = False,
-    true_error: QubitSet | None = None,
 ) -> DecodeVerdict:
     """Solve for a correction supported on ``envelope`` with syndrome ``sigma``.
 
@@ -124,7 +123,7 @@ def erase_decode_quantum(
     outside = len(flagged.difference(row_pos))
     rows_touched = len(row_pos) + outside
     if outside:
-        return _verdict(code, None, "no-solution", true_error, rows_touched)
+        return DecodeVerdict(QubitSet(code.n, code.m), "no-solution", rows_touched)
     if solver is None:
         values, unknown = _peel(rows, col_checks, flagged)
         if not unknown:
@@ -135,9 +134,9 @@ def erase_decode_quantum(
             for p in picked:
                 odd.symmetric_difference_update(col_checks[p])
             if odd != flagged:
-                return _verdict(code, None, "no-solution", true_error, rows_touched)
+                return DecodeVerdict(QubitSet(code.n, code.m), "no-solution", rows_touched)
             correction = QubitSet.from_indices(code, (cols[p] for p in picked))
-            return _verdict(code, correction, "success", true_error, rows_touched)
+            return DecodeVerdict(correction, "success", rows_touched)
         del col_checks
         row_pos, solver = _factorize(code, cols, rows)
     b_bits = 0
@@ -145,7 +144,7 @@ def erase_decode_quantum(
         b_bits |= 1 << row_pos[x]
     solution = solver.solve(BitVector(len(row_pos), b_bits))
     if solution is None:
-        return _verdict(code, None, "no-solution", true_error, rows_touched)
+        return DecodeVerdict(QubitSet(code.n, code.m), "no-solution", rows_touched)
     correction = QubitSet.from_indices(code, (cols[p] for p in solution.support()))
     status = "success"
     if detect_ambiguity:
@@ -154,17 +153,7 @@ def erase_decode_quantum(
             if not span.contains(cols[p] for p in k.support()):
                 status = "ambiguous-logical"
                 break
-    return _verdict(code, correction, status, true_error, rows_touched)
-
-
-def _verdict(code, correction, status, true_error, rows_touched) -> DecodeVerdict:
-    """The verdict; no correction means no solution, judged on no coset."""
-    if correction is None:
-        return DecodeVerdict(QubitSet.from_indices(code, ()), status, None, rows_touched)
-    equivalent = None
-    if true_error is not None:
-        equivalent = verify_coset(code, correction, true_error)
-    return DecodeVerdict(correction, status, equivalent, rows_touched)
+    return DecodeVerdict(correction, status, rows_touched)
 
 
 def _peel(rows: dict[int, int], col_checks: list[list[int]], flagged: set[int]) -> tuple[int, int]:

@@ -76,9 +76,6 @@ class BitVector:
             bits ^= low
         return out
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def __xor__(self, other: BitVector) -> BitVector:
         if self.length != other.length:
             raise Gf2DimensionError("length mismatch in xor")
@@ -137,11 +134,6 @@ class BitMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise Gf2DimensionError(f"index ({i}, {j}) out of range")
         return (self.row_bits[i] >> j) & 1
-
-    def row(self, i: int) -> BitVector:
-        if not 0 <= i < self.rows:
-            raise Gf2DimensionError(f"row {i} out of range")
-        return BitVector(self.cols, self.row_bits[i])
 
     def transpose(self) -> BitMatrix:
         out = [0] * self.cols

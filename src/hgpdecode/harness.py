@@ -5,6 +5,10 @@ from a counter-derived 64-bit mix of the campaign seed, so trial ``k`` can be
 re-run in isolation; summaries are pure functions of the per-trial reports;
 all fractional quantities are carried exactly and only rendered to fixed
 precision at the text boundary.
+
+A trial reduces its error (``REDUCTIONS``), decodes the syndrome without the
+error, and only then judges the correction against the reduced error with
+``verify_coset``; a solve with no solution is judged on no coset.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
-from .erasure import DecodeVerdict, erase_decode_quantum
+from .erasure import DecodeVerdict, erase_decode_quantum, verify_coset
 from .graphs import BipartiteGraph, LineParseError, audit_expansion, content_lines, gen_biregular, read_ascii, read_graph
 from .hgp import (
     HgpCode,
@@ -28,7 +32,7 @@ from .hgp import (
     qubitset_to_text,
     syndrome,
 )
-from .reduction import reduce_error
+from .reduction import REDUCTIONS, reduce_error
 from .ssfind import DecoderConfig, SsfindResult, ssfind, trace_to_text
 
 __all__ = [
@@ -158,7 +162,11 @@ _CONFIG_KEYS = {
     "n", "delta_v", "delta_c", "graph_seed", "seed",
     "trials", "weights", "epsilon", "reduction",
 }
-_REDUCTIONS = ("none", "greedy", "exact")
+
+
+def _check_reduction(reduction: str) -> None:
+    if reduction not in REDUCTIONS:
+        raise CampaignConfigError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
 
 
 @dataclass(frozen=True)
@@ -180,10 +188,7 @@ class CampaignConfig:
             raise CampaignConfigError("trials must be nonnegative")
         if not self.weights or any(w < 0 for w in self.weights):
             raise CampaignConfigError("weights must be a nonempty list of nonnegative ints")
-        if self.reduction not in _REDUCTIONS:
-            raise CampaignConfigError(
-                f"reduction must be one of {_REDUCTIONS}, got {self.reduction!r}"
-            )
+        _check_reduction(self.reduction)
         _parse_epsilon_spec(self.epsilon)
 
     @classmethod
@@ -353,13 +358,11 @@ def _one_trial(
     weight = config.weights[k % len(config.weights)]
     error = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), weight))
     started = time.perf_counter()
-    if config.reduction == "none":
-        reduced = error
-    else:
-        reduced = reduce_error(code, error, mode=config.reduction)
+    reduced = reduce_error(code, error, mode=config.reduction)
     sigma = syndrome(code, reduced)
     found = ssfind(code, sigma, decoder)
-    verdict = erase_decode_quantum(code, sigma, found.envelope, true_error=reduced)
+    verdict = erase_decode_quantum(code, sigma, found.envelope)
+    coset = None if verdict.status == "no-solution" else verify_coset(code, verdict.correction, reduced)
     wall = time.perf_counter() - started
     reduced_weight = reduced.weight
     ratio = None if reduced_weight == 0 else Fraction(found.envelope.weight, reduced_weight)
@@ -377,7 +380,7 @@ def _one_trial(
         envelope_size=found.envelope.weight,
         ratio=ratio,
         status=verdict.status,
-        coset_equivalent=verdict.coset_equivalent,
+        coset_equivalent=coset,
         wall_time=wall,
     )
 
@@ -512,12 +515,13 @@ class DecodeOutcome:
     reduced: QubitSet
     search: SsfindResult
     verdict: DecodeVerdict
+    coset_equivalent: bool | None
     epsilon: Fraction
     files: tuple[str, ...]
 
     @property
     def succeeded(self) -> bool:
-        return self.verdict.status == "success" and self.verdict.coset_equivalent is True
+        return self.verdict.status == "success" and self.coset_equivalent is True
 
 
 def decode_once(
@@ -532,19 +536,16 @@ def decode_once(
 ) -> DecodeOutcome:
     """Full pipeline on one instance; optionally writes envelope/trace/verdict
     files under ``out_dir``.  File parse failures raise with line numbers."""
-    if reduction not in _REDUCTIONS:
-        raise CampaignConfigError(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
+    _check_reduction(reduction)
     graph = read_graph(graph_path)
     code = build_hgp(graph)
     error = qubitset_from_text(read_ascii(error_path), code)
     eps_value, _ = resolve_epsilon(epsilon, graph)
-    reduced = error if reduction == "none" else reduce_error(code, error, mode=reduction)
+    reduced = reduce_error(code, error, mode=reduction)
     sigma = syndrome(code, reduced)
     search = ssfind(code, sigma, DecoderConfig(epsilon=eps_value, verify_exit=verify_exit))
-    verdict = erase_decode_quantum(
-        code, sigma, search.envelope,
-        detect_ambiguity=detect_ambiguity, true_error=reduced,
-    )
+    verdict = erase_decode_quantum(code, sigma, search.envelope, detect_ambiguity=detect_ambiguity)
+    coset = None if verdict.status == "no-solution" else verify_coset(code, verdict.correction, reduced)
     files = ()
     if out_dir is not None:
         out = Path(out_dir)
@@ -554,13 +555,13 @@ def decode_once(
         verdict_file = out / "verdict.txt"
         envelope_file.write_text(qubitset_to_text(search.envelope))
         trace_file.write_text(trace_to_text(search.trace))
-        verdict_file.write_text(_verdict_text(error, reduced, search, verdict))
+        verdict_file.write_text(_verdict_text(error, reduced, search, verdict, coset))
         files = (str(envelope_file), str(trace_file), str(verdict_file))
-    return DecodeOutcome(code, error, reduced, search, verdict, eps_value, files)
+    return DecodeOutcome(code, error, reduced, search, verdict, coset, eps_value, files)
 
 
-def _verdict_text(error, reduced, search, verdict) -> str:
-    coset = "-" if verdict.coset_equivalent is None else str(int(verdict.coset_equivalent))
+def _verdict_text(error, reduced, search, verdict, coset) -> str:
+    coset = "-" if coset is None else str(int(coset))
     lines = [
         f"status={verdict.status}",
         f"coset_equivalent={coset}",

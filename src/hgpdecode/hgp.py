@@ -6,20 +6,24 @@ checks on (left x right), stabilizer generators on (right x left).  With a
 exactly delta_v + delta_c qubits, and a generator meets a check in 0 or 2
 qubits — the orthogonality that makes the pair a CSS code.
 
-``HgpCode`` owns the integer incidence the decoder uses: which generators
-and checks touch a qubit index, and which qubits and checks a generator or
-check touches, each in a fixed local order.  It is computed on demand from two
-slot tables the size of the base graph, also held as packed integer arrays
-for numpy passes over a whole syndrome; nothing of size N² is materialized
-(N = n² + m² reaches 72,000 here while every neighborhood has constant size).
-The stabilizer span and the logical count come from the base code's
-kernels too (``StabilizerSpan``), so no N-column matrix is built.
-``QubitSet``/``CheckSet``, which carry sets between the stages, hold the
-code's integer indices as well, and ``syndrome`` toggles each error qubit's
-checks on the base graph's adjacency.  Coordinate pairs appear only in the
-sets' views (``vv_part``, ``cc_part``, ``members``), in
-``QubitSet.of``/``CheckSet.of`` and in the qubit-set file format.  The set-level model the integer incidence is
-tested against, by coordinate pairs, is ``tests/oracles.py``.
+``HgpCode`` owns the integer incidence the decoder uses: the qubits and
+checks a generator or check touches and the checks a qubit touches, each in
+a fixed local order, computed on demand from the base graph.  Which
+generators hold a qubit or a check is read from two slot tables the size of
+the base graph, which greedy reduction and the search walk themselves; they
+are also held as packed integer arrays for numpy passes over a whole
+syndrome.  Nothing of size N² is materialized (N = n² + m² reaches 72,000
+here while every neighborhood has constant size).  The stabilizer span and
+the logical count come from the base code's kernels too
+(``StabilizerSpan``), so no N-column matrix is built.  ``QubitSet``/
+``CheckSet``, which carry sets between the stages, hold the code's integer
+indices as well, and ``syndrome`` toggles each error qubit's checks on the
+base graph's adjacency.  Coordinate pairs appear only in the sets' views
+(``vv_part``, ``cc_part``, ``members``), in ``QubitSet.of``/``CheckSet.of``
+and in the qubit-set file format.  The set-level model the integer
+incidence is tested against, by coordinate pairs, is ``tests/oracles.py``,
+which also holds the generator and check coordinate accessors and the
+per-qubit and per-check generator lists the decoder never builds.
 """
 
 from __future__ import annotations
@@ -161,8 +165,8 @@ class HgpCode:
 
     The stabilizer span (``generator_basis``) and the logical count ``k``
     come from two factorizations of the base parity matrix, built on first
-    use and cached; the tiny brute-force distance hint is cached too.
-    Everything else is O(1) index arithmetic plus base-graph lookups.
+    use and cached.  Everything else is O(1) index arithmetic plus
+    base-graph lookups.
 
     A generator (c, v) has a local view of delta_c + delta_v qubits: bit i is
     the VV qubit (adj_c[c][i], v), bit delta_c + j the CC qubit
@@ -179,8 +183,6 @@ class HgpCode:
         self.num_qubits = base.n * base.n + base.m * base.m
         self.num_checks = base.n * base.m
         self.num_gens = base.m * base.n
-        self._hint: int | None = None
-        self._hint_done = False
         self._span: StabilizerSpan | None = None
         # Slot tables.  Base bit nu sits at position i of adj_c[c] for each
         # neighbor c: (c*n, view bit 1<<i, grid-row bit 1<<(i*delta_v)).  Base
@@ -253,38 +255,7 @@ class HgpCode:
             raise IndexError(f"check ({left}, {right}) out of range")
         return left * self.m + right
 
-    def check_coords(self, x: int) -> tuple[int, int]:
-        if not 0 <= x < self.num_checks:
-            raise IndexError(f"check index {x} out of range [0, {self.num_checks})")
-        return x // self.m, x % self.m
-
-    def gen_index(self, right: int, left: int) -> int:
-        if not (0 <= right < self.m and 0 <= left < self.n):
-            raise IndexError(f"generator ({right}, {left}) out of range")
-        return right * self.n + left
-
-    def gen_coords(self, g: int) -> tuple[int, int]:
-        if not 0 <= g < self.num_gens:
-            raise IndexError(f"generator index {g} out of range [0, {self.num_gens})")
-        return g // self.n, g % self.n
-
     # --- integer incidence (indices must be in range; nothing is cached) ---
-
-    def qubit_gens(self, q: int) -> list[tuple[int, int]]:
-        """(generator, local-view bit) of every generator whose support holds q."""
-        nn = self.n * self.n
-        if q < nn:
-            nu, v = divmod(q, self.n)
-            return [(cn + v, bit) for cn, bit, _ in self._bit_slots[nu]]
-        c, zeta = divmod(q - nn, self.m)
-        cn = c * self.n
-        return [(cn + v, bit) for v, bit, _ in self._check_slots[zeta]]
-
-    def check_gens(self, x: int) -> list[tuple[int, int]]:
-        """(generator, grid-cell bit) of every generator whose grid holds x."""
-        nu, zeta = divmod(x, self.m)
-        cols = self._check_slots[zeta]
-        return [(cn + v, row * col) for cn, _, row in self._bit_slots[nu] for v, _, col in cols]
 
     def gen_checks(self, g: int) -> list[int]:
         """The checks of generator g's grid, in cell-bit order."""
@@ -331,23 +302,6 @@ class HgpCode:
     def k(self) -> int:
         """Logical qubit count k_H² + k_Hᵀ², from the base-code kernels."""
         return self.generator_basis().num_logicals
-
-    @property
-    def design_distance_hint(self) -> int | None:
-        """Minimum over the two base classical codes' distances, by brute force.
-
-        Only computed for n <= 16 (cost 2^n); None otherwise, and None when
-        neither base code has a nonzero codeword.
-        """
-        if not self._hint_done:
-            self._hint_done = True
-            if self.n <= 16:
-                d1 = _min_kernel_weight(self.base.adj_c, self.n)
-                d2 = _min_kernel_weight(self.base.adj_v, self.m)
-                candidates = [d for d in (d1, d2) if d is not None]
-                self._hint = min(candidates) if candidates else None
-        return self._hint
-
 
 class StabilizerSpan:
     """Membership in the span of the generator supports, from base-code algebra.
@@ -405,25 +359,6 @@ class StabilizerSpan:
                 if c1 in cc_free:
                     acc[n + c1] = acc.get(n + c1, 0) ^ cc_words[c2]
         return not flagged and not any(acc.values())
-
-
-def _min_kernel_weight(check_rows, width: int) -> int | None:
-    """Minimum Hamming weight of a nonzero kernel vector, by 2^width enumeration."""
-    if width > 20:
-        raise ValueError("kernel enumeration is only for tiny instances")
-    masks = []
-    for nbrs in check_rows:
-        acc = 0
-        for v in nbrs:
-            acc |= 1 << v
-        masks.append(acc)
-    best = None
-    for w in range(1, 1 << width):
-        if all(((mask & w).bit_count() & 1) == 0 for mask in masks):
-            wt = w.bit_count()
-            if best is None or wt < best:
-                best = wt
-    return best
 
 
 def build_hgp(graph: BipartiteGraph) -> HgpCode:

@@ -2,16 +2,19 @@
 
 The package runs on integer indices: ``QubitSet``/``CheckSet`` hold the
 code's qubit and check indices, ``HgpCode``'s incidence methods
-(``gen_qubits``, ``check_qubits``, ``qubit_gens``, ``check_gens``, ...) and
-the ``ssfind`` view tables of each degree pair read them, and ``syndrome``
-XORs each qubit's checks.  The oracles here model the same objects the way
+(``gen_qubits``, ``gen_checks``, ``check_qubits``, ``qubit_checks``), its
+slot tables and the ``ssfind`` view tables of each degree pair read them,
+and ``syndrome`` XORs each qubit's checks.  The oracles here model the same objects the way
 the paper states them: qubits and checks as coordinate pairs of the base
 graph, candidates as (generator, mask) pairs scored with Fractions, and span
 membership by row echelon elimination.
 
 Each oracle computes from the base graph's adjacency lists and from
-coordinates (``gen_coords``, ``check_coords``, ``vv_index``/``cc_index``),
-never from the integer incidence or the view tables it is compared against.
+coordinates (``gen_coords``, ``check_coords`` and ``gen_index`` here,
+``vv_index``/``cc_index`` on the code), never from the integer incidence or
+the view tables it is compared against; ``qubit_gens``/``check_gens`` list
+the generators holding a qubit or a check that way, where the decoder walks
+the slot tables.
 Sets enter through ``QubitSet.of``/``CheckSet.of`` and are read through
 their coordinate views (``vv_part``, ``cc_part``, ``members``); the check
 incidences of a set are counted over those pairs (``_incidences``), and
@@ -24,6 +27,8 @@ the references their replacements are tested against: the per-vector
 ``kernel_words``, the subset enumeration of ``expansion_by_enumeration``,
 the ``Fraction``-sorted ``score_ranks`` and ``solve_by_elimination``, the
 envelope solve with no peeling, on rows built from the checks' supports.
+Brute force lives here too: ``brute_reduce``, the minimum-weight coset
+representative over every generator toggling, bounds greedy reduction.
 """
 
 from __future__ import annotations
@@ -146,9 +151,57 @@ def unique_neighbors(graph: BipartiteGraph, side: str, vertices) -> set[int]:
 # --- product code, by coordinate pairs ---
 
 
+def gen_index(code: HgpCode, right: int, left: int) -> int:
+    """Index of generator (right, left): right-major over the m x n pairs."""
+    if not (0 <= right < code.m and 0 <= left < code.n):
+        raise IndexError(f"generator ({right}, {left}) out of range")
+    return right * code.n + left
+
+
+def gen_coords(code: HgpCode, g: int) -> tuple[int, int]:
+    """The (right, left) pair of generator index g."""
+    if not 0 <= g < code.num_gens:
+        raise IndexError(f"generator index {g} out of range [0, {code.num_gens})")
+    return divmod(g, code.n)
+
+
+def check_coords(code: HgpCode, x: int) -> tuple[int, int]:
+    """The (left, right) pair of check index x."""
+    if not 0 <= x < code.num_checks:
+        raise IndexError(f"check index {x} out of range [0, {code.num_checks})")
+    return divmod(x, code.m)
+
+
+def qubit_gens(code: HgpCode, q: int) -> list[tuple[int, int]]:
+    """(generator, local-view bit) of every generator whose support holds
+    qubit q, by ascending generator: VV qubit (nu, v) is bit i of generator
+    (c, v) for each check c of bit nu, nu = adj_c[c][i]; CC qubit (c, zeta)
+    is bit delta_c + j of generator (c, v) for each bit v of check zeta,
+    zeta = adj_v[v][j]."""
+    kind, a, b = code.qubit_coords(q)
+    adj_c, adj_v = code.base.adj_c, code.base.adj_v
+    if kind == "VV":
+        return [(gen_index(code, c, b), 1 << adj_c[c].index(a)) for c in adj_v[a]]
+    return [(gen_index(code, a, v), 1 << (code.delta_c + adj_v[v].index(b))) for v in adj_c[b]]
+
+
+def check_gens(code: HgpCode, x: int) -> list[tuple[int, int]]:
+    """(generator, grid-cell bit) of every generator whose check grid holds
+    check x = (nu, zeta), by ascending generator: the cell i*delta_v + j of
+    generator (c, v) for c a check of bit nu and v a bit of check zeta, with
+    nu = adj_c[c][i] and zeta = adj_v[v][j]."""
+    nu, zeta = check_coords(code, x)
+    adj_c, adj_v = code.base.adj_c, code.base.adj_v
+    return [
+        (gen_index(code, c, v), 1 << (adj_c[c].index(nu) * code.delta_v + adj_v[v].index(zeta)))
+        for c in adj_v[nu]
+        for v in adj_c[zeta]
+    ]
+
+
 def supp_generator(code: HgpCode, g: int) -> QubitSet:
     """Support of a generator: a column of VV qubits plus a row of CC qubits."""
-    c, v = code.gen_coords(g)
+    c, v = gen_coords(code, g)
     vv = [(nu, v) for nu in code.base.adj_c[c]]
     cc = [(c, zeta) for zeta in code.base.adj_v[v]]
     return QubitSet.of(code, vv, cc)
@@ -156,7 +209,7 @@ def supp_generator(code: HgpCode, g: int) -> QubitSet:
 
 def supp_check(code: HgpCode, x: int) -> QubitSet:
     """Support of an X check: a row of VV qubits plus a column of CC qubits."""
-    nu, zeta = code.check_coords(x)
+    nu, zeta = check_coords(code, x)
     vv = [(nu, v) for v in code.base.adj_c[zeta]]
     cc = [(c, zeta) for c in code.base.adj_v[nu]]
     return QubitSet.of(code, vv, cc)
@@ -309,7 +362,7 @@ class Candidate:
 
     @classmethod
     def build(cls, code: HgpCode, generator: int, mask: int) -> Candidate:
-        code.gen_coords(generator)
+        gen_coords(code, generator)
         if not is_locally_reduced(code, generator, mask):
             raise ValueError(f"mask {mask:#x} is not locally reduced")
         a_v, a_c = part_sizes(mask, code.delta_c)
@@ -318,7 +371,7 @@ class Candidate:
 
 def is_locally_reduced(code: HgpCode, generator: int, mask: int) -> bool:
     """True iff the subset keeps at most half the local view, ties included."""
-    code.gen_coords(generator)
+    gen_coords(code, generator)
     width = code.delta_v + code.delta_c
     if not 0 <= mask < (1 << width):
         raise ValueError(f"mask {mask:#x} does not fit a {width}-bit local view")
@@ -329,7 +382,7 @@ def is_locally_reduced(code: HgpCode, generator: int, mask: int) -> bool:
 def enumerate_minsets(code: HgpCode, generator: int) -> Iterator[Candidate]:
     """Stream the candidate catalog for one generator, ascending mask order."""
     check_view_width(code.delta_v + code.delta_c)
-    code.gen_coords(generator)
+    gen_coords(code, generator)
     for mask in locally_reduced_masks(code.delta_v, code.delta_c):
         a_v, a_c = part_sizes(mask, code.delta_c)
         yield Candidate(generator, mask, a_v, a_c)
@@ -337,7 +390,7 @@ def enumerate_minsets(code: HgpCode, generator: int) -> Iterator[Candidate]:
 
 def mask_pairs(code: HgpCode, generator: int, mask: int) -> tuple[list, list]:
     """The VV and CC coordinate pairs a local-view mask selects."""
-    c, v = code.gen_coords(generator)
+    c, v = gen_coords(code, generator)
     row = code.base.adj_c[c]
     col = code.base.adj_v[v]
     vv = [(row[i], v) for i in range(code.delta_c) if (mask >> i) & 1]
@@ -366,7 +419,7 @@ def candidate_seeding(code: HgpCode, sigma: CheckSet) -> dict[int, list[Candidat
     c is a neighbor of bit nu and v a neighbor of check zeta."""
     adj_v, adj_c = code.base.adj_v, code.base.adj_c
     gens = {
-        code.gen_index(c, v)
+        gen_index(code, c, v)
         for nu, zeta in sigma.members
         for c in adj_v[nu]
         for v in adj_c[zeta]

@@ -17,7 +17,9 @@ MODULES = [
 # Names that moved to tests/oracles.py or were deleted as wrappers: from gf2,
 # graphs, hgp, reduction and ssfind, then HgpCode and SsfindState members;
 # then the ssfind and erasure helpers and the SsfindState steps that the
-# fused pick loop and the peel-first solve replaced.
+# fused pick loop and the peel-first solve replaced; then the brute-force
+# distance hint, the truth-aware verdict helper, the second list of
+# reductions, and the HgpCode accessors that only the tests called.
 REMOVED = {
     "RowBasis", "rank", "in_rowspace", "solve_restricted", "neighbors", "unique_neighbors",
     "supp_generator", "supp_check", "qnbhd", "qnbhd_unique", "project", "weighted_norm", "dual",
@@ -26,6 +28,8 @@ REMOVED = {
     "_gen_matrix", "alive_masks", "cached_score", "_incidences", "_kernel_words",
     "_ZeroDefault", "_SeededView", "_restricted_system",
     "_rescore", "_refresh", "_select", "_retire", "_mark_fresh",
+    "design_distance_hint", "_min_kernel_weight", "_verdict", "_REDUCTIONS",
+    "qubit_gens", "check_gens", "gen_index", "gen_coords", "check_coords",
 }
 
 

@@ -101,6 +101,7 @@ def test_build_hgp_prints_code_parameters(graph_file, capsys, mid_graph):
     assert f"logical K={code.k}" in out
     assert f"checks={code.num_checks}" in out
     assert f"generators={code.num_gens}" in out
+    assert "distance" not in out
 
 
 def test_build_hgp_prints_k_at_n240(tmp_path, capsys):
@@ -146,6 +147,18 @@ def test_decode_exit_one_when_recovery_is_ambiguous(tmp_path, capsys):
     ]
     assert main(argv) == 1
     assert "status=ambiguous-logical" in capsys.readouterr().out
+
+
+def test_decode_reduce_exact_is_a_usage_error(tmp_path, graph_file, capsys):
+    error_path = tmp_path / "error.txt"
+    error_path.write_text("VV 0 0\n")
+    argv = ["decode", "--graph", str(graph_file), "--error", str(error_path),
+            "--epsilon", "1/20", "--reduce", "exact"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'exact'" in err and "none" in err and "greedy" in err
 
 
 def test_decode_missing_file_exits_two(graph_file, capsys):

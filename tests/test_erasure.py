@@ -53,7 +53,7 @@ def _random_error(code, rng, weight):
 def test_empty_everything_succeeds(path_code):
     empty = QubitSet.of(path_code)
     verdict = erase_decode_quantum(path_code, syndrome(path_code, empty), empty)
-    assert verdict == DecodeVerdict(empty, "success", None, 0)
+    assert verdict == DecodeVerdict(empty, "success", 0)
 
 
 def test_flagged_check_away_from_envelope_is_unsolvable(path_code):
@@ -61,7 +61,6 @@ def test_flagged_check_away_from_envelope_is_unsolvable(path_code):
     verdict = erase_decode_quantum(path_code, sigma, QubitSet.of(path_code))
     assert verdict.status == "no-solution"
     assert verdict.correction == QubitSet.of(path_code)
-    assert verdict.coset_equivalent is None
     assert verdict.rows_touched == 1
 
 
@@ -71,14 +70,12 @@ def test_envelope_equal_to_error_recovers_the_coset(mid_code):
     for weight in (1, 2, 3, 5, 8):
         error = _random_error(mid_code, rng, weight)
         sigma = syndrome(mid_code, error)
-        verdict = erase_decode_quantum(
-            mid_code, sigma, error, true_error=error, detect_ambiguity=True
-        )
+        verdict = erase_decode_quantum(mid_code, sigma, error, detect_ambiguity=True)
         assert verdict.status == "success"
         x = verdict.correction
         assert x <= error
         assert syndrome(mid_code, x) == sigma
-        assert verdict.coset_equivalent is True
+        assert verify_coset(mid_code, x, error)
         # Independent route: membership by eliminating the full generator
         # matrix, not the base-code span test that verify_coset uses.
         diff_bits = 0
@@ -93,15 +90,13 @@ def test_solution_confined_to_strict_superset_envelope(mid_code):
         error = _random_error(mid_code, rng, 4)
         envelope = error | _random_error(mid_code, rng, 6)
         sigma = syndrome(mid_code, error)
-        verdict = erase_decode_quantum(
-            mid_code, sigma, envelope, true_error=error, detect_ambiguity=True
-        )
+        verdict = erase_decode_quantum(mid_code, sigma, envelope, detect_ambiguity=True)
         assert verdict.correction <= envelope
         assert syndrome(mid_code, verdict.correction) == sigma
         if verdict.status == "success":
             # No non-stabilizer kernel on this envelope, so every solution
             # (the true error included) sits in one coset.
-            assert verdict.coset_equivalent is True
+            assert verify_coset(mid_code, verdict.correction, error)
 
 
 def test_verify_coset_examples(path_code, single_edge_code):
@@ -227,8 +222,8 @@ def test_coset_and_ambiguity_build_no_full_matrix(monkeypatch):
     rng = random.Random(71)
     error = _random_error(code, rng, 6)
     sigma = syndrome(code, error)
-    verdict = erase_decode_quantum(code, sigma, error, detect_ambiguity=True, true_error=error)
-    assert verdict.status == "success" and verdict.coset_equivalent is True
+    verdict = erase_decode_quantum(code, sigma, error, detect_ambiguity=True)
+    assert verdict.status == "success" and verify_coset(code, verdict.correction, error)
     g = supp_generator(code, 5)
     assert verify_coset(code, error ^ g, error)
     assert not verify_coset(code, error ^ QubitSet.of(code, vv=[(0, 0)]), error)

@@ -14,7 +14,7 @@ from hgpdecode.graphs import (
     gen_biregular,
     write_graph,
 )
-from hgpdecode.erasure import erase_decode_quantum
+from hgpdecode.erasure import erase_decode_quantum, verify_coset
 from hgpdecode.harness import (
     CampaignConfig,
     CampaignConfigError,
@@ -158,6 +158,14 @@ def test_config_parse_rejects_unparseable_weights():
     base = "n=12\ndelta_v=3\ndelta_c=6\ngraph_seed=5\ntrials=4\nepsilon=1/20\n"
     with pytest.raises(CampaignConfigError, match="weights"):
         CampaignConfig.from_text(base + "weights=1,two\n")
+
+
+def test_config_reduction_is_none_or_greedy():
+    base = "n=12\ndelta_v=3\ndelta_c=6\ngraph_seed=5\ntrials=4\nweights=1\nepsilon=1/20\n"
+    for mode in ("none", "greedy"):
+        assert CampaignConfig.from_text(base + f"reduction={mode}\n").reduction == mode
+    with pytest.raises(CampaignConfigError, match=r"one of \('none', 'greedy'\), got 'exact'"):
+        CampaignConfig.from_text(base + "reduction=exact\n")
 
 
 @pytest.mark.parametrize(
@@ -332,8 +340,9 @@ def test_decode_once_rejects_malformed_inputs(tmp_path, mid_graph):
     with pytest.raises(GraphParseError):
         decode_once(bad_graph, error_path, "1/20")
 
-    with pytest.raises(CampaignConfigError):
-        decode_once(graph_path, error_path, "1/20", reduction="backwards")
+    for mode in ("backwards", "exact"):
+        with pytest.raises(CampaignConfigError):
+            decode_once(graph_path, error_path, "1/20", reduction=mode)
 
 
 def test_campaign_memory_stays_bounded():
@@ -394,13 +403,11 @@ def test_trial_path_calls_no_coordinate_accessor(monkeypatch):
         ]
         error = QubitSet.from_indices(code, [5, 77, 3700])
         envelope = error | QubitSet.from_indices(code, range(0, code.num_qubits, 97))
-        verdict = erase_decode_quantum(
-            code, syndrome(code, error), envelope, detect_ambiguity=True, true_error=error
-        )
-        return texts, verdict
+        verdict = erase_decode_quantum(code, syndrome(code, error), envelope, detect_ambiguity=True)
+        return texts, verdict, verify_coset(code, verdict.correction, error)
 
     with monkeypatch.context() as patched:
-        for name in ("qubit_coords", "check_coords", "vv_index", "cc_index", "check_index"):
+        for name in ("qubit_coords", "vv_index", "cc_index", "check_index"):
             patched.setattr(HgpCode, name, _refusing(name))
         got = run_all()
     assert got == run_all()

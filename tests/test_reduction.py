@@ -18,11 +18,14 @@ from hgpdecode.reduction import (
 
 from oracles import (
     Candidate,
+    brute_reduce,
     enumerate_minsets,
+    gen_index,
     is_locally_reduced,
     mask_to_qubitset,
     qnbhd,
     qnbhd_unique,
+    qubit_gens,
     supp_generator,
     weighted_norm,
 )
@@ -169,21 +172,27 @@ def test_reduced_nbhd_bound_via_set_route(mid_code):
 
 
 def test_reduce_error_exact_examples(path_code, k33_code):
+    # Exact reduction, the minimum over every generator toggling, is the
+    # oracle brute_reduce; greedy reduction agrees with it on these.
     for code in (path_code, k33_code):
         for g in range(code.num_gens):
-            assert reduce_error(code, supp_generator(code, g), "exact") == QubitSet.of(code)
+            supp = supp_generator(code, g)
+            assert brute_reduce(code, supp) == QubitSet.of(code)
+            assert reduce_error(code, supp, "greedy") == QubitSet.of(code)
         for q in range(code.num_qubits):
             single = QubitSet.from_indices(code, [q])
-            assert reduce_error(code, single, "exact") == single
+            assert brute_reduce(code, single) == single
+            assert reduce_error(code, single, "greedy") == single
 
 
 def test_reduce_error_exact_tie_breaking(single_edge_code):
-    # Both cosets of weight 1: the representative is the lex-smaller index.
+    # Both cosets of weight 1: the brute-force representative is the
+    # lex-smaller index.
     code = single_edge_code
     vv = QubitSet.of(code, [(0, 0)])
     cc = QubitSet.of(code, (), [(0, 0)])
-    assert reduce_error(code, vv, "exact") == vv
-    assert reduce_error(code, cc, "exact") == vv
+    assert brute_reduce(code, vv) == vv
+    assert brute_reduce(code, cc) == vv
 
 
 def test_reduce_error_greedy_vs_exact(path_code, k33_code):
@@ -192,27 +201,24 @@ def test_reduce_error_greedy_vs_exact(path_code, k33_code):
         for _ in range(25):
             w = rng.randint(1, 4)
             e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), w))
-            exact = reduce_error(code, e, "exact")
+            exact = brute_reduce(code, e)
             greedy = reduce_error(code, e, "greedy")
             assert exact.weight <= greedy.weight <= e.weight
 
 
 def test_reduce_error_preserves_syndrome(mid_code, k33_code):
     rng = random.Random(47)
-    for _ in range(20):
-        e = QubitSet.from_indices(
-            mid_code, rng.sample(range(mid_code.num_qubits), rng.randint(1, 8))
-        )
-        assert syndrome(mid_code, reduce_error(mid_code, e, "greedy")) == syndrome(
-            mid_code, e
-        )
-    for _ in range(10):
-        e = QubitSet.from_indices(
-            k33_code, rng.sample(range(k33_code.num_qubits), rng.randint(1, 4))
-        )
-        assert syndrome(k33_code, reduce_error(k33_code, e, "exact")) == syndrome(
-            k33_code, e
-        )
+    for code, top, count in ((mid_code, 8, 20), (k33_code, 4, 10)):
+        for _ in range(count):
+            e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), rng.randint(1, top)))
+            assert syndrome(code, reduce_error(code, e, "greedy")) == syndrome(code, e)
+
+
+def test_reduce_error_none_keeps_the_error(mid_code):
+    rng = random.Random(5)
+    for w in (0, 1, 9, 40):
+        e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), w))
+        assert reduce_error(mid_code, e, "none") is e
 
 
 def test_reduce_error_greedy_is_fixpoint(mid_code):
@@ -233,7 +239,7 @@ def greedy_by_lists(code, error):
     err = set(error.to_indices(code))
     toggles = 0
     while True:
-        for g in sorted({g for q in err for g, _ in code.qubit_gens(q)}):
+        for g in sorted({g for q in err for g, _ in qubit_gens(code, q)}):
             supp = code.gen_qubits(g)
             if 2 * len(err.intersection(supp)) > len(supp):
                 err.symmetric_difference_update(supp)
@@ -258,7 +264,7 @@ def test_reduce_error_greedy_matches_list_route(mid_code):
         qubits = set(rng.sample(range(big.num_qubits), rng.randint(0, 10)))
         c = rng.randrange(big.m)
         for v in rng.sample(range(big.n), rng.randint(1, 6)):
-            supp = big.gen_qubits(big.gen_index(c, v))
+            supp = big.gen_qubits(gen_index(big, c, v))
             qubits.update(rng.sample(supp, rng.randint(4, len(supp))))
         cases.append((big, sorted(qubits)))
     toggled = {12: 0, 60: 0}
@@ -271,10 +277,10 @@ def test_reduce_error_greedy_matches_list_route(mid_code):
 
 
 def test_reduce_error_errors(mid_code):
-    with pytest.raises(ValueError, match="20 generators"):
-        reduce_error(mid_code, QubitSet.of(mid_code), "exact")
-    with pytest.raises(ValueError, match="mode"):
-        reduce_error(mid_code, QubitSet.of(mid_code), "best")
+    # Exact reduction is the oracle brute_reduce, not a mode.
+    for mode in ("exact", "best"):
+        with pytest.raises(ValueError, match=r"mode must be one of \('none', 'greedy'\)"):
+            reduce_error(mid_code, QubitSet.of(mid_code), mode)
 
 
 @given(st.integers(min_value=1, max_value=511))

@@ -33,10 +33,12 @@ from oracles import (
     alive_masks,
     cached_score,
     candidate_seeding,
+    check_gens,
     enumerate_minsets,
     mask_positions,
     mask_to_qubitset,
     qnbhd,
+    qubit_gens,
     score,
     score_ranks,
     supp_generator,
@@ -239,9 +241,10 @@ def test_verify_exit_audits_retired(mid_code):
 
 
 def test_pick_walk_builds_no_incidence_lists(mid_code, monkeypatch):
-    """A decode walks the code's slot tables itself: with ``qubit_gens`` and
-    ``check_gens`` made to raise, lazy and eager decodes complete with the
-    traces they have without the patch.  Trace entries are immutable."""
+    """A decode walks the code's slot tables itself: with the per-qubit and
+    per-check incidence methods ``qubit_checks`` and ``check_qubits`` made to
+    raise, lazy and eager decodes complete with the traces they have without
+    the patch.  Trace entries are immutable."""
     rng = random.Random(41)
     e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 3))
     sig = syndrome(mid_code, e)
@@ -252,10 +255,10 @@ def test_pick_walk_builds_no_incidence_lists(mid_code, monkeypatch):
     def refuse(self, index):
         raise AssertionError("per-qubit or per-check list built during a decode")
 
-    monkeypatch.setattr(HgpCode, "qubit_gens", refuse)
-    monkeypatch.setattr(HgpCode, "check_gens", refuse)
+    monkeypatch.setattr(HgpCode, "qubit_checks", refuse)
+    monkeypatch.setattr(HgpCode, "check_qubits", refuse)
     with pytest.raises(AssertionError):
-        mid_code.check_gens(0)
+        mid_code.check_qubits(0)
     assert [ssfind(mid_code, sig, cfg).trace for cfg in cfgs] == want
     with pytest.raises(AttributeError):
         want[0][0].generator = 0
@@ -535,7 +538,7 @@ def marked_by_checks(code, chks):
     (generator, cell) pair at a time through ``check_gens``."""
     rmask = {}
     for chk in chks:
-        for g, cellbit in code.check_gens(chk):
+        for g, cellbit in check_gens(code, chk):
             rmask[g] = rmask.get(g, 0) | cellbit
     return rmask
 
@@ -632,9 +635,9 @@ def test_lazy_state_holds_only_generators_that_can_qualify_or_were_touched():
         suspicious = set(sig.to_indices(code))
         for entry in res.trace:
             chosen = code.gen_qubits(entry.generator, entry.mask)
-            want.update(g for q in chosen for g, _ in code.qubit_gens(q))
+            want.update(g for q in chosen for g, _ in qubit_gens(code, q))
             covered = {x for q in chosen for x in code.qubit_checks(q)}
-            want.update(g for x in covered - suspicious for g, _ in code.check_gens(x))
+            want.update(g for x in covered - suspicious for g, _ in check_gens(code, x))
             suspicious |= covered
         assert set(st.words) == want
         held += len(want)
