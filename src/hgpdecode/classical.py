@@ -78,7 +78,10 @@ def find_classical(code: ClassicalCode, syndrome: set[int], epsilon_v) -> FindRe
     ``h = ceil((1 - 2*eps_v) * delta_v)`` of its checks suspicious, adopt the
     smallest-index such bit and mark all its checks suspicious.  Always
     terminates: the envelope grows monotonically and is bounded by n.
+    ``epsilon_v`` must be exact: a float would round h through binary.
     """
+    if isinstance(epsilon_v, float):
+        raise TypeError("epsilon_v must be exact (Fraction, int, or 'p/q' string), not float")
     eps = Fraction(epsilon_v)
     if not 0 <= eps < Fraction(1, 2):
         raise ValueError(f"epsilon_v must lie in [0, 1/2), got {eps}")

@@ -400,8 +400,11 @@ def montecarlo(config: CampaignConfig, workers: int | None = None) -> CampaignRe
     """
     workers = _resolve_workers(workers)
     graph = gen_biregular(config.n, config.delta_v, config.delta_c, seed=config.graph_seed)
-    epsilon, audited = resolve_epsilon(config.epsilon, graph)
     code = build_hgp(graph)
+    heaviest = max(config.weights)
+    if heaviest > code.num_qubits:
+        raise CampaignConfigError(f"weight {heaviest} exceeds the code's N = {code.num_qubits} qubits")
+    epsilon, audited = resolve_epsilon(config.epsilon, graph)
     if workers <= 1 or config.trials <= 1:
         reports = tuple(_run_trials(code, config, epsilon, audited, range(config.trials)))
     else:

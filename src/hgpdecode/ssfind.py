@@ -35,10 +35,10 @@ the smallest need over the table has no qualifier.  Suspicious cells only
 accumulate, so such a generator never had one either.  The syndrome's cells
 are marked in one numpy pass over the code's slot arrays, which forms every
 (generator, cell) pair at once; only the generators that reach min_need
-enter the state, and any other one enters with its cells from the seed's
-arrays when a pick first touches it, which on lazy-n240 happens a few times
-in a hundred decodes.  In eager mode the smallest need is at most 0, every
-generator has a word from the start and nothing is skipped.
+enter the state.  Any other generator enters when a pick first touches it,
+reading its syndrome cells through its own grid, which on lazy-n240 happens
+a few times in a hundred decodes.  In eager mode the smallest need is at
+most 0, every generator has a word from the start and nothing is skipped.
 
 The search is one loop: rescore, select, absorb.  A rescore reads the memo
 for every generator whose word changed and writes each hit straight into
@@ -70,7 +70,8 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -374,27 +375,6 @@ def _join_words(words: list[np.ndarray]) -> list[int]:
     return out
 
 
-class _GenView(Sequence):
-    """A read-only per-generator value for every generator index, computed
-    by ``read(g)`` and never materialized; ``sum(seeded)`` counts the seeded
-    generators."""
-
-    def __init__(self, read, num_gens: int):
-        self._read = read
-        self._len = num_gens
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, g: int):
-        if not 0 <= g < self._len:
-            raise IndexError(f"generator {g} out of range [0, {self._len})")
-        return self._read(g)
-
-    def __iter__(self) -> Iterator:
-        return map(self._read, range(self._len))
-
-
 @dataclass(frozen=True)
 class SsfindResult:
     """``rescored`` (with ``record_rescored``) holds one ascending tuple per
@@ -413,20 +393,19 @@ class SsfindResult:
 class SsfindState:
     """One decode's search: ``SsfindState(code, sigma, config)`` builds it
     with the syndrome's cells marked, and ``run()`` advances it to the exit.
-    The finished search is the result's ``state``: ``seeded``, ``rmask`` and
-    ``retired`` read its per-generator state.
+    The finished search is the result's ``state``: ``seeded``, ``rmask(g)``
+    and ``retired(g)`` read its per-generator state.
 
     A generator's state is one word, ``rmask << width | retired``: its
     suspicious grid cells and the view bits of its envelope qubits, which is
-    also its key in the best-candidate memo.  ``rmask[g]`` and
-    ``retired[g]`` read the two parts, 0 for a generator the decode never
-    touched.  An eager decode keeps a word for every generator in a list.  A
+    also its key in the best-candidate memo.  ``words`` is the only store of
+    a word.  An eager decode keeps a word for every generator in a list.  A
     lazy decode keeps words in a map, entered when the state is built for the
     generators whose syndrome cells reach min_need and, for any other
-    generator, on its first touch by a pick; until then a generator's
-    suspicious cells are read from the seed's sorted arrays.  A generator is
-    seeded once one of its grid's checks is suspicious, or from the start in
-    eager mode."""
+    generator, on its first touch by a pick, when it reads its syndrome cells
+    through its grid.  Until then its word is its syndrome cells, read the
+    same way, with no retired bit.  A generator is seeded once one of its
+    grid's checks is suspicious, or from the start in eager mode."""
 
     def __init__(self, code: HgpCode, sigma: CheckSet, config: DecoderConfig):
         check_view_width(code.delta_v + code.delta_c)
@@ -442,13 +421,10 @@ class SsfindState:
         g_count = code.num_gens
         sigma_idx = sigma.to_indices(code)
         self.envelope_set: set[int] = set()
-        self.suspicious_set = set(sigma_idx)
+        self.syndrome_set = frozenset(sigma_idx)
+        self.suspicious_set = set(self.syndrome_set)
         self.trace: list[TraceEntry] = []
         self.words: dict[int, int] | list[int] = [0] * g_count if eager else {}
-        # The syndrome's seeded generators, ascending, and their suspicious
-        # cells per 64-bit word of the grid (lazy mode).
-        self._seed_gens = np.empty(0, dtype=np.intp)
-        self._seed_masks: list[np.ndarray] = []
         # Best candidates.  Eager: a rank key and the packed memo entry per
         # generator; the keys are a C int array, written at list speed and
         # read by argmin through a zero-copy numpy view.  Lazy: generator ->
@@ -468,35 +444,41 @@ class SsfindState:
     # -- inspection --
 
     def _word(self, g: int) -> int:
-        """Generator g's state word; reading enters nothing."""
-        if self.mode == "eager":
-            return self.words[g]
-        word = self.words.get(g)
-        return self._seed_words.get(g, 0) if word is None else word
+        """Generator g's state word; reading enters nothing.  A lazy
+        generator not held yet has its syndrome cells and no retired bit."""
+        if self.mode == "lazy" and g not in self.words:
+            return self._grid_cells(g, self.syndrome_set) << self.tables.width
+        return self.words[g]
 
-    def seeded_gens(self) -> Iterable[int]:
-        """The seeded generators, ascending."""
-        if self.mode == "eager":
-            return range(self.code.num_gens)
-        return sorted(self.words.keys() | self._seed_words.keys())
+    def _grid_cells(self, g: int, checks) -> int:
+        """The cells of generator g's grid whose check is in ``checks``."""
+        cells = 0
+        for cell, chk in enumerate(self.code.gen_checks(g)):
+            if chk in checks:
+                cells |= 1 << cell
+        return cells
+
+    def rmask(self, g: int) -> int:
+        """Generator g's suspicious grid cells."""
+        return self._word(g) >> self.tables.width
+
+    def retired(self, g: int) -> int:
+        """The view bits of generator g's envelope qubits."""
+        return self._word(g) & ((1 << self.tables.width) - 1)
 
     @property
-    def seeded(self) -> Sequence[bool]:
+    def seeded(self) -> bytearray:
+        """One byte per generator, 1 where it is seeded; built on each read,
+        so ``sum(seeded)`` counts the seeded generators.  A lazy decode's
+        are the generators it holds and those its syndrome marks."""
         g_count = self.code.num_gens
         if self.mode == "eager":
-            return _GenView(range(g_count).__contains__, g_count)
-        # A set's own membership test, so that sum(seeded) runs in C.
-        return _GenView((self.words.keys() | self._seed_words.keys()).__contains__, g_count)
-
-    @property
-    def rmask(self) -> Sequence[int]:
-        width = self.tables.width
-        return _GenView(lambda g: self._word(g) >> width, self.code.num_gens)
-
-    @property
-    def retired(self) -> Sequence[int]:
-        low = (1 << self.tables.width) - 1
-        return _GenView(lambda g: self._word(g) & low, self.code.num_gens)
+            return bytearray(b"\x01") * g_count
+        seeded = bytearray(g_count)
+        flags = np.frombuffer(seeded, dtype=np.uint8)
+        flags[self._cell_keys(self.syndrome_set) >> self.code._cell_shift] = 1
+        flags[list(self.words)] = 1
+        return seeded
 
     def _qualifying(self, g: int) -> list[int]:
         """Alive masks of generator g that score at most 2*epsilon.
@@ -516,11 +498,19 @@ class SsfindState:
 
     # -- bookkeeping --
 
+    def _cell_keys(self, chks: Iterable[int]) -> np.ndarray:
+        """The slot key ``generator << cell_shift | cell`` of every
+        (generator, grid cell) pair of the checks, ascending."""
+        code = self.code
+        nu, zeta = np.divmod(np.fromiter(chks, dtype=np.intp), code.m)
+        keys = (code._bit_keys[nu][:, :, None] + code._check_keys[zeta][:, None, :]).ravel()
+        keys.sort()
+        return keys
+
     def _seed(self, chks: list[int]) -> None:
         """Mark the syndrome's cells in one numpy pass over the code's slot
         keys.  Eager: every seeded generator's word is written.  Lazy: only
-        the generators that reach min_need are entered, and the rest stay in
-        the seed's arrays until a pick touches them.
+        the generators that reach min_need are entered.
 
         Every (generator, grid cell) pair of the syndrome is formed at once
         and sorted by generator.  A generator meets each check in one cell,
@@ -529,9 +519,7 @@ class SsfindState:
         if not chks:
             return
         code, t = self.code, self.tables
-        nu, zeta = np.divmod(np.array(chks, dtype=np.intp), code.m)
-        keys = (code._bit_keys[nu][:, :, None] + code._check_keys[zeta][:, None, :]).ravel()
-        keys.sort()
+        keys = self._cell_keys(chks)
         gens = keys >> code._cell_shift
         first = np.empty(len(gens), dtype=bool)
         first[0] = True
@@ -547,24 +535,12 @@ class SsfindState:
         masks = [np.bitwise_or.reduceat(c, starts) for c in cells]
         seeded = gens[starts]
         if self.mode == "lazy":
-            self._seed_gens, self._seed_masks = seeded, masks
             enter = sum(map(np.bitwise_count, masks)) >= self.min_need
             seeded = seeded[enter]
             masks = [w[enter] for w in masks]
         words, width = self.words, t.width
         for g, r in zip(seeded.tolist(), _join_words(masks)):
             words[g] = r << width
-
-    @functools.cached_property
-    def _seed_words(self) -> dict[int, int]:
-        """The word each seeded generator has from the syndrome alone, built
-        from the seed's arrays on first use (lazy mode).  A pick enters a
-        generator that is not held yet a few times in a hundred lazy-n240
-        decodes, so a decode seldom pays for it."""
-        if not self._seed_masks:
-            return {}
-        width = self.tables.width
-        return {g: r << width for g, r in zip(self._seed_gens.tolist(), _join_words(self._seed_masks))}
 
     # -- main loop --
 
@@ -582,7 +558,7 @@ class SsfindState:
         walking the code's slot tables: a qubit's checks all lie in the grid
         of every generator holding it, so a lazy generator is entered here
         at the latest once it holds an envelope qubit or a suspicious cell
-        that the syndrome did not flag."""
+        that the syndrome did not flag, and enters with its syndrome cells."""
         code, t, trace, config = self.code, self.tables, self.trace, self.config
         n, m, dv, dc = code.n, code.m, code.delta_v, code.delta_c
         nn, num_qubits = n * n, code.num_qubits
@@ -593,6 +569,7 @@ class SsfindState:
         envelope, suspicious = self.envelope_set, self.suspicious_set
         words, need = self.words, self.min_need
         entries, score = self.memo.entries, self.memo._score
+        enter = self._word
         eager = self.mode == "eager"
         lazy = not eager
         if eager:
@@ -671,7 +648,7 @@ class SsfindState:
                 for cn, bit, _ in bit_slots[nu]:
                     h = cn + v
                     if lazy and h not in words:
-                        words[h] = self._seed_words.get(h, 0)
+                        words[h] = enter(h)
                     words[h] |= bit
                     touch(h)
             cc, base, cn = mask >> dc, nn + c * m, c * n
@@ -683,7 +660,7 @@ class SsfindState:
                 for w, bit, _ in check_slots[zeta]:
                     h = cn + w
                     if lazy and h not in words:
-                        words[h] = self._seed_words.get(h, 0)
+                        words[h] = enter(h)
                     words[h] |= bit
                     touch(h)
             # words[g] held exactly the cells of g whose check is suspicious,
@@ -704,7 +681,7 @@ class SsfindState:
                     for w, _, colbit in cols:
                         h = cn + w
                         if lazy and h not in words:
-                            words[h] = self._seed_words.get(h, 0)
+                            words[h] = enter(h)
                         words[h] |= row_cells * colbit
                         touch(h)
             trace.append(
@@ -736,12 +713,8 @@ class SsfindState:
             raise AssertionError("lazy mode ran although untouched sets qualify")
         code, envelope = self.code, self.envelope_set
         rmask, retired = self.rmask, self.retired
-        for g in self.seeded_gens():
-            rebuilt = 0
-            for cell, chk in enumerate(code.gen_checks(g)):
-                if chk in self.suspicious_set:
-                    rebuilt |= 1 << cell
-            if rebuilt != rmask[g]:
+        for g in compress(range(code.num_gens), self.seeded):
+            if self._grid_cells(g, self.suspicious_set) != rmask(g):
                 raise AssertionError(
                     f"incremental suspicious-cell mask diverged for generator {g}"
                 )
@@ -749,7 +722,7 @@ class SsfindState:
             for bit, q in enumerate(code.gen_qubits(g)):
                 if q in envelope:
                     rebuilt |= 1 << bit
-            if rebuilt != retired[g]:
+            if rebuilt != retired(g):
                 raise AssertionError(f"retired view bits diverged for generator {g}")
             qualifying = self._qualifying(g)
             if qualifying:

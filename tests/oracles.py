@@ -21,7 +21,7 @@ incidences of a set are counted over those pairs (``_incidences``), and
 ``score`` counts a candidate's pairs without building a set.
 Candidates come from the mask catalog ``locally_reduced_masks``, which
 ``test_reduction`` checks against its definition.  ``alive_masks`` and
-``cached_score`` are the other side of the comparison: they read a finished
+``cached_scores`` are the other side of the comparison: they read a finished
 search's incremental state.  Fast paths the package retired stay here as
 the references their replacements are tested against: the per-vector
 ``kernel_words``, the subset enumeration of ``expansion_by_enumeration``,
@@ -432,7 +432,7 @@ def candidate_seeding(code: HgpCode, sigma: CheckSet) -> dict[int, list[Candidat
 
 def alive_masks(state, g: int) -> list[int]:
     """The masks of generator g that share no qubit with the envelope."""
-    retired = state.retired[g]
+    retired = state.retired(g)
     return [m for m in state.tables.masks if not (m & retired)]
 
 
@@ -454,9 +454,13 @@ def mask_positions(tables) -> dict[int, int]:
     return {m: p for p, m in enumerate(tables.masks)}
 
 
-def cached_score(state, g: int, mask: int) -> Fraction:
-    """Score from the incrementally maintained suspicious-cell mask."""
+def cached_scores(state, g: int, masks) -> list[Fraction]:
+    """Scores of generator g's masks from its incrementally maintained
+    suspicious-cell mask, read once."""
     t = state.tables
-    p = mask_positions(t)[mask]
-    num = (t.py_uq[p] & ~state.rmask[g] & t.gridfull).bit_count()
-    return Fraction(num, t.py_den[p])
+    positions = mask_positions(t)
+    not_r = ~state.rmask(g) & t.gridfull
+    return [
+        Fraction((t.py_uq[p] & not_r).bit_count(), t.py_den[p])
+        for p in map(positions.__getitem__, masks)
+    ]

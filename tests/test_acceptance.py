@@ -40,7 +40,7 @@ from oracles import (
     _incidences,
     alive_masks,
     brute_reduce,
-    cached_score,
+    cached_scores,
     mask_pairs,
     mask_positions,
     mask_to_qubitset,
@@ -217,9 +217,11 @@ def test_part_size_product_bounded_by_quarter_weighted_size():
 
 def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None:
     twoeps = 2 * config.epsilon
+    p, q = twoeps.numerator, twoeps.denominator
     st = res.state
     tables = st.tables
     delta = code.delta_v * code.delta_c
+    seeded = st.seeded
 
     # (b) suspicious region is exactly the syndrome plus the envelope's checks
     assert st.suspicious_set == sigma_set | set(qnbhd(code, res.envelope).to_indices(code))
@@ -227,20 +229,16 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
     # (a) at exit no alive candidate scores at or below threshold; generators
     # never touched by a suspicious check still sit at their floor score
     for g in range(code.num_gens):
-        if not st.seeded[g]:
-            assert st.rmask[g] == 0
+        if not seeded[g]:
+            assert st.rmask(g) == 0
             continue
-        retired = st.retired[g]
-        rmask = st.rmask[g]
-        for pos, mask in enumerate(tables.masks):
+        retired = st.retired(g)
+        not_r = ~st.rmask(g) & tables.gridfull
+        for uq, den, mask in zip(tables.py_uq, tables.py_den, tables.masks):
             if mask & retired:
                 continue
-            num = (tables.py_uq[pos] & ~rmask & tables.gridfull).bit_count()
-            # num / den > 2eps, cross-multiplied to stay in integers
-            assert num * twoeps.denominator > twoeps.numerator * tables.py_den[pos], (
-                g,
-                mask,
-            )
+            # num / den > 2eps = p / q, cross-multiplied to stay in integers
+            assert (uq & not_r).bit_count() * q > p * den, (g, mask)
 
     # (c) growth bound replayed from the trace with exact arithmetic, on the
     # envelope's coordinate pairs: |VV| / delta_c + |CC| / delta_v is its
@@ -267,21 +265,21 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
     scale = [lcm // den for den in tables.py_den]
     positions = mask_positions(tables)
     for g in range(code.num_gens):
-        if not st.seeded[g]:
+        if not seeded[g]:
             continue
         masks = alive_masks(st, g)
         if not masks:
             continue
-        not_r = ~st.rmask[g] & tables.gridfull
+        not_r = ~st.rmask(g) & tables.gridfull
 
         def key(m):
             pos = positions[m]
             return (tables.py_uq[pos] & not_r).bit_count() * scale[pos]
 
         chosen = masks if full_scan else [min(masks, key=key)]
-        for mask in chosen:
+        for mask, cached in zip(chosen, cached_scores(st, g, chosen)):
             recomputed = score(code, Candidate.build(code, g, mask), suspicious)
-            assert recomputed == cached_score(st, g, mask), (g, mask)
+            assert recomputed == cached, (g, mask)
 
 
 def test_search_invariants_hold_on_every_monte_carlo_trial():

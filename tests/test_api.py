@@ -4,11 +4,12 @@ references the tests compare against live in ``tests/oracles.py``."""
 import importlib
 import inspect
 import types
+from fractions import Fraction
 
 import hgpdecode
 from hgpdecode.graphs import gen_biregular
-from hgpdecode.hgp import build_hgp
-from hgpdecode.ssfind import SsfindState
+from hgpdecode.hgp import QubitSet, build_hgp, syndrome
+from hgpdecode.ssfind import DecoderConfig, SsfindState, ssfind
 
 MODULES = [
     importlib.import_module(f"hgpdecode.{name}")
@@ -19,17 +20,19 @@ MODULES = [
 # then the ssfind and erasure helpers and the SsfindState steps that the
 # fused pick loop and the peel-first solve replaced; then the brute-force
 # distance hint, the truth-aware verdict helper, the second list of
-# reductions, and the HgpCode accessors that only the tests called.
+# reductions, and the HgpCode accessors that only the tests called; then the
+# lazy seed's side store of words and the per-generator view class.
 REMOVED = {
     "RowBasis", "rank", "in_rowspace", "solve_restricted", "neighbors", "unique_neighbors",
     "supp_generator", "supp_check", "qnbhd", "qnbhd_unique", "project", "weighted_norm", "dual",
     "Candidate", "enumerate_minsets", "is_locally_reduced", "mask_to_qubitset",
     "score", "candidate_seeding", "x_check_matrix", "generator_matrix", "_x_matrix",
-    "_gen_matrix", "alive_masks", "cached_score", "_incidences", "_kernel_words",
+    "_gen_matrix", "alive_masks", "cached_score", "cached_scores", "_incidences", "_kernel_words",
     "_ZeroDefault", "_SeededView", "_restricted_system",
     "_rescore", "_refresh", "_select", "_retire", "_mark_fresh",
     "design_distance_hint", "_min_kernel_weight", "_verdict", "_REDUCTIONS",
     "qubit_gens", "check_gens", "gen_index", "gen_coords", "check_coords",
+    "_GenView", "_seed_words", "_seed_masks", "_seed_gens", "seeded_gens",
 }
 
 
@@ -51,6 +54,11 @@ def test_package_names_are_module_exports():
 
 
 def test_removed_names_stay_out_of_the_package():
+    """Also checked on a finished lazy search, whose instance attributes a
+    class does not show."""
     code = build_hgp(gen_biregular(2, 1, 2, seed=0))
-    for owner in (hgpdecode, *MODULES, code, SsfindState):
+    sigma = syndrome(code, QubitSet.from_indices(code, [0]))
+    state = ssfind(code, sigma, DecoderConfig(epsilon=Fraction(1, 20))).state
+    assert state.mode == "lazy"
+    for owner in (hgpdecode, *MODULES, code, SsfindState, state):
         assert not {attr for attr in REMOVED if hasattr(owner, attr)}, owner

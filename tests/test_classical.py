@@ -16,7 +16,7 @@ from hgpdecode.classical import (
     find_classical,
 )
 from hgpdecode.gf2 import BitVector
-from hgpdecode.graphs import audit_expansion, gen_biregular
+from hgpdecode.graphs import BipartiteGraph, audit_expansion, gen_biregular
 
 from oracles import neighbors
 
@@ -104,6 +104,32 @@ def test_find_is_deterministic(k44_code):
 def test_find_rejects_bad_epsilon(path_code):
     with pytest.raises(ValueError):
         find_classical(path_code, set(), Fraction(1, 2))
+
+
+def complete_graph_code(k: int) -> ClassicalCode:
+    """Bits are the vertices of K_k (delta_v = k - 1), checks its edges."""
+    edges = list(itertools.combinations(range(k), 2))
+    adj_v = [[e for e, pair in enumerate(edges) if v in pair] for v in range(k)]
+    return ClassicalCode(BipartiteGraph.from_left_adjacency(len(edges), adj_v))
+
+
+def test_find_refuses_a_float_epsilon():
+    """A float epsilon_v would round the threshold h = ceil((1 - 2 eps) dv)
+    through binary: 0.3 and 1/6 as floats sit just below 3/10 and 1/6, so
+    h comes out one too high and the envelope changes."""
+    k6 = complete_graph_code(6)
+    syn6 = classical_syndrome(k6, BitVector.from_dense([1, 1, 0, 0, 0, 0]))
+    # h = ceil(2/5 * 5) = 2: every other vertex meets two flagged edges.
+    assert find_classical(k6, syn6, Fraction(3, 10)).envelope == set(range(6))
+    assert find_classical(k6, syn6, "3/10").envelope == set(range(6))
+    k4 = complete_graph_code(4)
+    syn4 = classical_syndrome(k4, BitVector.from_dense([1, 1, 0, 0]))
+    # h = ceil(2/3 * 3) = 2: vertex 0 meets two flagged edges, 0-2 and 0-3.
+    res = find_classical(k4, syn4, Fraction(1, 6))
+    assert res.trace[0][:2] == (0, 2) and res.envelope == set(range(4))
+    for code, syn, eps in ((k6, syn6, 0.3), (k4, syn4, 1 / 6)):
+        with pytest.raises(TypeError, match="float"):
+            find_classical(code, syn, eps)
 
 
 # --- erasure decoding ---

@@ -240,6 +240,14 @@ def test_montecarlo_bad_config_exits_two(tmp_path, capsys, monkeypatch):
     assert "error: HGPDECODE_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
 
 
+def test_montecarlo_weight_above_the_qubit_count_exits_two(tmp_path, capsys):
+    config = CampaignConfig(n=12, delta_v=3, delta_c=6, graph_seed=5, trials=1, weights=(500,), epsilon="1/20")
+    config_path = tmp_path / "campaign.txt"
+    config_path.write_text(config.to_text())
+    assert main(["montecarlo", "--config", str(config_path)]) == 2
+    assert "error: weight 500 exceeds the code's N = 180 qubits" in capsys.readouterr().err
+
+
 def test_radius_table_prints_all_rows(capsys):
     assert main(["radius-table", "--r", "1/2", "--epsilon", "1/20", "--delta-c", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()

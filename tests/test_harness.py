@@ -1,5 +1,6 @@
 """Experiment harness: radius table, campaign config, trials, decode files."""
 
+import dataclasses
 import gc
 import itertools
 import tracemalloc
@@ -15,6 +16,7 @@ from hgpdecode.graphs import (
     write_graph,
 )
 from hgpdecode.erasure import erase_decode_quantum, verify_coset
+from hgpdecode import harness
 from hgpdecode.harness import (
     CampaignConfig,
     CampaignConfigError,
@@ -275,6 +277,24 @@ def test_weight_zero_trials_trivially_succeed(small_config):
         assert report.ratio is None
     assert result.summary[0].max_ratio is None
     assert " - " in reports_to_text(result.reports, include_wall=False)
+
+
+def test_montecarlo_refuses_a_weight_above_the_qubit_count(monkeypatch):
+    """n = 12 gives N = 144 + 36 = 180 qubits: a weight of 180 samples them
+    all, and 500 is refused with both numbers named before any trial runs."""
+    config = CampaignConfig(
+        n=12, delta_v=3, delta_c=6, graph_seed=5,
+        trials=1, weights=(180,), epsilon="1/20", seed=1,
+    )
+    assert montecarlo(config).reports[0].sampled_weight == 180
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_one_trial", no_trial)
+    config = dataclasses.replace(config, trials=3, weights=(1, 500))
+    with pytest.raises(CampaignConfigError, match="weight 500 .*N = 180"):
+        montecarlo(config)
 
 
 def test_campaign_text_layout(small_config):

@@ -31,7 +31,7 @@ from hgpdecode.ssfind import (
 from oracles import (
     Candidate,
     alive_masks,
-    cached_score,
+    cached_scores,
     candidate_seeding,
     check_gens,
     enumerate_minsets,
@@ -222,7 +222,7 @@ def test_verify_exit_audits_retired(mid_code):
         st = SsfindState(mid_code, sig, cfg)
         assert st.run().trace
         st._verify_exit()
-        retired = {g: st.retired[g] for g in st.seeded_gens()}
+        retired = {g: st.retired(g) for g, on in enumerate(st.seeded) if on}
         g = min(g for g, bits in retired.items() if bits)
         flips = [(g, retired[g] & -retired[g])]
         if st.mode == "lazy":
@@ -233,7 +233,7 @@ def test_verify_exit_audits_retired(mid_code):
             flips.append((min(set(range(mid_code.num_gens)) - set(retired)), 1))
         for g, bit in flips:
             saved = copy.copy(st.words)
-            st.words[g] = (st.rmask[g] << st.tables.width | st.retired[g]) ^ bit
+            st.words[g] = (st.rmask(g) << st.tables.width | st.retired(g)) ^ bit
             with pytest.raises(AssertionError, match="retired"):
                 st._verify_exit()
             st.words = saved
@@ -317,21 +317,26 @@ def test_cached_scores_match_slow_route(mid_code):
         e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 2))
         res = ssfind(mid_code, syndrome(mid_code, e), cfg)
         state = res.state
-        seeded_gens = [g for g in range(mid_code.num_gens) if state.seeded[g]]
+        seeded_gens = [g for g, on in enumerate(state.seeded) if on]
         for g in rng.sample(seeded_gens, min(8, len(seeded_gens))):
-            for mask in alive_masks(state, g):
+            masks = alive_masks(state, g)
+            for mask, cached in zip(masks, cached_scores(state, g, masks)):
                 cand = Candidate.build(mid_code, g, mask)
-                assert cached_score(state, g, mask) == score(mid_code, cand, res.suspicious)
+                assert cached == score(mid_code, cand, res.suspicious)
 
 
 def test_state_reads_per_generator(mid_code):
-    # seeded/rmask/retired read per generator index like lists of length
-    # num_gens, untouched generators as False/0, and reading enters nothing
-    # into the state's words.
+    # seeded holds one flag per generator, and rmask(g)/retired(g) read one
+    # generator: its grid's suspicious cells, untouched generators as 0;
+    # reading enters nothing into the state's words.  At 1/20 some generators
+    # stay untouched; at 1/6 a pick enters one whose grid holds no syndrome
+    # check.
     rng = random.Random(19)
     e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 2))
     sig = syndrome(mid_code, e)
-    for cfg in (lazy_config("1/20"), eager_config()):
+    marked = marked_by_checks(mid_code, sig.to_indices(mid_code))
+    partial = entered = 0
+    for cfg in (lazy_config("1/20"), lazy_config("1/6"), eager_config()):
         res = ssfind(mid_code, sig, cfg)
         st = res.state
         size = len(st.words)
@@ -343,15 +348,20 @@ def test_state_reads_per_generator(mid_code):
         }
         everything = set(range(mid_code.num_gens))
         expected = everything if res.mode == "eager" else touched
-        assert {g for g in everything if st.seeded[g]} == expected
-        assert sum(st.seeded) == len(expected)
-        assert len(st.seeded) == mid_code.num_gens
+        seeded = st.seeded
+        assert {g for g, on in enumerate(seeded) if on} == expected
+        assert sum(seeded) == len(expected)
+        assert len(seeded) == mid_code.num_gens
         if res.mode == "lazy":
-            assert touched < everything
+            partial += touched < everything
+            entered += bool(st.words.keys() - marked.keys())
+        cells = marked_by_checks(mid_code, res.suspicious.to_indices(mid_code))
+        gens = range(mid_code.num_gens)
+        assert [st.rmask(g) for g in gens] == [cells.get(g, 0) for g in gens]
         for g in everything - touched:
-            assert st.rmask[g] == 0 and st.retired[g] == 0
-        assert (len(st.rmask), len(st.retired)) == (mid_code.num_gens,) * 2
+            assert st.retired(g) == 0
         assert len(st.words) == size
+    assert partial and entered
 
 
 def replay(code, sigma, res, twoeps):
@@ -512,19 +522,20 @@ def test_engine_matches_exact_oracle(
         }
         assert floor_gens and res.trace and res.trace[0].generator in floor_gens
     state = res.state
-    seeded = [g for g in range(code.num_gens) if state.seeded[g]]
+    seeded = [g for g, on in enumerate(state.seeded) if on]
     for g in rng.sample(seeded, min(3, len(seeded))):
         alive = alive_masks(state, g)
-        for mask in rng.sample(alive, min(40, len(alive))):
+        masks = rng.sample(alive, min(40, len(alive)))
+        for mask, cached in zip(masks, cached_scores(state, g, masks)):
             cand = Candidate.build(code, g, mask)
-            assert cached_score(state, g, mask) == score(code, cand, res.suspicious)
+            assert cached == score(code, cand, res.suspicious)
     # At exit nothing alive may still qualify.  A wide view has tens of
     # thousands of masks per generator, so there only a few are swept.
     if exit_gens is None:
         state._verify_exit()
     else:
         for g in rng.sample(seeded, exit_gens):
-            assert all(cached_score(state, g, m) > twoeps for m in alive_masks(state, g))
+            assert all(s > twoeps for s in cached_scores(state, g, alive_masks(state, g)))
     if tie:
         assert any(Fraction(t.score_num, t.score_den) == twoeps for t in res.trace)
     if same_as is not None:
@@ -586,10 +597,10 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
             assert st.mode == mode
             want = marked_by_checks(code, sig.to_indices(code))
             high_cells += any(r >> 64 for r in want.values())
-            assert list(st.rmask) == [want.get(g, 0) for g in gens]
-            assert not any(st.retired)
+            assert [st.rmask(g) for g in gens] == [want.get(g, 0) for g in gens]
+            assert not any(st.retired(g) for g in gens)
             if st.mode == "lazy":
-                assert {g for g in gens if st.seeded[g]} == set(want)
+                assert {g for g, on in enumerate(st.seeded) if on} == set(want)
                 candidates = want
             else:
                 assert all(st.seeded)
@@ -620,7 +631,9 @@ def test_lazy_state_holds_only_generators_that_can_qualify_or_were_touched():
     reach min_need and those a pick touches, through a picked qubit in their
     view or a freshly suspicious check in their grid, counted here through
     ``qubit_gens``/``check_gens``.  That is a small part of the generators
-    the syndrome seeds."""
+    the syndrome seeds.  The seeded count, which perfbench reports as
+    ``seeded_gens``, is exactly the held generators and those with a
+    syndrome cell."""
     code = build_hgp(gen_biregular(240, 3, 6, seed=7))
     cfg = DecoderConfig(epsilon=Fraction(1, 20))
     rng = random.Random(83)
@@ -640,8 +653,10 @@ def test_lazy_state_holds_only_generators_that_can_qualify_or_were_touched():
             want.update(g for x in covered - suspicious for g, _ in check_gens(code, x))
             suspicious |= covered
         assert set(st.words) == want
+        count = sum(st.seeded)
+        assert count == len(want | cells.keys())
         held += len(want)
-        seeded += sum(st.seeded)
+        seeded += count
         picks += res.iterations
     assert picks and 4 * held < seeded
 
