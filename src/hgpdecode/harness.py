@@ -8,7 +8,8 @@ precision at the text boundary.
 
 A trial reduces its error (``REDUCTIONS``), decodes the syndrome without the
 error, and only then judges the correction against the reduced error with
-``verify_coset``; a solve with no solution is judged on no coset.
+``verify_coset``; a solve with no solution is judged on no coset.  Campaign
+trials and ``decode_once`` run that pipeline through one function.
 """
 
 from __future__ import annotations
@@ -346,6 +347,18 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
+def _decode(code: HgpCode, error: QubitSet, reduction: str, decoder: DecoderConfig, detect_ambiguity=False):
+    """Reduce, take the syndrome, search, solve, then judge the correction
+    against the reduced error: (reduced, search, verdict, coset), the coset
+    None when the solve found no solution."""
+    reduced = reduce_error(code, error, mode=reduction)
+    sigma = syndrome(code, reduced)
+    found = ssfind(code, sigma, decoder)
+    verdict = erase_decode_quantum(code, sigma, found.envelope, detect_ambiguity=detect_ambiguity)
+    coset = None if verdict.status == "no-solution" else verify_coset(code, verdict.correction, reduced)
+    return reduced, found, verdict, coset
+
+
 def _one_trial(
     code: HgpCode,
     config: CampaignConfig,
@@ -358,11 +371,7 @@ def _one_trial(
     weight = config.weights[k % len(config.weights)]
     error = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), weight))
     started = time.perf_counter()
-    reduced = reduce_error(code, error, mode=config.reduction)
-    sigma = syndrome(code, reduced)
-    found = ssfind(code, sigma, decoder)
-    verdict = erase_decode_quantum(code, sigma, found.envelope)
-    coset = None if verdict.status == "no-solution" else verify_coset(code, verdict.correction, reduced)
+    reduced, found, verdict, coset = _decode(code, error, config.reduction, decoder)
     wall = time.perf_counter() - started
     reduced_weight = reduced.weight
     ratio = None if reduced_weight == 0 else Fraction(found.envelope.weight, reduced_weight)
@@ -544,11 +553,8 @@ def decode_once(
     code = build_hgp(graph)
     error = qubitset_from_text(read_ascii(error_path), code)
     eps_value, _ = resolve_epsilon(epsilon, graph)
-    reduced = reduce_error(code, error, mode=reduction)
-    sigma = syndrome(code, reduced)
-    search = ssfind(code, sigma, DecoderConfig(epsilon=eps_value, verify_exit=verify_exit))
-    verdict = erase_decode_quantum(code, sigma, search.envelope, detect_ambiguity=detect_ambiguity)
-    coset = None if verdict.status == "no-solution" else verify_coset(code, verdict.correction, reduced)
+    decoder = DecoderConfig(epsilon=eps_value, verify_exit=verify_exit)
+    reduced, search, verdict, coset = _decode(code, error, reduction, decoder, detect_ambiguity)
     files = ()
     if out_dir is not None:
         out = Path(out_dir)

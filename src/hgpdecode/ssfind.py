@@ -8,12 +8,13 @@ below twice the expansion threshold.
 Everything a candidate's score depends on lives inside one generator's check
 grid: the delta_c x delta_v cells Γ(c) x Γ(v).  Each grid cell sees exactly
 two of the generator's qubits (one VV, one CC), so a candidate's unique /
-covered cells are pure functions of its local mask, precomputed once per
-degree pair.  A per-generator bitmask of suspicious grid cells is then the
-entire mutable score state, and candidate selection is a minimum over
-per-generator bests.  Scores compare exactly for every degree pair: each
-possible score num/den is replaced by its rank among all of the degree pair's
-possible scores, so comparing ranks is comparing the fractions themselves.
+covered cells are its VV part's grid rows and its CC part's grid columns
+combined, from two small per-degree-pair tables.  A per-generator bitmask of
+suspicious grid cells is then the entire mutable score state, and candidate
+selection is a minimum over per-generator bests.  Scores compare exactly for
+every degree pair: each possible score num/den is replaced by its rank among
+all of the degree pair's possible scores, so comparing ranks is comparing the
+fractions themselves.
 
 Given the degree pair and the rank of 2*epsilon among those scores, a
 generator's best candidate is a pure function of two small ints, its
@@ -21,9 +22,11 @@ suspicious-cell mask and its retired view bits.  Few such local states occur
 (about 1 800 in an eager (3,6) n=60 decode that rescores 33 000 generators),
 so rescoring a dirty generator is a dict lookup in a memo shared by every
 decode and code with that degree pair and cutoff.  Only states the memo has
-not seen are scored, together, by vectorized bitwise ops over the whole mask
-table.  The memo holds at most _MEMO_CAP states and is cleared when full; it
-changes no result, only how often a state is scored.
+not seen are scored, each by a separable search: for every CC part, the
+best VV part of each size is the rows that gain least, so a state costs
+2^delta_v * delta_c steps and no mask is enumerated.  The memo holds at most
+_MEMO_CAP states and is cleared when full; it changes no result, only how
+often a state is scored.
 
 A generator's whole search state is one word, ``rmask << width | retired``,
 which is also its memo key.  A lazy decode's work follows the generators its
@@ -31,7 +34,7 @@ syndrome touches, and its state holds a word only for a generator that can
 qualify or that a pick touched: a candidate scores at most 2*epsilon only
 when at least need = |unique cells| - floor(2*epsilon*den) of its unique
 cells are suspicious, so a generator whose suspicious-cell count is below
-the smallest need over the table has no qualifier.  Suspicious cells only
+the smallest need over the part sizes has no qualifier.  Suspicious cells only
 accumulate, so such a generator never had one either.  The syndrome's cells
 are marked in one numpy pass over the code's slot arrays, which forms every
 (generator, cell) pair at once; only the generators that reach min_need
@@ -44,7 +47,7 @@ The search is one loop: rescore, select, absorb.  A rescore reads the memo
 for every generator whose word changed and writes each hit straight into
 the best-candidate store; the misses are then scored in one batch.  A lazy
 decode's store is a map holding only the touched generators that have a
-qualifier, each packed as ``key << 64 | generator << 32 | position``, so
+qualifier, each packed as ``key << 64 | generator << 32 | mask``, so
 the pick is a C-level ``min`` over its values and no lazy decode allocates
 or scans anything of size num_gens.  An eager decode, where every generator
 qualifies from the start, keeps one rank key per generator in an
@@ -58,7 +61,8 @@ Scoring thresholds, tie-breaking (lowest score, then generator index, then
 mask) and retirement (candidates sharing a qubit with the envelope never
 return) are deterministic, so a decode is replayable from (code, syndrome,
 config) alone.  The tests replay it against an exhaustive Fraction scorer
-over coordinate-pair sets (``score`` in ``tests/oracles.py``).
+over coordinate-pair sets (``score`` in ``tests/oracles.py``), and the exit
+audit ``_verify_exit`` sweeps the locally reduced mask catalog.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ import numpy as np
 
 from .graphs import LineParseError, content_lines
 from .hgp import CheckSet, HgpCode, QubitSet
-from .reduction import check_view_width, locally_reduced_masks, part_sizes
+from .reduction import check_view_width, locally_reduced_masks
 
 __all__ = [
     "DecoderConfig",
@@ -95,15 +99,11 @@ __all__ = [
 
 # Rank key of a candidate that is retired or scores above 2*epsilon.
 _NO_KEY = np.iinfo(np.int32).max
-# A memoized best candidate is key << 64 | table position, which leaves bits
-# 32-63 free for a lazy qualifier's generator; one shared object stands for
-# "nothing qualifies", which most lazy states are.
+# A memoized best candidate is key << 64 | mask, which leaves bits 32-63 free
+# for a lazy qualifier's generator; one shared object stands for "nothing
+# qualifies", which most lazy states are.
 _NO_BEST = _NO_KEY << 64
-_POS_BITS = (1 << 32) - 1
-_WORD = (1 << 64) - 1
-# (state, mask) pairs scored per numpy pass: keeps a rescore's temporaries
-# to a few MiB however wide the view (an (8, 8) view has 39 202 masks).
-_CHUNK_PAIRS = 1 << 18
+_LOW32 = (1 << 32) - 1
 # Entries one best-candidate memo holds before it is cleared.
 _MEMO_CAP = 1 << 16
 
@@ -135,7 +135,7 @@ class DecoderConfig:
                 f"epsilon = {eps} is outside the guarantee regime (< 1/10); "
                 "decoding proceeds without the envelope-size bound",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -197,22 +197,22 @@ class _ViewTables:
     """Candidate geometry for one degree pair, shared across codes.
 
     Grid cell (i, j) = bit i*delta_v + j pairs the i-th VV qubit with the j-th
-    CC qubit of a local view; a mask's unique cells are those covering exactly
-    one of the pair, its covered cells those covering at least one.
-
-    A score num/den has num <= delta_v*delta_c and den one of a few values.
-    With ``scale`` the lcm of those dens, num/den is held as the integer
-    num*(scale/den), so scores sort and hash as small ints and compare
-    exactly as the fractions do.  Every possible score is sorted once into
-    ``scores`` (scaled), and ``ranks[den_off[p] + num]`` is the index in
-    ``scores`` of the score num/den[p]: equal fractions share a rank, and
-    ranks order exactly as the fractions do.  The unique-cell masks are split
-    into 64-bit words, low word first, for ``np.bitwise_count``.
+    CC qubit of a local view.  ``rows[A]`` holds the full grid rows of a VV
+    subset A and ``cols[B]`` the full grid columns of a CC subset B, so the
+    mask ``B << delta_c | A`` has the unique cells ``rows[A] ^ cols[B]``
+    (exactly one of the cell's row and column selected) and the covered cells
+    ``rows[A] | cols[B]``.  No table is kept per mask: the memo scores a
+    state by a separable search over it, in 2^delta_v * delta_c steps.
 
     A mask with a VV and b CC qubits has den = a*delta_v + b*delta_c and
-    den - 2ab unique cells whatever the generator.  ``shapes`` lists the
-    distinct (unique cells, den) pairs, from which ``min_untouched`` and
-    ``min_need`` follow without a pass over the masks.
+    den - 2ab unique cells whatever the generator; ``sizes`` lists the (a, b,
+    den) of the nonempty locally reduced masks, 0 < a + b <= width/2, and
+    ``shapes`` the distinct (unique cells, den) pairs, from which
+    ``min_untouched`` and ``min_need`` follow.  A score num/den has num <=
+    delta_v*delta_c.  With ``scale`` the lcm of the dens, num/den is held as
+    the integer num*(scale/den), so scores sort and hash as small ints and
+    compare exactly as the fractions do; every possible score is sorted once
+    into ``scores`` (scaled), and a score's rank is its index there.
     """
 
     def __init__(self, delta_v: int, delta_c: int):
@@ -221,56 +221,25 @@ class _ViewTables:
         self.width = delta_v + delta_c
         self.grid_bits = delta_v * delta_c
         self.gridfull = (1 << self.grid_bits) - 1
-        masks = locally_reduced_masks(delta_v, delta_c)
-        self.masks = masks
-        # rows[a]: the full grid rows i in VV subset a; cols[b]: the full grid
-        # columns j in CC subset b.  A cell is unique when exactly one of its
-        # row and column is selected, covered when at least one is.
         rows, cols = [0], [0]
         for i in range(delta_c):
             rows += [r | (((1 << delta_v) - 1) << (i * delta_v)) for r in rows]
         col = sum(1 << (i * delta_v) for i in range(delta_c))
         for j in range(delta_v):
             cols += [x | (col << j) for x in cols]
-        low = (1 << delta_c) - 1
-        uq = [rows[m & low] ^ cols[m >> delta_c] for m in masks]
-        sizes = [part_sizes(m, delta_c) for m in masks]
-        den = [a * delta_v + b * delta_c for a, b in sizes]
-        self.py_uq = tuple(uq)
-        self.py_cov = tuple(rows[m & low] | cols[m >> delta_c] for m in masks)
-        self.py_den = tuple(den)
-        self.shapes = tuple(
-            sorted(
-                (a * delta_v + b * delta_c - 2 * a * b, a * delta_v + b * delta_c)
-                for a, b in set(sizes)
-            )
-        )
+        self.rows, self.cols = tuple(rows), tuple(cols)
+        half = self.width // 2
+        sizes = [(a, b) for a in range(delta_c + 1) for b in range(delta_v + 1) if 0 < a + b <= half]
+        self.sizes = [(a, b, a * delta_v + b * delta_c) for a, b in sizes]
+        self.shapes = tuple(sorted({(den - 2 * a * b, den) for a, b, den in self.sizes}))
         self.min_untouched = min(Fraction(u, d) for u, d in self.shapes)
-        nums = range(self.grid_bits + 1)
-        dens = sorted(set(den))
+        dens = {den for _, _, den in self.sizes}
         self.scale = math.lcm(*dens)
-        scaled = [k * (self.scale // d) for d in dens for k in nums]
-        self.scores = sorted(set(scaled))
-        rank = {v: r for r, v in enumerate(self.scores)}
-        self.ranks = np.array([rank[v] for v in scaled], dtype=np.int32)
-        offset = {d: i * len(nums) for i, d in enumerate(dens)}
-        self.den_off = np.array([offset[d] for d in den], dtype=np.int32)
-        # int32 holds every mask: a view of 32 or more qubits would have over
-        # 2^31 masks to tabulate.
-        self.np_masks = np.array(masks, dtype=np.int32)
+        nums = range(self.grid_bits + 1)
+        self.scores = sorted({k * (self.scale // d) for d in dens for k in nums})
         self.words = -(-self.grid_bits // 64)
-        self.np_uq = self.split_words(uq)
         self._memos: dict[int, _BestMemo] = {}
         self._by_epsilon: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def split_words(self, grids: list[int]) -> list[np.ndarray]:
-        """One uint64 array per 64-bit word of the grid masks, low word first."""
-        if self.words == 1:
-            return [np.array(grids, dtype=np.uint64)]
-        return [
-            np.array([x >> (64 * w) & _WORD for x in grids], dtype=np.uint64)
-            for w in range(self.words)
-        ]
 
     def at_epsilon(self, epsilon: Fraction) -> tuple[_BestMemo, int]:
         """The best-candidate memo and min_need of a decode at ``epsilon``.
@@ -311,47 +280,72 @@ class _BestMemo:
 
     The state ``rmask << width | retired`` fixes every candidate's score and
     whether it is alive, so the best candidate is a function of it alone:
-    lowest rank key, then lowest table position.  ``entries`` maps a state to
-    that candidate packed as ``key << 64 | position``, or to _NO_BEST when
-    nothing qualifies.  It holds at most _MEMO_CAP states and is cleared when
-    full."""
+    lowest rank key, then lowest mask.  ``entries`` maps a state to that
+    candidate packed as ``key << 64 | mask``, or to _NO_BEST when nothing
+    qualifies.  It holds at most _MEMO_CAP states and is cleared when full.
+    A state it lacks is scored by ``_best`` in 2^delta_v * delta_c steps,
+    with no numpy call.  ``keys[b][a][num]`` is the rank key of score
+    num/(a*delta_v + b*delta_c), _NO_KEY above the cutoff or for the empty
+    part sizes (0, 0)."""
 
     def __init__(self, tables: _ViewTables, cutoff: int):
-        self.tables = tables
-        # Rank key of every (den, num) slot; slots scoring above 2*epsilon
-        # never qualify.
-        self.keys = np.where(tables.ranks <= cutoff, tables.ranks, _NO_KEY)
+        self.tables = t = tables
+        nums = range(t.grid_bits + 1)
+        none = [_NO_KEY] * len(nums)
+        self.keys = [[none] * (t.delta_c + 1) for _ in range(t.delta_v + 1)]
+        top = t.scores[cutoff]
+        for a, b, den in t.sizes:
+            step = t.scale // den
+            self.keys[b][a] = [
+                bisect.bisect_left(t.scores, k * step) if k * step <= top else _NO_KEY
+                for k in nums
+            ]
         self.entries: dict[int, int] = {}
 
     def _score(self, states: list[int]) -> dict[int, int]:
         """Packed best candidate of each state, scored once each and entered
-        into the memo.  Every candidate of every state is ranked in one numpy
-        pass per chunk; argmin keeps the first minimum, so ties go to the
-        lowest position."""
-        t = self.tables
-        order = sorted(set(states))
-        low = (1 << t.width) - 1
-        step = max(1, _CHUNK_PAIRS // len(t.masks))
-        fresh = {}
-        for lo in range(0, len(order), step):
-            chunk = order[lo : lo + step]
-            slot = t.den_off
-            for uq, r in zip(t.np_uq, t.split_words([s >> t.width for s in chunk])):
-                slot = slot + np.bitwise_count(uq & ~r[:, None])
-            gone = np.array([s & low for s in chunk], dtype=np.int32)
-            # Every slot is in range; "clip" only skips np.take's bounds check.
-            key = np.take(self.keys, slot, mode="clip")
-            key = np.where(t.np_masks & gone[:, None], _NO_KEY, key)
-            pos = key.argmin(axis=1)
-            best = key[np.arange(len(chunk)), pos]
-            for s, k, p in zip(chunk, best.tolist(), pos.tolist()):
-                fresh[s] = _NO_BEST if k == _NO_KEY else k << 64 | p
-        entries = self.entries
-        for s, b in fresh.items():
+        into the memo."""
+        entries, fresh = self.entries, {}
+        for s in set(states):
             if len(entries) >= _MEMO_CAP:
                 entries.clear()
-            entries[s] = b
+            entries[s] = fresh[s] = self._best(s)
         return fresh
+
+    def _best(self, state: int) -> int:
+        """A separable search over the state, in 2^delta_v * delta_c steps.
+
+        Fix the CC subset B, alive and with 2|B| <= width, and let x_i be
+        grid row i's non-suspicious cells.  The mask (A, B) then has num =
+        sum_i |x_i & B| + sum_{i in A} gain_i, with gain_i = |x_i| - 2|x_i & B|
+        the change when row i joins A.  So for each size a the best VV part
+        is the a alive rows of smallest gain, ties to the lower row: rows are
+        the mask's low bits, so that is also the lowest mask among the best.
+        The result is the lowest (rank key, mask) over every (B, a)."""
+        t = self.tables
+        dv, dc, half = t.delta_v, t.delta_c, t.width // 2
+        retired, line = state & ((1 << t.width) - 1), (1 << dv) - 1
+        clear, free_cc = ~state >> t.width, ~retired >> dc & line
+        x = [clear >> (i * dv) & line for i in range(dc)]
+        alive = [(x[i].bit_count(), i, 1 << i) for i in range(dc) if not retired >> i & 1]
+        best, keys, cc = _NO_BEST, self.keys, free_cc
+        while True:
+            b = cc.bit_count()
+            if b <= half:
+                by_a = keys[b]
+                inter = [(xi & cc).bit_count() for xi in x]
+                num, mask = sum(inter), cc << dc
+                gains = sorted([(pc - 2 * inter[i], i, bit) for pc, i, bit in alive])
+                for a, (gain, _, bit) in enumerate([(0, 0, 0), *gains[: half - b]]):
+                    num += gain
+                    mask |= bit
+                    key = by_a[a][num]
+                    if key != _NO_KEY and key << 64 | mask < best:
+                        best = key << 64 | mask
+            if not cc:
+                return best
+            # The next lower subset of the alive CC bits, down to the empty one.
+            cc = (cc - 1) & free_cc
 
 
 @functools.lru_cache(maxsize=None)
@@ -428,7 +422,7 @@ class SsfindState:
         # Best candidates.  Eager: a rank key and the packed memo entry per
         # generator; the keys are a C int array, written at list speed and
         # read by argmin through a zero-copy numpy view.  Lazy: generator ->
-        # key << 64 | generator << 32 | position for the touched generators
+        # key << 64 | generator << 32 | mask for the touched generators
         # that have a qualifier, and no others, so that the lowest value is
         # the pick and nothing of size num_gens is allocated.
         if eager:
@@ -481,20 +475,27 @@ class SsfindState:
         return seeded
 
     def _qualifying(self, g: int) -> list[int]:
-        """Alive masks of generator g that score at most 2*epsilon.
+        """Alive masks of generator g that score at most 2*epsilon: the mask
+        catalog swept with each mask's cells read from the grid row and
+        column tables, independently of the memo's search.
 
         Scores num/den compare with 2*epsilon = p/q as num*q <= p*den, exactly."""
         t = self.tables
+        dv, dc, rows, cols = t.delta_v, t.delta_c, t.rows, t.cols
         twoeps = 2 * self.config.epsilon
         p, q = twoeps.numerator, twoeps.denominator
         word = self._word(g)
         not_r = ~(word >> t.width) & t.gridfull
         retired = word & ((1 << t.width) - 1)
-        return [
-            mask
-            for uq, den, mask in zip(t.py_uq, t.py_den, t.masks)
-            if not mask & retired and (uq & not_r).bit_count() * q <= p * den
-        ]
+        out = []
+        for mask in locally_reduced_masks(dv, dc):
+            if mask & retired:
+                continue
+            vv, cc = mask & ((1 << dc) - 1), mask >> dc
+            num = ((rows[vv] ^ cols[cc]) & not_r).bit_count()
+            if num * q <= p * (vv.bit_count() * dv + cc.bit_count() * dc):
+                out.append(mask)
+        return out
 
     # -- bookkeeping --
 
@@ -564,7 +565,7 @@ class SsfindState:
         nn, num_qubits = n * n, code.num_qubits
         adj_c, adj_v = code.base.adj_c, code.base.adj_v
         bit_slots, check_slots = code._bit_slots, code._check_slots
-        masks, py_uq, py_cov, py_den = t.masks, t.py_uq, t.py_cov, t.py_den
+        grid_rows, grid_cols = t.rows, t.cols
         width, gridfull, vv_bits = t.width, t.gridfull, (1 << dc) - 1
         envelope, suspicious = self.envelope_set, self.suspicious_set
         words, need = self.words, self.min_need
@@ -617,12 +618,12 @@ class SsfindState:
                 g = int(key_view.argmin())
                 if keys[g] == _NO_KEY:
                     break
-                p = packed[g] & _POS_BITS
+                mask = packed[g] & _LOW32
             else:
                 if not qualifiers:
                     break
                 best = min(qualifiers.values())
-                g, p = best >> 32 & _POS_BITS, best & _POS_BITS
+                g, mask = best >> 32 & _LOW32, best & _LOW32
             # A pick is alive, so it shares no qubit with the envelope and
             # adds at least one: a correct search stops within num_qubits picks.
             if len(trace) >= num_qubits:
@@ -632,14 +633,15 @@ class SsfindState:
                     tuple(trace),
                 )
             # Absorb: retire the view's qubits, then mark the fresh checks.
-            mask = masks[p]
             rmask = words[g] >> width
-            num = (py_uq[p] & ~rmask & gridfull).bit_count()
+            vv, cc = mask & vv_bits, mask >> dc
+            row_cells, col_cells = grid_rows[vv], grid_cols[cc]
+            num = ((row_cells ^ col_cells) & ~rmask & gridfull).bit_count()
+            den = vv.bit_count() * dv + cc.bit_count() * dc
             dirty = set()
             touch = dirty.add
             c, v = divmod(g, n)
             row, col = adj_c[c], adj_v[v]
-            vv = mask & vv_bits
             while vv:
                 low = vv & -vv
                 vv ^= low
@@ -651,7 +653,7 @@ class SsfindState:
                         words[h] = enter(h)
                     words[h] |= bit
                     touch(h)
-            cc, base, cn = mask >> dc, nn + c * m, c * n
+            base, cn = nn + c * m, c * n
             while cc:
                 low = cc & -cc
                 cc ^= low
@@ -668,7 +670,7 @@ class SsfindState:
             # (nu, zeta) lies in the grid of generator (c', v') for each bit
             # slot (c', row bit) of nu and check slot (v', column bit) of
             # zeta, in the cell row bit * column bit.
-            fresh = py_cov[p] & ~rmask
+            fresh = (row_cells | col_cells) & ~rmask
             while fresh:
                 low = fresh & -fresh
                 fresh ^= low
@@ -686,7 +688,7 @@ class SsfindState:
                         touch(h)
             trace.append(
                 TraceEntry(
-                    len(trace) + 1, g, mask, num, py_den[p],
+                    len(trace) + 1, g, mask, num, den,
                     len(envelope), len(suspicious),
                 )
             )

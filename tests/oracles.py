@@ -3,11 +3,12 @@
 The package runs on integer indices: ``QubitSet``/``CheckSet`` hold the
 code's qubit and check indices, ``HgpCode``'s incidence methods
 (``gen_qubits``, ``gen_checks``, ``check_qubits``, ``qubit_checks``), its
-slot tables and the ``ssfind`` view tables of each degree pair read them,
-and ``syndrome`` XORs each qubit's checks.  The oracles here model the same objects the way
-the paper states them: qubits and checks as coordinate pairs of the base
-graph, candidates as (generator, mask) pairs scored with Fractions, and span
-membership by row echelon elimination.
+slot tables and the ``ssfind`` grid row and column tables of each degree
+pair read them, and ``syndrome`` XORs each qubit's checks.  The oracles
+here model the same objects the way the paper states them: qubits and
+checks as coordinate pairs of the base graph, candidates as (generator,
+mask) pairs scored with Fractions, and span membership by row echelon
+elimination.
 
 Each oracle computes from the base graph's adjacency lists and from
 coordinates (``gen_coords``, ``check_coords`` and ``gen_index`` here,
@@ -20,13 +21,17 @@ their coordinate views (``vv_part``, ``cc_part``, ``members``); the check
 incidences of a set are counted over those pairs (``_incidences``), and
 ``score`` counts a candidate's pairs without building a set.
 Candidates come from the mask catalog ``locally_reduced_masks``, which
-``test_reduction`` checks against its definition.  ``alive_masks`` and
-``cached_scores`` are the other side of the comparison: they read a finished
-search's incremental state.  Fast paths the package retired stay here as
-the references their replacements are tested against: the per-vector
-``kernel_words``, the subset enumeration of ``expansion_by_enumeration``,
-the ``Fraction``-sorted ``score_ranks`` and ``solve_by_elimination``, the
-envelope solve with no peeling, on rows built from the checks' supports.
+``test_reduction`` checks against its definition; ``unique_cells`` gives
+each mask's unique grid cells and weight from the per-cell definition, and
+``brute_best`` a state's best candidate over them in Fractions.
+``alive_masks`` and ``cached_scores`` are the other side of the comparison:
+they read a finished search's incremental state.  Fast paths the package
+retired stay here as the references their replacements are tested against:
+the per-vector ``kernel_words``, the subset enumeration of
+``expansion_by_enumeration``, the ``Fraction``-sorted ``score_ranks``,
+``table_best``, the numpy scorer over every mask that the separable search
+replaced, and ``solve_by_elimination``, the envelope solve with no peeling,
+on rows built from the checks' supports.
 Brute force lives here too: ``brute_reduce``, the minimum-weight coset
 representative over every generator toggling, bounds greedy reduction.
 """
@@ -38,6 +43,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
+
+import numpy as np
 
 from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver
 from hgpdecode.graphs import BipartiteGraph, _side_data
@@ -427,13 +434,99 @@ def candidate_seeding(code: HgpCode, sigma: CheckSet) -> dict[int, list[Candidat
     return {g: list(enumerate_minsets(code, g)) for g in sorted(gens)}
 
 
+# --- per-mask cells and best candidates ---
+
+
+@functools.cache
+def unique_cells(delta_v: int, delta_c: int) -> tuple[tuple[int, int, int], ...]:
+    """(mask, unique grid cells, weight) of every locally reduced mask, in
+    catalog order, from the per-cell definition: cell (i, j) = bit
+    i*delta_v + j is unique when exactly one of VV bit i and CC bit j is in
+    the mask, so grid row i holds the CC bits outside the mask when VV bit i
+    is in it and those inside when it is not.  The weight is
+    a_v*delta_v + a_c*delta_c."""
+    line = (1 << delta_v) - 1
+    out = []
+    for mask in locally_reduced_masks(delta_v, delta_c):
+        cc = mask >> delta_c
+        uq = 0
+        for i in range(delta_c):
+            uq |= (cc ^ line if mask >> i & 1 else cc) << (i * delta_v)
+        a_v, a_c = part_sizes(mask, delta_c)
+        out.append((mask, uq, a_v * delta_v + a_c * delta_c))
+    return tuple(out)
+
+
+@functools.cache
+def mask_positions(delta_v: int, delta_c: int) -> dict[int, int]:
+    """Mask -> its position in ``unique_cells``."""
+    return {m: p for p, (m, _, _) in enumerate(unique_cells(delta_v, delta_c))}
+
+
+def brute_best(cells, twoeps, rmask, retired):
+    """(score, mask) of the lowest-scoring alive mask of ``cells`` at or
+    below twoeps, lowest mask on ties, in Fractions; None when nothing
+    qualifies."""
+    best = None
+    for mask, uq, den in cells:
+        if mask & retired:
+            continue
+        s = Fraction((uq & ~rmask).bit_count(), den)
+        if s <= twoeps and (best is None or s < best[0]):
+            best = (s, mask)
+    return best
+
+
+def table_best(delta_v: int, delta_c: int, twoeps: Fraction, states) -> list:
+    """``brute_best`` of each state ``rmask << width | retired`` with the
+    number of alive masks that share its score, (score, mask, ties), by the
+    numpy table scorer the package retired: every mask's unique cells are
+    held as one uint64 array per 64-bit word of the grid, a state's
+    unsuspicious unique cells are counted over all masks at once with
+    ``np.bitwise_count``, and (den, num) slots index the Fraction ranks of
+    ``score_ranks``.  argmin keeps the first minimum, so ties go to the
+    lowest mask, as the catalog is ascending."""
+    cells = unique_cells(delta_v, delta_c)
+    scores, rank = score_ranks(delta_v, delta_c)
+    width, nums = delta_v + delta_c, delta_v * delta_c + 1
+    none = len(scores)
+    dens = sorted({den for _, _, den in cells})
+    keys = np.array(
+        [rank[k, d] if scores[rank[k, d]] <= twoeps else none for d in dens for k in range(nums)]
+    )
+    offset = {d: i * nums for i, d in enumerate(dens)}
+    den_off = np.array([offset[den] for _, _, den in cells])
+    masks = np.array([mask for mask, _, _ in cells])
+
+    def split_words(grids):
+        return [
+            np.array([x >> (64 * w) & (1 << 64) - 1 for x in grids], dtype=np.uint64)
+            for w in range(-(-(nums - 1) // 64))
+        ]
+
+    np_uq = split_words([uq for _, uq, _ in cells])
+    out = []
+    for state in states:
+        slot = den_off
+        for uq, r in zip(np_uq, split_words([state >> width])):
+            slot = slot + np.bitwise_count(uq & ~r)
+        key = np.where(masks & (state & (1 << width) - 1), none, keys[slot])
+        pos = int(key.argmin())
+        if key[pos] == none:
+            out.append(None)
+        else:
+            out.append((scores[key[pos]], cells[pos][0], int((key == key[pos]).sum())))
+    return out
+
+
 # --- a finished search's state ---
 
 
 def alive_masks(state, g: int) -> list[int]:
     """The masks of generator g that share no qubit with the envelope."""
     retired = state.retired(g)
-    return [m for m in state.tables.masks if not (m & retired)]
+    catalog = locally_reduced_masks(state.code.delta_v, state.code.delta_c)
+    return [m for m in catalog if not (m & retired)]
 
 
 def score_ranks(delta_v: int, delta_c: int) -> tuple[list[Fraction], dict[tuple[int, int], int]]:
@@ -448,19 +541,13 @@ def score_ranks(delta_v: int, delta_c: int) -> tuple[list[Fraction], dict[tuple[
     return scores, {(k, d): rank[Fraction(k, d)] for d in dens for k in nums}
 
 
-@functools.cache
-def mask_positions(tables) -> dict[int, int]:
-    """Mask -> its position in a degree pair's view tables."""
-    return {m: p for p, m in enumerate(tables.masks)}
-
-
 def cached_scores(state, g: int, masks) -> list[Fraction]:
     """Scores of generator g's masks from its incrementally maintained
-    suspicious-cell mask, read once."""
-    t = state.tables
-    positions = mask_positions(t)
-    not_r = ~state.rmask(g) & t.gridfull
+    suspicious-cell mask, read once, over the masks' ``unique_cells``."""
+    dv, dc = state.code.delta_v, state.code.delta_c
+    cells, positions = unique_cells(dv, dc), mask_positions(dv, dc)
+    rmask = state.rmask(g)
     return [
-        Fraction((t.py_uq[p] & not_r).bit_count(), t.py_den[p])
-        for p in map(positions.__getitem__, masks)
+        Fraction((uq & ~rmask).bit_count(), den)
+        for _, uq, den in (cells[positions[m]] for m in masks)
     ]

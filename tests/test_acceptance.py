@@ -49,6 +49,7 @@ from oracles import (
     score,
     supp_check,
     supp_generator,
+    unique_cells,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,8 +220,8 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
     twoeps = 2 * config.epsilon
     p, q = twoeps.numerator, twoeps.denominator
     st = res.state
-    tables = st.tables
     delta = code.delta_v * code.delta_c
+    cells = unique_cells(code.delta_v, code.delta_c)
     seeded = st.seeded
 
     # (b) suspicious region is exactly the syndrome plus the envelope's checks
@@ -233,8 +234,8 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
             assert st.rmask(g) == 0
             continue
         retired = st.retired(g)
-        not_r = ~st.rmask(g) & tables.gridfull
-        for uq, den, mask in zip(tables.py_uq, tables.py_den, tables.masks):
+        not_r = ~st.rmask(g)
+        for mask, uq, den in cells:
             if mask & retired:
                 continue
             # num / den > 2eps = p / q, cross-multiplied to stay in integers
@@ -261,20 +262,20 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
     # num * (lcm / den), which orders masks as num/den does, ties included, so
     # min keeps the same first minimum as over Fraction scores.
     suspicious = CheckSet.from_indices(code, sorted(st.suspicious_set))
-    lcm = math.lcm(*tables.py_den)
-    scale = [lcm // den for den in tables.py_den]
-    positions = mask_positions(tables)
+    lcm = math.lcm(*(den for _, _, den in cells))
+    scale = [lcm // den for _, _, den in cells]
+    positions = mask_positions(code.delta_v, code.delta_c)
     for g in range(code.num_gens):
         if not seeded[g]:
             continue
         masks = alive_masks(st, g)
         if not masks:
             continue
-        not_r = ~st.rmask(g) & tables.gridfull
+        not_r = ~st.rmask(g)
 
         def key(m):
             pos = positions[m]
-            return (tables.py_uq[pos] & not_r).bit_count() * scale[pos]
+            return (cells[pos][1] & not_r).bit_count() * scale[pos]
 
         chosen = masks if full_scan else [min(masks, key=key)]
         for mask, cached in zip(chosen, cached_scores(st, g, chosen)):

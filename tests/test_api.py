@@ -21,7 +21,8 @@ MODULES = [
 # fused pick loop and the peel-first solve replaced; then the brute-force
 # distance hint, the truth-aware verdict helper, the second list of
 # reductions, and the HgpCode accessors that only the tests called; then the
-# lazy seed's side store of words and the per-generator view class.
+# lazy seed's side store of words and the per-generator view class; then the
+# per-mask arrays of the view tables that the separable search replaced.
 REMOVED = {
     "RowBasis", "rank", "in_rowspace", "solve_restricted", "neighbors", "unique_neighbors",
     "supp_generator", "supp_check", "qnbhd", "qnbhd_unique", "project", "weighted_norm", "dual",
@@ -33,6 +34,7 @@ REMOVED = {
     "design_distance_hint", "_min_kernel_weight", "_verdict", "_REDUCTIONS",
     "qubit_gens", "check_gens", "gen_index", "gen_coords", "check_coords",
     "_GenView", "_seed_words", "_seed_masks", "_seed_gens", "seeded_gens",
+    "split_words", "_CHUNK_PAIRS", "den_off", "np_masks", "np_uq", "py_uq", "py_cov", "py_den",
 }
 
 
@@ -54,11 +56,11 @@ def test_package_names_are_module_exports():
 
 
 def test_removed_names_stay_out_of_the_package():
-    """Also checked on a finished lazy search, whose instance attributes a
-    class does not show."""
+    """Also checked on a finished lazy search and its view tables, whose
+    instance attributes a class does not show."""
     code = build_hgp(gen_biregular(2, 1, 2, seed=0))
     sigma = syndrome(code, QubitSet.from_indices(code, [0]))
     state = ssfind(code, sigma, DecoderConfig(epsilon=Fraction(1, 20))).state
     assert state.mode == "lazy"
-    for owner in (hgpdecode, *MODULES, code, SsfindState, state):
+    for owner in (hgpdecode, *MODULES, code, SsfindState, state, state.tables):
         assert not {attr for attr in REMOVED if hasattr(owner, attr)}, owner

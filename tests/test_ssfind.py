@@ -12,7 +12,7 @@ import pytest
 
 from hgpdecode.graphs import BipartiteGraph, gen_biregular
 from hgpdecode.hgp import CheckSet, HgpCode, QubitSet, build_hgp, syndrome
-from hgpdecode.reduction import ReductionConfigError, locally_reduced_masks, part_sizes, reduce_error
+from hgpdecode.reduction import ReductionConfigError, part_sizes, reduce_error
 from hgpdecode.ssfind import (
     _NO_BEST,
     _NO_KEY,
@@ -31,17 +31,19 @@ from hgpdecode.ssfind import (
 from oracles import (
     Candidate,
     alive_masks,
+    brute_best,
     cached_scores,
     candidate_seeding,
     check_gens,
     enumerate_minsets,
-    mask_positions,
     mask_to_qubitset,
     qnbhd,
     qubit_gens,
     score,
     score_ranks,
     supp_generator,
+    table_best,
+    unique_cells,
 )
 
 
@@ -82,6 +84,15 @@ def test_decoder_config_validation():
         DecoderConfig(epsilon=Fraction(5, 9))
 
 
+def test_epsilon_warning_names_the_caller():
+    """The warning points at the line that built the config, not at the
+    dataclass-generated ``__init__``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        DecoderConfig(epsilon=Fraction(1, 5))
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_min_untouched_score():
     # (3, 6): minimized by the (2, 2) subset: 1 - 2*4/18 = 5/9.
     assert min_untouched_score(3, 6) == Fraction(5, 9)
@@ -93,24 +104,29 @@ def test_min_untouched_score():
     "degrees", [(3, 6), (4, 4), (2, 5), (8, 9)], ids=lambda d: f"{d[0]}-{d[1]}"
 )
 def test_view_tables_match_per_cell_definition(degrees):
-    """Cell (i, j) is unique when exactly one of VV bit i and CC bit j is in
-    the mask, covered when at least one is; ``min_untouched`` is the lowest
-    unique-cell score over every mask."""
+    """A mask's cells from the grid rows of its VV part and the grid columns
+    of its CC part are the per-cell definition's: their XOR the unique cells,
+    where exactly one of VV bit i and CC bit j is in the mask, as
+    ``unique_cells`` also gives them, and their OR the covered cells, where
+    at least one is.  ``sizes`` are the catalog's part sizes and weights,
+    and ``min_untouched`` is the lowest unique-cell score over every mask."""
     dv, dc = degrees
     t = _view_tables(dv, dc)
-    lowest = None
-    for p, mask in enumerate(t.masks):
-        uq = cov = 0
+    lowest, sizes = None, set()
+    for mask, uq, den in unique_cells(dv, dc):
+        per_cell = cov = 0
         for i in range(dc):
             a = mask >> i & 1
             for j in range(dv):
                 b = mask >> (dc + j) & 1
-                uq |= (a ^ b) << (i * dv + j)
+                per_cell |= (a ^ b) << (i * dv + j)
                 cov |= (a | b) << (i * dv + j)
-        assert (t.py_uq[p], t.py_cov[p]) == (uq, cov)
-        a_v, a_c = part_sizes(mask, dc)
-        untouched = Fraction(uq.bit_count(), a_v * dv + a_c * dc)
+        row, col = t.rows[mask & ((1 << dc) - 1)], t.cols[mask >> dc]
+        assert (row ^ col, row | col) == (uq, cov) == (per_cell, cov)
+        sizes.add((*part_sizes(mask, dc), den))
+        untouched = Fraction(uq.bit_count(), den)
         lowest = untouched if lowest is None else min(lowest, untouched)
+    assert sorted(t.sizes) == sorted(sizes)
     assert t.min_untouched == lowest
 
 
@@ -119,15 +135,23 @@ def test_view_tables_match_per_cell_definition(degrees):
     [(1, 1), (1, 2), (2, 2), (2, 5), (3, 3), (3, 6), (3, 7), (4, 4), (4, 8), (8, 9), (6, 12)],
     ids=lambda d: f"{d[0]}-{d[1]}",
 )
-def test_score_ranks_match_fraction_oracle(degrees):
+def test_score_ranks_match_fraction_oracle(degrees, monkeypatch):
     """The integer scores num*(scale/den) sort as the Fractions num/den do,
-    and every mask's (den_off, num) slot holds its Fraction score's rank."""
-    t = _view_tables(*degrees)
-    scores, rank = score_ranks(*degrees)
+    and for every part size of the catalog's masks a memo's key list holds
+    each num's Fraction score rank up to its cutoff and _NO_KEY above it,
+    at a middle cutoff and at one that admits every score."""
+    dv, dc = degrees
+    t = _view_tables(dv, dc)
+    monkeypatch.setattr(t, "_memos", {})
+    scores, rank = score_ranks(dv, dc)
     assert [Fraction(x, t.scale) for x in t.scores] == scores
-    for off, den in set(zip(t.den_off.tolist(), t.py_den)):
-        got = t.ranks[off : off + t.grid_bits + 1].tolist()
-        assert got == [rank[k, den] for k in range(t.grid_bits + 1)], den
+    sizes = {(*part_sizes(mask, dc), den) for mask, _, den in unique_cells(dv, dc)}
+    for twoeps in (scores[len(scores) // 2], scores[-1]):
+        memo, _ = t.at_epsilon(twoeps / 2)
+        for a, b, den in sizes:
+            want = [rank[k, den] for k in range(t.grid_bits + 1)]
+            assert memo.keys[b][a] == [r if scores[r] <= twoeps else _NO_KEY for r in want], den
+        assert memo.keys[0][0] == [_NO_KEY] * (t.grid_bits + 1)
 
 
 def test_score_examples(mid_code):
@@ -405,14 +429,9 @@ def test_trace_replay_invariants(mid_code):
 def brute_min_need(delta_v, delta_c, twoeps):
     """Fewest suspicious unique cells a mask needs to score <= twoeps, over
     every locally reduced mask: |uq| - floor(twoeps * den)."""
-    t = _view_tables(delta_v, delta_c)
-    out = None
-    for mask in locally_reduced_masks(delta_v, delta_c):
-        a_v, a_c = part_sizes(mask, delta_c)
-        den = a_v * delta_v + a_c * delta_c
-        need = t.py_uq[mask_positions(t)[mask]].bit_count() - math.floor(twoeps * den)
-        out = need if out is None else min(out, need)
-    return out
+    return min(
+        uq.bit_count() - math.floor(twoeps * den) for _, uq, den in unique_cells(delta_v, delta_c)
+    )
 
 
 @pytest.mark.parametrize(
@@ -726,40 +745,29 @@ def test_trace_digests_pinned():
     assert got == {config[:4]: config[6] for config in PINNED_DIGESTS}
 
 
-def unique_cells(delta_v, delta_c):
-    """(mask, unique grid cells, weight) of every locally reduced mask, in
-    table order, from the per-cell definition."""
-    out = []
-    for mask in locally_reduced_masks(delta_v, delta_c):
-        uq = 0
-        for i in range(delta_c):
-            for j in range(delta_v):
-                if (mask >> i & 1) != (mask >> (delta_c + j) & 1):
-                    uq |= 1 << (i * delta_v + j)
-        a_v, a_c = part_sizes(mask, delta_c)
-        out.append((mask, uq, a_v * delta_v + a_c * delta_c))
-    return out
-
-
-def brute_best(cells, twoeps, rmask, retired):
-    """(score, position) of the lowest-scoring alive mask at or below twoeps,
-    lowest position on ties, in Fractions; None when nothing qualifies."""
-    best = None
-    for pos, (mask, uq, den) in enumerate(cells):
-        if mask & retired:
-            continue
-        s = Fraction((uq & ~rmask).bit_count(), den)
-        if s <= twoeps and (best is None or s < best[0]):
-            best = (s, pos)
-    return best
-
-
 @pytest.mark.parametrize(
-    "degrees", [(3, 6), (4, 4), (2, 5), (4, 8)], ids=lambda d: f"{d[0]}-{d[1]}"
+    "degrees",
+    [
+        (3, 6),
+        (4, 4),
+        (2, 5),
+        (4, 8),
+        # A candidate is one qubit: a CC part may fill half the view.
+        (1, 2),
+        # delta_v > delta_c: more CC subsets than grid rows.
+        (5, 3),
+        # Two-word grids, 72 cells each.
+        (8, 9),
+        (6, 12),
+    ],
+    ids=lambda d: f"{d[0]}-{d[1]}",
 )
 def test_best_candidate_memo_matches_exact_oracle(degrees, monkeypatch):
-    """Every memo entry is the Fraction brute force's best candidate, at a lazy
-    and at an eager cutoff, over the same states."""
+    """Every memo entry of the separable search is the best candidate of the
+    Fraction brute force, or of the numpy table scorer where the catalog is
+    too large for the Fraction loop, at a lazy and at an eager cutoff, over
+    the same states: the same score and the same mask, ties included.
+    Where both oracles run, they agree."""
     dv, dc = degrees
     t = _view_tables(dv, dc)
     monkeypatch.setattr(t, "_memos", {})
@@ -776,6 +784,7 @@ def test_best_candidate_memo_matches_exact_oracle(degrees, monkeypatch):
         retired = sum(1 << b for b in range(width) if rng.getrandbits(3) == 0)
         states.append((rmask, retired))
     cells = unique_cells(dv, dc)
+    brute = len(cells) < 10_000
     ties = 0
     for twoeps in (Fraction(1, 10), t.min_untouched):
         memo, _ = t.at_epsilon(twoeps / 2)
@@ -783,27 +792,24 @@ def test_best_candidate_memo_matches_exact_oracle(degrees, monkeypatch):
         fresh = memo._score(packed)
         found = [fresh[s] for s in packed]
         assert len(memo.entries) == len(set(states))
+        tables = table_best(dv, dc, twoeps, packed)
         qualified = 0
-        for (rmask, retired), best in zip(states, found):
-            key, pos = best >> 64, best & 0xFFFFFFFF
-            got = None if key == _NO_KEY else (Fraction(t.scores[key], t.scale), pos)
-            want = brute_best(cells, twoeps, rmask, retired)
-            assert got == want, (twoeps, rmask, retired)
-            if want is None:
-                continue
-            qualified += 1
-            tied = [
-                pos
-                for pos, (mask, uq, den) in enumerate(cells)
-                if not mask & retired and Fraction((uq & ~rmask).bit_count(), den) == want[0]
-            ]
-            ties += len(tied) > 1
+        for (rmask, retired), best, table in zip(states, found, tables):
+            key, mask = best >> 64, best & 0xFFFFFFFF
+            got = None if key == _NO_KEY else (Fraction(t.scores[key], t.scale), mask)
+            scored = table and table[:2]
+            want = brute_best(cells, twoeps, rmask, retired) if brute else scored
+            assert got == want == scored, (twoeps, rmask, retired)
+            if want is not None:
+                qualified += 1
+                ties += table[2] > 1
         assert 0 < qualified < len(states)
         # The fully retired states never qualify.
         assert found[1] >> 64 == found[2] >> 64 == _NO_KEY
     assert len(t._memos) == 2
-    # The untouched state at the eager cutoff ties between several masks.
-    assert ties
+    # The untouched state at the eager cutoff ties between several masks,
+    # and so do random states.
+    assert ties > 1
 
 
 class _WatchedEntries(dict):
