@@ -9,7 +9,7 @@ then finish with a restricted linear solve over the envelope.  Sub-packages:
 - ``gf2``        — bit-packed linear algebra, restricted solves, kernels
 - ``classical``  — the classical-expander analogue of the search stage
 - ``hgp``        — the product construction, its integer incidence, syndromes
-- ``reduction``  — the catalog of locally reduced masks, error reduction
+- ``reduction``  — error reduction and the cap on the local view
 - ``ssfind``     — the envelope search itself
 - ``erasure``    — the completion solve and coset judgement
 - ``harness``    — radius tables, Monte Carlo campaigns, one-shot decodes
@@ -65,7 +65,6 @@ from .hgp import (
 )
 from .reduction import (
     ReductionConfigError,
-    locally_reduced_masks,
     reduce_error,
 )
 from .ssfind import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .erasure import _peel
 from .gf2 import BitMatrix, BitVector, Gf2DimensionError, RestrictedSolver
 from .graphs import BipartiteGraph
 
@@ -112,41 +113,39 @@ def find_classical(code: ClassicalCode, syndrome: set[int], epsilon_v) -> FindRe
 def erase_decode_classical(code: ClassicalCode, word: BitVector, erasures) -> BitVector | None:
     """Fill in the erased coordinates of ``word``.
 
-    Peels checks with exactly one erased neighbor first; if peeling stalls,
-    solves the remaining restricted linear system.  Returns the completed
-    codeword, or None when the system is underdetermined (several codeword
-    completions).  Raises DecodeFailure when no completion satisfies the code.
+    Peels checks with exactly one erased neighbor first, with the quantum
+    solve's peeler (``erasure._peel``); if peeling stalls, solves the
+    remaining restricted linear system.  Returns the completed codeword, or
+    None when the system is underdetermined (several codeword completions).
+    Raises DecodeFailure when no completion satisfies the code.
     """
     if word.length != code.n:
         raise Gf2DimensionError(f"word length {word.length} != bit count {code.n}")
-    unknown = set()
+    erased = set()
     for v in erasures:
         if not 0 <= v < code.n:
             raise ValueError(f"erased bit {v} out of range [0, {code.n})")
-        unknown.add(v)
+        erased.add(v)
     bits = word.bits
-    for v in unknown:
+    for v in erased:
         bits &= ~(1 << v)
 
-    adj_c = code.graph.adj_c
-    unknown_count = [sum(1 for v in nbrs if v in unknown) for nbrs in adj_c]
-    queue = [c for c, k in enumerate(unknown_count) if k == 1]
-    while queue:
-        c = queue.pop()
-        if unknown_count[c] != 1:
-            continue
-        target = next(v for v in adj_c[c] if v in unknown)
-        value = 0
-        for v in adj_c[c]:
-            if v != target:
-                value ^= (bits >> v) & 1
-        if value:
-            bits |= 1 << target
-        unknown.discard(target)
-        for c2 in code.graph.adj_v[target]:
-            unknown_count[c2] -= 1
-            if unknown_count[c2] == 1:
-                queue.append(c2)
+    # The erased bits are the columns and each check meeting them a row, as
+    # a bit mask over the columns; a check whose known bits sum to 1 is
+    # flagged.  Peeling forces what it can, the same in every completion.
+    cols = sorted(erased)
+    col_checks = [code.graph.adj_v[v] for v in cols]
+    rows: dict[int, int] = {}
+    for p, checks in enumerate(col_checks):
+        for c in checks:
+            rows[c] = rows.get(c, 0) | 1 << p
+    values, left = _peel(rows, col_checks, classical_syndrome(code, BitVector(code.n, bits)))
+    unknown = []
+    for p, v in enumerate(cols):
+        if values >> p & 1:
+            bits |= 1 << v
+        elif left >> p & 1:
+            unknown.append(v)
 
     if unknown:
         h = code.parity_matrix()

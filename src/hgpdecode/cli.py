@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, help="write envelope.txt, trace.txt, verdict.txt here")
     p.add_argument("--reduce", choices=REDUCTIONS, default="none")
     p.add_argument("--detect-ambiguity", action="store_true")
-    p.add_argument("--verify-exit", action="store_true")
 
     p = sub.add_parser("montecarlo", help="run a trial campaign from a key=value config file")
     p.add_argument("--config", type=Path, required=True)
@@ -123,7 +122,6 @@ def _cmd_decode(args) -> int:
         args.graph, args.error, args.epsilon, args.out_dir,
         reduction=args.reduce,
         detect_ambiguity=args.detect_ambiguity,
-        verify_exit=args.verify_exit,
     )
     verdict = outcome.verdict
     coset = "-" if outcome.coset_equivalent is None else str(int(outcome.coset_equivalent))

@@ -544,7 +544,6 @@ def decode_once(
     *,
     reduction: str = "none",
     detect_ambiguity: bool = False,
-    verify_exit: bool = False,
 ) -> DecodeOutcome:
     """Full pipeline on one instance; optionally writes envelope/trace/verdict
     files under ``out_dir``.  File parse failures raise with line numbers."""
@@ -553,7 +552,7 @@ def decode_once(
     code = build_hgp(graph)
     error = qubitset_from_text(read_ascii(error_path), code)
     eps_value, _ = resolve_epsilon(epsilon, graph)
-    decoder = DecoderConfig(epsilon=eps_value, verify_exit=verify_exit)
+    decoder = DecoderConfig(epsilon=eps_value)
     reduced, search, verdict, coset = _decode(code, error, reduction, decoder, detect_ambiguity)
     files = ()
     if out_dir is not None:

@@ -1,11 +1,13 @@
-"""Reduced error representatives and the catalog of locally reduced masks.
+"""Reduced error representatives and the cap on the local view.
 
 A generator's support is a fixed-size local view: delta_c VV qubits (one per
 base neighbor of its right vertex) plus delta_v CC qubits (one per neighbor of
 its left vertex).  Subsets of one view are packed into (delta_v + delta_c)-bit
-masks — low bits the VV part in base-adjacency order, high bits the CC part —
-so the catalog of locally reduced sets depends only on the degree pair and is
-shared across all generators and all codes with those degrees.
+masks — low bits the VV part in base-adjacency order, high bits the CC part.
+A mask is locally reduced when it keeps at most half the view; the search
+scores those masks without listing them, and their catalog is a test oracle
+in ``tests/oracles.py``.  ``check_view_width`` refuses a view wider than
+``MAX_VIEW_WIDTH``.
 
 Toggling a generator's support never changes the syndrome.  Greedy
 reduction toggles until no toggle lowers the weight; at that fixpoint every
@@ -21,15 +23,11 @@ kept with the test oracles (``tests/oracles.py::brute_reduce``).
 
 from __future__ import annotations
 
-import functools
-
 from .hgp import HgpCode, QubitSet
 
 __all__ = [
     "REDUCTIONS",
     "ReductionConfigError",
-    "part_sizes",
-    "locally_reduced_masks",
     "reduce_error",
 ]
 
@@ -37,33 +35,21 @@ __all__ = [
 # The reduction modes, as campaigns, ``decode_once`` and ``--reduce`` accept them.
 REDUCTIONS = ("none", "greedy")
 
-# Widest local view whose candidate catalog is enumerated: a 20-qubit view
-# already has over 600 000 locally reduced masks.
+# Widest local view the search accepts.  It bounds the per-degree-pair grid
+# tables, 2^delta_c rows and 2^delta_v columns, and the 2^delta_v * delta_c
+# steps of scoring one state; at a 20-qubit view the grid has up to 100 cells.
 MAX_VIEW_WIDTH = 20
 
 
 class ReductionConfigError(ValueError):
-    """Local view too wide to enumerate (memory guard)."""
+    """Local view wider than MAX_VIEW_WIDTH (time and memory guard)."""
 
 
 def check_view_width(width: int) -> None:
     if width > MAX_VIEW_WIDTH:
         raise ReductionConfigError(
-            f"local view has {width} qubits, above the enumeration cap {MAX_VIEW_WIDTH}"
+            f"local view has {width} qubits, above the cap {MAX_VIEW_WIDTH}"
         )
-
-
-def part_sizes(mask: int, delta_c: int) -> tuple[int, int]:
-    """(VV count, CC count) of a local-view mask."""
-    return (mask & ((1 << delta_c) - 1)).bit_count(), (mask >> delta_c).bit_count()
-
-
-@functools.lru_cache(maxsize=None)
-def locally_reduced_masks(delta_v: int, delta_c: int) -> tuple[int, ...]:
-    """All nonempty locally reduced masks for one degree pair, ascending."""
-    width = delta_v + delta_c
-    # a_v + a_c of part_sizes is the mask's popcount.
-    return tuple(m for m in range(1, 1 << width) if 2 * m.bit_count() <= width)
 
 
 def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitSet:

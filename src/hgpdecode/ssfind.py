@@ -52,17 +52,21 @@ the pick is a C-level ``min`` over its values and no lazy decode allocates
 or scans anything of size num_gens.  An eager decode, where every generator
 qualifies from the start, keeps one rank key per generator in an
 ``array.array`` of C ints, whose item writes cost what a list's do, and
-selects by numpy argmin over a zero-copy view of it; argmin keeps the first
-minimum, so ties go to the lowest generator in both stores.  A pick walks
-the code's slot tables for its few qubits and fresh checks, so it costs the
-incidence it touches and builds no per-qubit or per-check list.
+selects by numpy argmin over a zero-copy view of it; the pick's mask is
+read back from the memo, so the key array is its one best-candidate store.
+argmin keeps the first minimum, so ties go to the lowest generator in both
+stores.  A pick walks the code's slot tables for its few qubits and fresh
+checks, so it costs the incidence it touches and builds no per-qubit or
+per-check list.
 
 Scoring thresholds, tie-breaking (lowest score, then generator index, then
 mask) and retirement (candidates sharing a qubit with the envelope never
 return) are deterministic, so a decode is replayable from (code, syndrome,
-config) alone.  The tests replay it against an exhaustive Fraction scorer
-over coordinate-pair sets (``score`` in ``tests/oracles.py``), and the exit
-audit ``_verify_exit`` sweeps the locally reduced mask catalog.
+config) alone.  Nothing here enumerates the locally reduced masks: the
+tests replay a decode against an exhaustive Fraction scorer over
+coordinate-pair sets (``score`` in ``tests/oracles.py``), and their exit
+audit (``exit_audit`` there) sweeps the mask catalog of every seeded
+generator.
 """
 
 from __future__ import annotations
@@ -75,14 +79,13 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import LineParseError, content_lines
 from .hgp import CheckSet, HgpCode, QubitSet
-from .reduction import check_view_width, locally_reduced_masks
+from .reduction import check_view_width
 
 __all__ = [
     "DecoderConfig",
@@ -117,7 +120,6 @@ class DecoderConfig:
     it had to be scored."""
 
     epsilon: Fraction
-    verify_exit: bool = False
     record_rescored: bool = False
 
     def __post_init__(self):
@@ -419,17 +421,14 @@ class SsfindState:
         self.suspicious_set = set(self.syndrome_set)
         self.trace: list[TraceEntry] = []
         self.words: dict[int, int] | list[int] = [0] * g_count if eager else {}
-        # Best candidates.  Eager: a rank key and the packed memo entry per
-        # generator; the keys are a C int array, written at list speed and
-        # read by argmin through a zero-copy numpy view.  Lazy: generator ->
-        # key << 64 | generator << 32 | mask for the touched generators
-        # that have a qualifier, and no others, so that the lowest value is
-        # the pick and nothing of size num_gens is allocated.
+        # Best candidates.  Eager: a rank key per generator, in a C int
+        # array written at list speed and read by argmin through a zero-copy
+        # numpy view; the pick reads its mask from the memo.  Lazy:
+        # generator -> key << 64 | generator << 32 | mask for the touched
+        # generators that have a qualifier, and no others, so that the lowest
+        # value is the pick and nothing of size num_gens is allocated.
         if eager:
             self.best_key = array("i", [_NO_KEY]) * g_count
-            # The packed memo entry; read only where best_key holds a rank,
-            # written with it.
-            self.best = [0] * g_count
             self._key_view = np.frombuffer(self.best_key, dtype=np.intc)
         else:
             self.qualifiers: dict[int, int] = {}
@@ -473,29 +472,6 @@ class SsfindState:
         flags[self._cell_keys(self.syndrome_set) >> self.code._cell_shift] = 1
         flags[list(self.words)] = 1
         return seeded
-
-    def _qualifying(self, g: int) -> list[int]:
-        """Alive masks of generator g that score at most 2*epsilon: the mask
-        catalog swept with each mask's cells read from the grid row and
-        column tables, independently of the memo's search.
-
-        Scores num/den compare with 2*epsilon = p/q as num*q <= p*den, exactly."""
-        t = self.tables
-        dv, dc, rows, cols = t.delta_v, t.delta_c, t.rows, t.cols
-        twoeps = 2 * self.config.epsilon
-        p, q = twoeps.numerator, twoeps.denominator
-        word = self._word(g)
-        not_r = ~(word >> t.width) & t.gridfull
-        retired = word & ((1 << t.width) - 1)
-        out = []
-        for mask in locally_reduced_masks(dv, dc):
-            if mask & retired:
-                continue
-            vv, cc = mask & ((1 << dc) - 1), mask >> dc
-            num = ((rows[vv] ^ cols[cc]) & not_r).bit_count()
-            if num * q <= p * (vv.bit_count() * dv + cc.bit_count() * dc):
-                out.append(mask)
-        return out
 
     # -- bookkeeping --
 
@@ -574,7 +550,7 @@ class SsfindState:
         eager = self.mode == "eager"
         lazy = not eager
         if eager:
-            keys, packed, key_view = self.best_key, self.best, self._key_view
+            keys, key_view = self.best_key, self._key_view
             dirty = range(code.num_gens)
         else:
             qualifiers = self.qualifiers
@@ -593,7 +569,6 @@ class SsfindState:
                             missed.append(g)
                         else:
                             keys[g] = b >> 64
-                            packed[g] = b
                 else:
                     for g in todo:
                         s = words[g]
@@ -618,7 +593,12 @@ class SsfindState:
                 g = int(key_view.argmin())
                 if keys[g] == _NO_KEY:
                     break
-                mask = packed[g] & _LOW32
+                # words[g] is unchanged since its key was read from the memo,
+                # which may have been cleared since: then it is scored again.
+                best = entries.get(words[g])
+                if best is None:
+                    best = self.memo._best(words[g])
+                mask = best & _LOW32
             else:
                 if not qualifiers:
                     break
@@ -692,8 +672,6 @@ class SsfindState:
                     len(envelope), len(suspicious),
                 )
             )
-        if config.verify_exit:
-            self._verify_exit()
         return SsfindResult(
             envelope=QubitSet.from_indices(code, envelope),
             suspicious=CheckSet.from_indices(code, suspicious),
@@ -703,35 +681,6 @@ class SsfindState:
             state=self,
             rescored=tuple(log) if log is not None else None,
         )
-
-    def _verify_exit(self) -> None:
-        """From-scratch exit audit: rebuild suspicious cells from R and
-        retired view bits from the envelope, and confirm no alive candidate
-        qualifies.  Unseeded generators (lazy mode) are untouched and cannot
-        qualify by the mode precondition, which is checked here against
-        min_untouched, independently of min_need; nor can they hold an
-        envelope qubit, whose checks all lie in their grid."""
-        if self.mode == "lazy" and not 2 * self.config.epsilon < self.tables.min_untouched:
-            raise AssertionError("lazy mode ran although untouched sets qualify")
-        code, envelope = self.code, self.envelope_set
-        rmask, retired = self.rmask, self.retired
-        for g in compress(range(code.num_gens), self.seeded):
-            if self._grid_cells(g, self.suspicious_set) != rmask(g):
-                raise AssertionError(
-                    f"incremental suspicious-cell mask diverged for generator {g}"
-                )
-            rebuilt = 0
-            for bit, q in enumerate(code.gen_qubits(g)):
-                if q in envelope:
-                    rebuilt |= 1 << bit
-            if rebuilt != retired(g):
-                raise AssertionError(f"retired view bits diverged for generator {g}")
-            qualifying = self._qualifying(g)
-            if qualifying:
-                raise AssertionError(
-                    f"candidate (generator {g}, mask {qualifying[0]:#x}) still "
-                    "qualifies at exit"
-                )
 
 
 def ssfind(code: HgpCode, sigma: CheckSet, config: DecoderConfig) -> SsfindResult:

@@ -21,13 +21,18 @@ their coordinate views (``vv_part``, ``cc_part``, ``members``); the check
 incidences of a set are counted over those pairs (``_incidences``), and
 ``score`` counts a candidate's pairs without building a set.
 Candidates come from the mask catalog ``locally_reduced_masks``, which
-``test_reduction`` checks against its definition; ``unique_cells`` gives
-each mask's unique grid cells and weight from the per-cell definition, and
-``brute_best`` a state's best candidate over them in Fractions.
-``alive_masks`` and ``cached_scores`` are the other side of the comparison:
-they read a finished search's incremental state.  Fast paths the package
-retired stay here as the references their replacements are tested against:
-the per-vector ``kernel_words``, the subset enumeration of
+``test_reduction`` checks against its definition of ``part_sizes``; the
+package scores masks without listing them, so the catalog lives only here.
+``unique_cells`` gives each mask's unique grid cells and weight from the
+per-cell definition, and ``brute_best`` a state's best candidate over them
+in Fractions.  ``alive_masks`` and ``cached_scores`` are the other side of
+the comparison: they read a finished search's incremental state.
+``exit_audit`` checks a finished search from scratch: it rebuilds every
+seeded generator's suspicious cells and retired bits from the code's
+incidence (``gen_checks``, ``gen_qubits``), and sweeps the catalog over
+``unique_cells`` for an alive mask that still qualifies.  Fast paths the
+package retired stay here as the references their replacements are tested
+against: the per-vector ``kernel_words``, the subset enumeration of
 ``expansion_by_enumeration``, the ``Fraction``-sorted ``score_ranks``,
 ``table_best``, the numpy scorer over every mask that the separable search
 replaced, and ``solve_by_elimination``, the envelope solve with no peeling,
@@ -49,7 +54,7 @@ import numpy as np
 from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver
 from hgpdecode.graphs import BipartiteGraph, _side_data
 from hgpdecode.hgp import CheckSet, HgpCode, QubitSet
-from hgpdecode.reduction import check_view_width, locally_reduced_masks, part_sizes
+from hgpdecode.reduction import check_view_width
 
 
 # --- GF(2) ---
@@ -354,6 +359,20 @@ def solve_by_elimination(code: HgpCode, sigma: CheckSet, envelope: QubitSet, det
 # --- candidates ---
 
 
+def part_sizes(mask: int, delta_c: int) -> tuple[int, int]:
+    """(VV count, CC count) of a local-view mask."""
+    return (mask & ((1 << delta_c) - 1)).bit_count(), (mask >> delta_c).bit_count()
+
+
+@functools.cache
+def locally_reduced_masks(delta_v: int, delta_c: int) -> tuple[int, ...]:
+    """All nonempty locally reduced masks for one degree pair, ascending:
+    the masks keeping at most half of the delta_v + delta_c view, whose
+    popcount is a_v + a_c of ``part_sizes``."""
+    width = delta_v + delta_c
+    return tuple(m for m in range(1, 1 << width) if 2 * m.bit_count() <= width)
+
+
 @dataclass(frozen=True)
 class Candidate:
     """A nonempty locally reduced subset of one generator's support."""
@@ -551,3 +570,37 @@ def cached_scores(state, g: int, masks) -> list[Fraction]:
         Fraction((uq & ~rmask).bit_count(), den)
         for _, uq, den in (cells[positions[m]] for m in masks)
     ]
+
+
+def exit_audit(state) -> None:
+    """Raise AssertionError unless ``state`` is a finished search.
+
+    Every seeded generator's suspicious cells are rebuilt from the
+    suspicious checks with ``gen_checks``, and its retired bits from the
+    envelope with ``gen_qubits``; both must equal the state's.  No alive
+    mask of its catalog may then score num/den <= 2*epsilon = p/q, compared
+    as num*q <= p*den.  An unseeded generator (lazy mode) holds no
+    suspicious cell, so it cannot qualify when 2*epsilon is below every
+    untouched score, which is checked against ``unique_cells``; nor can it
+    hold an envelope qubit, whose checks all lie in its grid."""
+    code = state.code
+    cells = unique_cells(code.delta_v, code.delta_c)
+    twoeps = 2 * state.config.epsilon
+    p, q = twoeps.numerator, twoeps.denominator
+    untouched = min(Fraction(uq.bit_count(), den) for _, uq, den in cells)
+    if state.mode == "lazy" and not twoeps < untouched:
+        raise AssertionError("lazy mode ran although untouched sets qualify")
+    for g, on in enumerate(state.seeded):
+        if not on:
+            continue
+        rmask = sum(1 << i for i, x in enumerate(code.gen_checks(g)) if x in state.suspicious_set)
+        if rmask != state.rmask(g):
+            raise AssertionError(f"incremental suspicious-cell mask diverged for generator {g}")
+        retired = sum(1 << i for i, x in enumerate(code.gen_qubits(g)) if x in state.envelope_set)
+        if retired != state.retired(g):
+            raise AssertionError(f"retired view bits diverged for generator {g}")
+        for mask, uq, den in cells:
+            if not mask & retired and (uq & ~rmask).bit_count() * q <= p * den:
+                raise AssertionError(
+                    f"candidate (generator {g}, mask {mask:#x}) still qualifies at exit"
+                )

@@ -32,7 +32,7 @@ from hgpdecode.gf2 import BitVector
 from hgpdecode.graphs import BipartiteGraph, audit_expansion, gen_biregular
 from hgpdecode.harness import CampaignConfig, campaign_to_text, montecarlo
 from hgpdecode.hgp import CheckSet, QubitSet, build_hgp, syndrome
-from hgpdecode.reduction import part_sizes, reduce_error
+from hgpdecode.reduction import reduce_error
 from hgpdecode.ssfind import DecoderConfig, min_untouched_score, ssfind
 
 from oracles import (
@@ -41,9 +41,11 @@ from oracles import (
     alive_masks,
     brute_reduce,
     cached_scores,
+    exit_audit,
     mask_pairs,
     mask_positions,
     mask_to_qubitset,
+    part_sizes,
     qnbhd,
     qnbhd_unique,
     score,
@@ -218,7 +220,6 @@ def test_part_size_product_bounded_by_quarter_weighted_size():
 
 def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None:
     twoeps = 2 * config.epsilon
-    p, q = twoeps.numerator, twoeps.denominator
     st = res.state
     delta = code.delta_v * code.delta_c
     cells = unique_cells(code.delta_v, code.delta_c)
@@ -227,19 +228,14 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
     # (b) suspicious region is exactly the syndrome plus the envelope's checks
     assert st.suspicious_set == sigma_set | set(qnbhd(code, res.envelope).to_indices(code))
 
-    # (a) at exit no alive candidate scores at or below threshold; generators
-    # never touched by a suspicious check still sit at their floor score
+    # (a) at exit no alive candidate scores at or below threshold, and every
+    # seeded generator's suspicious cells and retired bits match a rebuild
+    # from scratch; generators never touched by a suspicious check still sit
+    # at their floor score
+    exit_audit(st)
     for g in range(code.num_gens):
         if not seeded[g]:
             assert st.rmask(g) == 0
-            continue
-        retired = st.retired(g)
-        not_r = ~st.rmask(g)
-        for mask, uq, den in cells:
-            if mask & retired:
-                continue
-            # num / den > 2eps = p / q, cross-multiplied to stay in integers
-            assert (uq & not_r).bit_count() * q > p * den, (g, mask)
 
     # (c) growth bound replayed from the trace with exact arithmetic, on the
     # envelope's coordinate pairs: |VV| / delta_c + |CC| / delta_v is its

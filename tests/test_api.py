@@ -22,7 +22,9 @@ MODULES = [
 # distance hint, the truth-aware verdict helper, the second list of
 # reductions, and the HgpCode accessors that only the tests called; then the
 # lazy seed's side store of words and the per-generator view class; then the
-# per-mask arrays of the view tables that the separable search replaced.
+# per-mask arrays of the view tables that the separable search replaced; then
+# the exit audit's switch and sweep and the mask catalog, which moved to the
+# oracles.
 REMOVED = {
     "RowBasis", "rank", "in_rowspace", "solve_restricted", "neighbors", "unique_neighbors",
     "supp_generator", "supp_check", "qnbhd", "qnbhd_unique", "project", "weighted_norm", "dual",
@@ -35,6 +37,7 @@ REMOVED = {
     "qubit_gens", "check_gens", "gen_index", "gen_coords", "check_coords",
     "_GenView", "_seed_words", "_seed_masks", "_seed_gens", "seeded_gens",
     "split_words", "_CHUNK_PAIRS", "den_off", "np_masks", "np_uq", "py_uq", "py_cov", "py_den",
+    "verify_exit", "_verify_exit", "_qualifying", "locally_reduced_masks", "part_sizes",
 }
 
 
@@ -57,10 +60,10 @@ def test_package_names_are_module_exports():
 
 def test_removed_names_stay_out_of_the_package():
     """Also checked on a finished lazy search and its view tables, whose
-    instance attributes a class does not show."""
+    instance attributes a class does not show, and on the decoder config."""
     code = build_hgp(gen_biregular(2, 1, 2, seed=0))
     sigma = syndrome(code, QubitSet.from_indices(code, [0]))
     state = ssfind(code, sigma, DecoderConfig(epsilon=Fraction(1, 20))).state
     assert state.mode == "lazy"
-    for owner in (hgpdecode, *MODULES, code, SsfindState, state, state.tables):
+    for owner in (hgpdecode, *MODULES, code, SsfindState, state, state.tables, DecoderConfig):
         assert not {attr for attr in REMOVED if hasattr(owner, attr)}, owner

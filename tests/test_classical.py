@@ -183,6 +183,31 @@ def test_erase_matches_brute_force_nearest_codeword():
             assert got is None
     assert tested_unique > 20  # the oracle actually exercised the unique branch
 
+    # Words that need not be codewords: with no completion the decode raises
+    # DecodeFailure, with exactly one it returns it, with several None.
+    # Erasing up to six bits leaves some patterns that peeling cannot finish,
+    # so both the peeled and the eliminated branches are compared.
+    kinds = {"fail": 0, "unique": 0, "ambiguous": 0}
+    for _ in range(240):
+        w = rng.randrange(1 << 12)
+        erased = set(rng.sample(range(12), rng.randint(1, 6)))
+        visible_mask = ((1 << 12) - 1) ^ sum(1 << v for v in erased)
+        completions = [cw for cw in codewords if (cw & visible_mask) == (w & visible_mask)]
+        word = BitVector(12, w & visible_mask)
+        if not completions:
+            kinds["fail"] += 1
+            with pytest.raises(DecodeFailure):
+                erase_decode_classical(code, word, erased)
+            continue
+        got = erase_decode_classical(code, word, erased)
+        if len(completions) == 1:
+            kinds["unique"] += 1
+            assert got is not None and got.bits == completions[0]
+        else:
+            kinds["ambiguous"] += 1
+            assert got is None
+    assert min(kinds.values()) > 10, kinds
+
 
 def test_erase_peeling_handles_chain():
     # A pure peeling cascade: checks of degree 2 form a path, erasures resolve

@@ -161,6 +161,18 @@ def test_decode_reduce_exact_is_a_usage_error(tmp_path, graph_file, capsys):
     assert "invalid choice: 'exact'" in err and "none" in err and "greedy" in err
 
 
+def test_decode_verify_exit_is_a_usage_error(tmp_path, graph_file, capsys):
+    # The exit audit is a test oracle, not a decode option.
+    error_path = tmp_path / "error.txt"
+    error_path.write_text("VV 0 0\n")
+    argv = ["decode", "--graph", str(graph_file), "--error", str(error_path),
+            "--epsilon", "1/20", "--verify-exit"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--verify-exit" in capsys.readouterr().err
+
+
 def test_decode_missing_file_exits_two(graph_file, capsys):
     argv = ["decode", "--graph", str(graph_file), "--error", "/nonexistent/error.txt",
             "--epsilon", "1/20"]

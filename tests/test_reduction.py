@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from hgpdecode.graphs import BipartiteGraph, gen_biregular
 from hgpdecode.hgp import QubitSet, build_hgp, syndrome
-from hgpdecode.reduction import (
-    ReductionConfigError,
-    locally_reduced_masks,
-    part_sizes,
-    reduce_error,
-)
+from hgpdecode.reduction import ReductionConfigError, reduce_error
 
 from oracles import (
     Candidate,
@@ -22,7 +17,9 @@ from oracles import (
     enumerate_minsets,
     gen_index,
     is_locally_reduced,
+    locally_reduced_masks,
     mask_to_qubitset,
+    part_sizes,
     qnbhd,
     qnbhd_unique,
     qubit_gens,

@@ -12,7 +12,7 @@ import pytest
 
 from hgpdecode.graphs import BipartiteGraph, gen_biregular
 from hgpdecode.hgp import CheckSet, HgpCode, QubitSet, build_hgp, syndrome
-from hgpdecode.reduction import ReductionConfigError, part_sizes, reduce_error
+from hgpdecode.reduction import ReductionConfigError, reduce_error
 from hgpdecode.ssfind import (
     _NO_BEST,
     _NO_KEY,
@@ -36,7 +36,9 @@ from oracles import (
     candidate_seeding,
     check_gens,
     enumerate_minsets,
+    exit_audit,
     mask_to_qubitset,
+    part_sizes,
     qnbhd,
     qubit_gens,
     score,
@@ -172,7 +174,8 @@ def test_score_balanced_pair_unique_equals_syndrome():
 
 
 def test_ssfind_empty_syndrome(mid_code):
-    res = ssfind(mid_code, CheckSet.of(mid_code), lazy_config(verify_exit=True))
+    res = ssfind(mid_code, CheckSet.of(mid_code), lazy_config())
+    exit_audit(res.state)
     assert res.envelope == QubitSet.of(mid_code)
     assert res.trace == ()
     assert res.mode == "lazy"
@@ -186,7 +189,8 @@ def test_ssfind_single_qubit_lazy_covers():
     code = build_hgp(gen_biregular(60, 3, 6, seed=1))
     e = QubitSet.of(code, [(7, 31)])
     sig = syndrome(code, e)
-    res = ssfind(code, sig, lazy_config(verify_exit=True))
+    res = ssfind(code, sig, lazy_config())
+    exit_audit(res.state)
     assert res.mode == "lazy"
     assert e <= res.envelope
     assert res.envelope.weight < code.num_qubits // 10
@@ -198,7 +202,8 @@ def test_ssfind_eager_explosion(mid_code):
     # With 2*eps at or above every untouched score, qualification never stops
     # until every candidate is retired: the envelope is the full qubit set.
     e = QubitSet.of(mid_code, [(3, 4)])
-    res = ssfind(mid_code, syndrome(mid_code, e), eager_config(verify_exit=True))
+    res = ssfind(mid_code, syndrome(mid_code, e), eager_config())
+    exit_audit(res.state)
     assert res.mode == "eager"
     assert res.envelope.weight == mid_code.num_qubits
     assert len(res.suspicious) == mid_code.num_checks
@@ -234,18 +239,18 @@ def test_ssfind_iteration_cap(mid_code):
 
 
 def test_verify_exit_audits_retired(mid_code):
-    """The exit audit rebuilds every seeded generator's retired view bits from
-    the envelope: one flipped bit of ``retired`` after a run makes it raise
-    and name ``retired``, whether the flip retires a qubit outside the
-    envelope or revives one inside it, and so does a retired bit on a
-    generator a lazy decode never seeded."""
+    """The exit audit ``exit_audit`` rebuilds every seeded generator's retired
+    view bits from the envelope: one flipped bit of ``retired`` after a run
+    makes it raise and name ``retired``, whether the flip retires a qubit
+    outside the envelope or revives one inside it, and so does a retired bit
+    on a generator a lazy decode never seeded."""
     rng = random.Random(37)
     e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 2))
     sig = syndrome(mid_code, e)
     for cfg in (lazy_config(), eager_config()):
         st = SsfindState(mid_code, sig, cfg)
         assert st.run().trace
-        st._verify_exit()
+        exit_audit(st)
         retired = {g: st.retired(g) for g, on in enumerate(st.seeded) if on}
         g = min(g for g, bits in retired.items() if bits)
         flips = [(g, retired[g] & -retired[g])]
@@ -259,9 +264,36 @@ def test_verify_exit_audits_retired(mid_code):
             saved = copy.copy(st.words)
             st.words[g] = (st.rmask(g) << st.tables.width | st.retired(g)) ^ bit
             with pytest.raises(AssertionError, match="retired"):
-                st._verify_exit()
+                exit_audit(st)
             st.words = saved
-        st._verify_exit()
+        exit_audit(st)
+
+
+def test_exit_audit_fails_on_an_unrun_search(mid_code):
+    """Before ``run()`` a state's cells and retired bits are consistent (the
+    syndrome's cells, nothing retired), but the candidates its first pick
+    would take still qualify, so the audit raises on the qualifying step.
+    At epsilon = 0 those score exactly 2*epsilon, so equality must count as
+    qualifying.  After the run it passes, and it raises again on one flipped
+    suspicious cell, and on an eager state read as lazy, whose untouched
+    candidates qualify."""
+    e = QubitSet.from_indices(mid_code, [5])
+    sig = syndrome(mid_code, e)
+    for cfg in (lazy_config("0"), eager_config()):
+        st = SsfindState(mid_code, sig, cfg)
+        with pytest.raises(AssertionError, match="qualifies"):
+            exit_audit(st)
+        st.run()
+        exit_audit(st)
+        g = st.trace[0].generator
+        saved = copy.copy(st.words)
+        st.words[g] ^= 1 << st.tables.width
+        with pytest.raises(AssertionError, match="suspicious-cell"):
+            exit_audit(st)
+        st.words = saved
+    st.mode = "lazy"
+    with pytest.raises(AssertionError, match="untouched"):
+        exit_audit(st)
 
 
 def test_pick_walk_builds_no_incidence_lists(mid_code, monkeypatch):
@@ -336,11 +368,12 @@ def test_mode_threshold(mid_code):
 
 def test_cached_scores_match_slow_route(mid_code):
     rng = random.Random(15)
-    # verify_exit audits that nothing alive still qualifies at exit.
-    for cfg in (lazy_config("1/6", verify_exit=True), eager_config(verify_exit=True)):
+    for cfg in (lazy_config("1/6"), eager_config()):
         e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 2))
         res = ssfind(mid_code, syndrome(mid_code, e), cfg)
         state = res.state
+        # Nothing alive still qualifies at exit.
+        exit_audit(state)
         seeded_gens = [g for g, on in enumerate(state.seeded) if on]
         for g in rng.sample(seeded_gens, min(8, len(seeded_gens))):
             masks = alive_masks(state, g)
@@ -551,7 +584,7 @@ def test_engine_matches_exact_oracle(
     # At exit nothing alive may still qualify.  A wide view has tens of
     # thousands of masks per generator, so there only a few are swept.
     if exit_gens is None:
-        state._verify_exit()
+        exit_audit(state)
     else:
         for g in rng.sample(seeded, exit_gens):
             assert all(s > twoeps for s in cached_scores(state, g, alive_masks(state, g)))
@@ -723,13 +756,15 @@ def decode_digest(degrees, n, graph_seed, eps, decodes, max_weight, seed):
     code = build_hgp(gen_biregular(n, *degrees, seed=graph_seed))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        cfg = DecoderConfig(epsilon=Fraction(eps), verify_exit=n < 60)
+        cfg = DecoderConfig(epsilon=Fraction(eps))
     rng = random.Random(seed)
     h = hashlib.sha256()
     for _ in range(decodes):
         w = rng.randint(1, max_weight)
         e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), w))
         res = ssfind(code, syndrome(code, e), cfg)
+        if n < 60:
+            exit_audit(res.state)
         env = sorted(res.envelope.to_indices(code))
         h.update(f"{res.mode} {res.iterations}\n{trace_to_text(res.trace)}{env}\n".encode())
     return h.hexdigest()
