@@ -1,11 +1,16 @@
 """Classical expander codes: syndromes, the threshold-growing envelope finder,
-and peeling erasure decoding.
+and erasure completion.
 
 The envelope finder repeatedly adopts any bit whose check neighborhood is
 sufficiently suspicious (at least ``ceil((1 - 2*eps_v) * delta_v)`` suspicious
 checks) and marks that bit's checks suspicious in turn.  Its coverage and size
 guarantees are conditional theorems on audited expanders; the tests enforce
 them only where an audit certifies the hypotheses.
+
+Erasure completion runs the quantum solve's routine, ``erasure._complete``:
+the erased bits are its columns, and the checks that the known bits leave
+odd are its flagged checks.  It peels, and eliminates the erased bits when
+peeling leaves one unforced.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .erasure import _peel
-from .gf2 import BitMatrix, BitVector, Gf2DimensionError, RestrictedSolver
+from .erasure import _complete
+from .gf2 import BitVector, Gf2DimensionError
 from .graphs import BipartiteGraph
 
 __all__ = [
@@ -44,9 +49,6 @@ class ClassicalCode:
     @property
     def m(self) -> int:
         return self.graph.m
-
-    def parity_matrix(self) -> BitMatrix:
-        return BitMatrix.from_row_supports(self.m, self.n, self.graph.adj_c)
 
 
 @dataclass
@@ -113,11 +115,12 @@ def find_classical(code: ClassicalCode, syndrome: set[int], epsilon_v) -> FindRe
 def erase_decode_classical(code: ClassicalCode, word: BitVector, erasures) -> BitVector | None:
     """Fill in the erased coordinates of ``word``.
 
-    Peels checks with exactly one erased neighbor first, with the quantum
-    solve's peeler (``erasure._peel``); if peeling stalls, solves the
-    remaining restricted linear system.  Returns the completed codeword, or
-    None when the system is underdetermined (several codeword completions).
-    Raises DecodeFailure when no completion satisfies the code.
+    Solves for the erased bits with the quantum solve's routine
+    (``erasure._complete``): it peels checks with exactly one erased
+    neighbor, and if a bit is left unforced, eliminates the system of all the
+    erased bits.  Returns the completed codeword, or None when the system is
+    underdetermined (several codeword completions).  Raises DecodeFailure
+    when no completion satisfies the code.
     """
     if word.length != code.n:
         raise Gf2DimensionError(f"word length {word.length} != bit count {code.n}")
@@ -129,35 +132,15 @@ def erase_decode_classical(code: ClassicalCode, word: BitVector, erasures) -> Bi
     bits = word.bits
     for v in erased:
         bits &= ~(1 << v)
-
-    # The erased bits are the columns and each check meeting them a row, as
-    # a bit mask over the columns; a check whose known bits sum to 1 is
-    # flagged.  Peeling forces what it can, the same in every completion.
     cols = sorted(erased)
-    col_checks = [code.graph.adj_v[v] for v in cols]
-    rows: dict[int, int] = {}
-    for p, checks in enumerate(col_checks):
-        for c in checks:
-            rows[c] = rows.get(c, 0) | 1 << p
-    values, left = _peel(rows, col_checks, classical_syndrome(code, BitVector(code.n, bits)))
-    unknown = []
-    for p, v in enumerate(cols):
-        if values >> p & 1:
-            bits |= 1 << v
-        elif left >> p & 1:
-            unknown.append(v)
-
-    if unknown:
-        h = code.parity_matrix()
-        b = h.mul_vector(BitVector(code.n, bits))
-        solver = RestrictedSolver(h, unknown)
-        x = solver.solve(b)
-        if x is None:
-            raise DecodeFailure("erased coordinates cannot be completed to a codeword")
-        if solver.rank < len(unknown):
-            return None  # several codeword completions
-        bits ^= x.bits
-
+    flagged = classical_syndrome(code, BitVector(code.n, bits))
+    _, solution, solver = _complete([code.graph.adj_v[v] for v in cols], flagged)
+    if solution is None:
+        raise DecodeFailure("erased coordinates cannot be completed to a codeword")
+    if solver is not None and solver.rank < len(cols):
+        return None  # several codeword completions
+    for p in solution:
+        bits |= 1 << cols[p]
     completed = BitVector(code.n, bits)
     if classical_syndrome(code, completed):
         raise DecodeFailure("known coordinates are inconsistent with the code")

@@ -14,9 +14,16 @@ it is the canonical one and there is no kernel to test; a lazy envelope of
 a few qubits is solved this way in O(Δ·|envelope|) row operations.  When a
 qubit is left over, the whole envelope is factorized by elimination and
 peeling's values are not used, so the canonical solution, the status and
-``rows_touched`` are the ones elimination alone gives.  The last
-factorization is kept on the code; the eager whole-code envelope never
-peels, and every solve after the first hits it.
+``rows_touched`` are the ones elimination alone gives.
+
+One routine, ``_complete``, does this for both codes: it takes each
+column's checks and the flagged checks, and returns the rows, the
+solution and the factorization.  ``classical.erase_decode_classical``
+calls it with the erased bits as columns, as Viderman's decoder ends in
+erasure correction on its envelope.  The last factorization of a quantum
+solve is kept on the code, and only ``erase_decode_quantum`` reads or
+writes it; the eager whole-code envelope never peels, and every solve
+after the first hits it.
 
 Any solution is as good as the true error whenever the envelope stays below
 the code distance: two solutions differ by a kernel element supported on the
@@ -107,53 +114,72 @@ def erase_decode_quantum(
     flagged = set(sigma.to_indices(code))
     cached = getattr(code, "_erasure_solver", None)
     if cached is not None and cached[0] == cols:
-        _, row_pos, solver = cached
+        rows, solution, solver = _complete(None, flagged, cached[1:])
     else:
-        col_checks = list(map(code.qubit_checks, cols))
-        rows: dict[int, int] = {}
-        # Highest column first: each row's bit mask is allocated at its
-        # full size once, and a whole-code envelope's 4 500-bit rows are
-        # not regrown in turn, which fragments the heap.
-        for p in reversed(range(len(cols))):
-            bit = 1 << p
-            for x in col_checks[p]:
-                rows[x] = rows.get(x, 0) | bit
-        # Until a factorization is needed, only the keys of row_pos are read.
-        row_pos, solver = rows, None
-    outside = len(flagged.difference(row_pos))
-    rows_touched = len(row_pos) + outside
-    if outside:
-        return DecodeVerdict(QubitSet(code.n, code.m), "no-solution", rows_touched)
-    if solver is None:
-        values, unknown = _peel(rows, col_checks, flagged)
-        if not unknown:
-            # The forced values are the only candidate: a solution exactly
-            # when their syndrome is sigma.
-            picked = [p for p in range(len(cols)) if values >> p & 1]
-            odd: set[int] = set()
-            for p in picked:
-                odd.symmetric_difference_update(col_checks[p])
-            if odd != flagged:
-                return DecodeVerdict(QubitSet(code.n, code.m), "no-solution", rows_touched)
-            correction = QubitSet.from_indices(code, (cols[p] for p in picked))
-            return DecodeVerdict(correction, "success", rows_touched)
-        del col_checks
-        row_pos, solver = _factorize(code, cols, rows)
-    b_bits = 0
-    for x in flagged:
-        b_bits |= 1 << row_pos[x]
-    solution = solver.solve(BitVector(len(row_pos), b_bits))
+        rows, solution, solver = _complete(list(map(code.qubit_checks, cols)), flagged)
+        if solver is not None:
+            code._erasure_solver = (cols, rows, solver)
+    rows_touched = len(rows) + len(flagged.difference(rows))
     if solution is None:
         return DecodeVerdict(QubitSet(code.n, code.m), "no-solution", rows_touched)
-    correction = QubitSet.from_indices(code, (cols[p] for p in solution.support()))
+    correction = QubitSet.from_indices(code, (cols[p] for p in solution))
     status = "success"
-    if detect_ambiguity:
+    if detect_ambiguity and solver is not None:
         span = code.generator_basis()
         for k in solver.iter_kernel():
             if not span.contains(cols[p] for p in k.support()):
                 status = "ambiguous-logical"
                 break
     return DecodeVerdict(correction, status, rows_touched)
+
+
+def _complete(
+    col_checks: list[list[int]] | None,
+    flagged: set[int],
+    factored: tuple[dict[int, int], RestrictedSolver] | None = None,
+) -> tuple[dict[int, int], list[int] | None, RestrictedSolver | None]:
+    """(rows, solution, solver): the erasure system of the columns whose
+    checks ``col_checks`` lists, solved for the checks ``flagged`` to read 1
+    and every other check 0.
+
+    ``rows`` is keyed by the checks the columns meet.  ``solution`` lists
+    the column positions the canonical solution sets, ascending, or is None
+    when there is none: a flagged check outside the rows has no column to
+    satisfy it.  ``solver`` is the factorization of the rows, with ``rows``
+    mapping each check to its row position, or None when peeling forced
+    every column.  ``factored``, the (row positions, solver) pair of these
+    same columns, skips building and peeling."""
+    if factored is not None:
+        rows, solver = factored
+    else:
+        rows, solver = {}, None
+        # Highest column first: each row's bit mask is allocated at its
+        # full size once, and a whole-code envelope's 4 500-bit rows are
+        # not regrown in turn, which fragments the heap.
+        for p in reversed(range(len(col_checks))):
+            bit = 1 << p
+            for x in col_checks[p]:
+                rows[x] = rows.get(x, 0) | bit
+    if flagged.difference(rows):
+        return rows, None, solver
+    if solver is None:
+        values, unknown = _peel(rows, col_checks, flagged)
+        if not unknown:
+            # The forced values are the only candidate: a solution exactly
+            # when their syndrome is the flagged set.
+            solution = BitVector(len(col_checks), values).support()
+            odd: set[int] = set()
+            for p in solution:
+                odd.symmetric_difference_update(col_checks[p])
+            return rows, solution if odd == flagged else None, None
+        num_cols = len(col_checks)
+        del col_checks
+        rows, solver = _factorize(rows, num_cols)
+    b_bits = 0
+    for x in flagged:
+        b_bits |= 1 << rows[x]
+    solution = solver.solve(BitVector(len(rows), b_bits))
+    return rows, None if solution is None else solution.support(), solver
 
 
 def _peel(rows: dict[int, int], col_checks: list[list[int]], flagged: set[int]) -> tuple[int, int]:
@@ -184,13 +210,10 @@ def _peel(rows: dict[int, int], col_checks: list[list[int]], flagged: set[int]) 
     return values, unknown
 
 
-def _factorize(code: HgpCode, cols: tuple[int, ...], rows: dict[int, int]) -> tuple[dict[int, int], RestrictedSolver]:
-    """The position of each of the columns' checks among them, ascending,
-    and the factorization of the checks x cols matrix, kept on the code.
-    ``rows`` maps each check to its columns as a bit mask, its matrix row."""
+def _factorize(rows: dict[int, int], num_cols: int) -> tuple[dict[int, int], RestrictedSolver]:
+    """The position of each of the rows' checks among them, ascending, and
+    the factorization of the checks x columns matrix.  ``rows`` maps each
+    check to its columns as a bit mask, its matrix row."""
     order = sorted(rows)
-    row_pos = {x: r for r, x in enumerate(order)}
-    sub = BitMatrix(len(order), len(cols), [rows[x] for x in order])
-    solver = RestrictedSolver(sub, range(len(cols)))
-    code._erasure_solver = (cols, row_pos, solver)
-    return row_pos, solver
+    sub = BitMatrix(len(order), num_cols, [rows[x] for x in order])
+    return {x: r for r, x in enumerate(order)}, RestrictedSolver(sub)

@@ -144,18 +144,9 @@ class BitMatrix:
                 bits ^= low
         return BitMatrix(self.cols, self.rows, out)
 
-    def mul_vector(self, v: BitVector) -> BitVector:
-        if v.length != self.cols:
-            raise Gf2DimensionError("vector length does not match column count")
-        acc = 0
-        for i, bits in enumerate(self.row_bits):
-            if _parity(bits & v.bits):
-                acc |= 1 << i
-        return BitVector(self.rows, acc)
-
 
 class RestrictedSolver:
-    """Factor ``A`` restricted to a fixed column support, then solve many ``A·x = b``.
+    """Factor ``A``, then solve many ``A·x = b``.
 
     The factorization records, for every echelon row, which original rows were
     combined into it, so each later ``solve`` only has to fold a new right-hand
@@ -164,21 +155,14 @@ class RestrictedSolver:
     the canonical one (the unique-RREF solution).
     """
 
-    def __init__(self, a: BitMatrix, support) -> None:
-        support_mask = 0
-        for j in support:
-            if not 0 <= j < a.cols:
-                raise Gf2DimensionError(f"support column {j} out of range [0, {a.cols})")
-            support_mask |= 1 << j
+    def __init__(self, a: BitMatrix) -> None:
         self.cols = a.cols
         self.rows = a.rows
-        self.support_mask = support_mask
-        # Echelon rows: pivot column -> (masked row bits, combination over input rows).
+        # Echelon rows: pivot column -> (row bits, combination over input rows).
         self._pivots: dict[int, tuple[int, int]] = {}
         # Combinations that eliminated to zero: consistency constraints on b.
         self._null_combos: list[int] = []
-        for i, raw in enumerate(a.row_bits):
-            bits = raw & support_mask
+        for i, bits in enumerate(a.row_bits):
             combo = 1 << i
             while bits:
                 low = (bits & -bits).bit_length() - 1
@@ -197,8 +181,8 @@ class RestrictedSolver:
         return len(self._pivots)
 
     def solve(self, b: BitVector) -> BitVector | None:
-        """Return the canonical solution of ``A·x = b`` with x supported on the
-        factored columns, or None if the system is inconsistent."""
+        """Return the canonical solution of ``A·x = b``, or None if the system
+        is inconsistent."""
         if b.length != self.rows:
             raise Gf2DimensionError("right-hand side length does not match row count")
         bb = b.bits
@@ -214,12 +198,12 @@ class RestrictedSolver:
         return BitVector(self.cols, x)
 
     def free_columns(self) -> list[int]:
-        """The factored columns that carry no pivot, ascending.
+        """The columns that carry no pivot, ascending.
 
         Pivots are lowest set bits of distinct echelon rows, so every nonzero
-        vector in the row space of ``A`` (masked to the support) has a 1 on
-        some pivot column and none lies entirely on the free columns."""
-        frees = self.support_mask
+        vector in the row space of ``A`` has a 1 on some pivot column and
+        none lies entirely on the free columns."""
+        frees = (1 << self.cols) - 1
         for col in self._pivots:
             frees &= ~(1 << col)
         return BitVector(self.cols, frees).support()
@@ -243,8 +227,7 @@ class RestrictedSolver:
         All vectors are back-substituted at once.  Free column t gets the
         word ``1 << t`` (its own vector holds it, no other does); then each
         pivot column, in descending order, gets the XOR of the words of its
-        echelon row's other columns, which are higher and already set.
-        Columns off the support get 0."""
+        echelon row's other columns, which are higher and already set."""
         words = [0] * self.cols
         for t, free in enumerate(self.free_columns()):
             words[free] = 1 << t
@@ -259,8 +242,8 @@ class RestrictedSolver:
         return words
 
     def kernel_basis(self) -> list[BitVector]:
-        """A basis of ``{x supported on the factored columns : A·x = 0}``.
+        """A basis of ``{x : A·x = 0}``.
 
         One vector per free column (that column set to 1, other frees 0),
-        so the basis size is support size minus rank."""
+        so the basis size is the column count minus rank."""
         return list(self.iter_kernel())

@@ -326,12 +326,12 @@ class StabilizerSpan:
         base = code.base
         h = BitMatrix.from_row_supports(base.m, base.n, base.adj_c)
         self._code = code
-        vv = RestrictedSolver(h, range(base.n))
+        vv = RestrictedSolver(h)
         self._vv_words, vv_free = vv.kernel_words(), vv.free_columns()
         self._cc_words, cc_free = [0] * base.m, []
         if base.m > vv.rank:
             ht = BitMatrix.from_row_supports(base.n, base.m, base.adj_v)
-            cc = RestrictedSolver(ht, range(base.m))
+            cc = RestrictedSolver(ht)
             self._cc_words, cc_free = cc.kernel_words(), cc.free_columns()
         self._vv_free = frozenset(vv_free)
         self._cc_free = frozenset(cc_free)

@@ -341,7 +341,7 @@ def solve_by_elimination(code: HgpCode, sigma: CheckSet, envelope: QubitSet, det
         supports = (
             [col_pos[q] for q in supp_check(code, x).to_indices(code) if q in col_pos] for x in rows
         )
-        solver = RestrictedSolver(BitMatrix.from_row_supports(len(rows), len(cols), supports), range(len(cols)))
+        solver = RestrictedSolver(BitMatrix.from_row_supports(len(rows), len(cols), supports))
         row_pos = {x: r for r, x in enumerate(rows)}
         solution = solver.solve(BitVector.from_support(len(rows), [row_pos[x] for x in flagged]))
     if solution is None:

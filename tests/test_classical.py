@@ -15,7 +15,7 @@ from hgpdecode.classical import (
     erase_decode_classical,
     find_classical,
 )
-from hgpdecode.gf2 import BitVector
+from hgpdecode.gf2 import BitMatrix, BitVector
 from hgpdecode.graphs import BipartiteGraph, audit_expansion, gen_biregular
 
 from oracles import neighbors
@@ -163,7 +163,7 @@ def test_erase_matches_brute_force_nearest_codeword():
     # must be decoded back to the original codeword (brute-force oracle).
     g = gen_biregular(12, 3, 6, seed=4)
     code = ClassicalCode(g)
-    h = code.parity_matrix()
+    h = BitMatrix.from_row_supports(code.m, code.n, g.adj_c)
     codewords = [w for w in range(1 << 12) if all(
         ((row & w).bit_count() & 1) == 0 for row in h.row_bits
     )]

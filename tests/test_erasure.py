@@ -166,6 +166,21 @@ def test_factorization_cache_and_determinism(mid_code):
     verdict = erase_decode_quantum(mid_code, syndrome(mid_code, sub), sub)
     assert verdict.status == "success" and verdict.correction == sub
     assert mid_code._erasure_solver is cached
+    # On the cached envelope, a flagged check that no envelope qubit touches
+    # still rules every correction out, counts among the rows touched, and
+    # keeps the cached factorization.
+    cols, row_pos, solver = cached
+    far = next(x for x in range(mid_code.num_checks) if x not in row_pos)
+    sigma = CheckSet.from_indices(mid_code, [*syndrome(mid_code, sub).to_indices(mid_code), far])
+    envelope = QubitSet.from_indices(mid_code, cols)
+    verdict = erase_decode_quantum(mid_code, sigma, envelope)
+    assert verdict == DecodeVerdict(QubitSet.of(mid_code), "no-solution", len(row_pos) + 1)
+    assert mid_code._erasure_solver[2] is solver
+    # With nothing cached, the same solve gives the same verdict and
+    # factorizes nothing.
+    mid_code._erasure_solver = None
+    assert erase_decode_quantum(mid_code, sigma, envelope) == verdict
+    assert mid_code._erasure_solver is None
 
 
 def test_full_envelope_ambiguity_split(path_code, single_edge_code):
@@ -243,7 +258,7 @@ def _kernel_in_span(code, sigma, envelope):
     span = code.generator_basis()
     return [
         span.contains(cols[p] for p in k.support())
-        for k in RestrictedSolver(sub, range(len(cols))).kernel_basis()
+        for k in RestrictedSolver(sub).kernel_basis()
     ]
 
 
@@ -308,9 +323,9 @@ def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
     built = []
 
     class Recording(RestrictedSolver):
-        def __init__(self, a, support):
+        def __init__(self, a):
             built.append(list(a.row_bits))
-            super().__init__(a, support)
+            super().__init__(a)
 
     monkeypatch.setattr(erasure, "RestrictedSolver", Recording)
     monkeypatch.setattr(mid_code, "_erasure_solver", None, raising=False)
