@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from hgpdecode import BipartiteGraph, audit_expansion
 from hgpdecode.classical import ClassicalCode, classical_syndrome, find_classical
-from hgpdecode.gf2 import BitVector
 
 NUM_VERTICES = 20
 edges = list(itertools.combinations(range(NUM_VERTICES), 2))
@@ -36,7 +35,7 @@ for combo in [(4,), (4, 17), (0, 9, 13)]:
     bits = 0
     for i in combo:
         bits |= 1 << i
-    sigma = classical_syndrome(code, BitVector(code.n, bits))
+    sigma = classical_syndrome(code, bits)
     res = find_classical(code, sigma, eps_v)
     cap = Fraction(len(combo)) / (1 - 3 * eps_v)
     print(f"error {combo}: |sigma|={len(sigma)}, envelope {sorted(res.envelope)} "

@@ -6,7 +6,7 @@ chasing generator half-supports whose unique-neighbourhood score is small,
 then finish with a restricted linear solve over the envelope.  Sub-packages:
 
 - ``graphs``     — base graphs, sampling, expansion audits
-- ``gf2``        — bit-packed linear algebra, factor-once solves, kernels
+- ``gf2``        — linear algebra on int bit sets, factor-once solves, kernels
 - ``classical``  — the classical-expander analogue of the search stage
 - ``hgp``        — the product construction, its integer incidence, syndromes
 - ``reduction``  — error reduction and the cap on the local view

@@ -11,6 +11,11 @@ Erasure completion runs the quantum solve's routine, ``erasure._complete``:
 the erased bits are its columns, and the checks that the known bits leave
 odd are its flagged checks.  It peels, and eliminates the erased bits when
 peeling leaves one unforced.
+
+A word is a plain int whose bit ``v`` is bit ``v`` of the code.  The two
+entry points that take one, ``classical_syndrome`` and
+``erase_decode_classical``, refuse a word that is negative or has a bit at
+``n`` or above (``Gf2DimensionError``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .erasure import _complete
-from .gf2 import BitVector, Gf2DimensionError
+from .gf2 import Gf2DimensionError, bit_positions
 from .graphs import BipartiteGraph
 
 __all__ = [
@@ -60,17 +65,18 @@ class FindResult:
     """Per-iteration records ``(bit, suspicious_hits, |L|, |R|)``."""
 
 
-def classical_syndrome(code: ClassicalCode, word: BitVector) -> set[int]:
-    """Checks whose neighborhood XORs to 1 under ``word``."""
-    if word.length != code.n:
-        raise Gf2DimensionError(f"word length {word.length} != bit count {code.n}")
-    out = set()
-    for c, nbrs in enumerate(code.graph.adj_c):
-        acc = 0
-        for v in nbrs:
-            acc ^= (word.bits >> v) & 1
-        if acc:
-            out.add(c)
+def _check_word(code: ClassicalCode, word: int) -> None:
+    if word < 0 or word >> code.n:
+        raise Gf2DimensionError(f"word has bits outside the {code.n} bits of the code")
+
+
+def classical_syndrome(code: ClassicalCode, word: int) -> set[int]:
+    """Checks whose neighborhood XORs to 1 under ``word``, an int whose bit
+    ``v`` is bit ``v`` of the code: each set bit's checks toggle in and out."""
+    _check_word(code, word)
+    out: set[int] = set()
+    for v in bit_positions(word):
+        out.symmetric_difference_update(code.graph.adj_v[v])
     return out
 
 
@@ -112,7 +118,7 @@ def find_classical(code: ClassicalCode, syndrome: set[int], epsilon_v) -> FindRe
     return FindResult(envelope, suspicious, len(envelope), trace)
 
 
-def erase_decode_classical(code: ClassicalCode, word: BitVector, erasures) -> BitVector | None:
+def erase_decode_classical(code: ClassicalCode, word: int, erasures) -> int | None:
     """Fill in the erased coordinates of ``word``.
 
     Solves for the erased bits with the quantum solve's routine
@@ -122,18 +128,17 @@ def erase_decode_classical(code: ClassicalCode, word: BitVector, erasures) -> Bi
     underdetermined (several codeword completions).  Raises DecodeFailure
     when no completion satisfies the code.
     """
-    if word.length != code.n:
-        raise Gf2DimensionError(f"word length {word.length} != bit count {code.n}")
+    _check_word(code, word)
     erased = set()
     for v in erasures:
         if not 0 <= v < code.n:
             raise ValueError(f"erased bit {v} out of range [0, {code.n})")
         erased.add(v)
-    bits = word.bits
+    bits = word
     for v in erased:
         bits &= ~(1 << v)
     cols = sorted(erased)
-    flagged = classical_syndrome(code, BitVector(code.n, bits))
+    flagged = classical_syndrome(code, bits)
     _, solution, solver = _complete([code.graph.adj_v[v] for v in cols], flagged)
     if solution is None:
         raise DecodeFailure("erased coordinates cannot be completed to a codeword")
@@ -141,8 +146,7 @@ def erase_decode_classical(code: ClassicalCode, word: BitVector, erasures) -> Bi
         return None  # several codeword completions
     for p in solution:
         bits |= 1 << cols[p]
-    completed = BitVector(code.n, bits)
-    if classical_syndrome(code, completed):
+    if classical_syndrome(code, bits):
         raise DecodeFailure("known coordinates are inconsistent with the code")
-    return completed
+    return bits
 

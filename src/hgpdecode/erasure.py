@@ -38,14 +38,19 @@ kernels: no N-column matrix is formed at any size.
 The restricted matrix is built from the envelope side: each envelope column
 lists its checks, and every row collects the columns that name it as a bit
 mask, so building costs O(Δ·|envelope|) dict updates and no check's support
-is scanned for envelope membership.
+is scanned for envelope membership.  The rows are plain ints over column
+positions, which ``RestrictedSolver`` takes as they are; a solution comes
+back as an int, and ``gf2.bit_positions`` lists its columns.  Each entry
+point checks once that its sets belong to its code; the envelope's indices
+are then sorted, since column order fixes the canonical solution, and the
+syndrome's are read as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, RestrictedSolver
+from .gf2 import RestrictedSolver, bit_positions
 from .hgp import CheckSet, HgpCode, QubitSet
 
 __all__ = ["DecodeVerdict", "erase_decode_quantum", "verify_coset"]
@@ -69,7 +74,7 @@ class DecodeVerdict:
 def verify_coset(code: HgpCode, correction: QubitSet, true_error: QubitSet) -> bool:
     """True iff the correction and the true error differ by a sum of
     generator supports — i.e. they act identically on the code space."""
-    return code.generator_basis().contains((correction ^ true_error).to_indices(code))
+    return code.generator_basis().contains((correction ^ true_error)._same(code).indices)
 
 
 def erase_decode_quantum(
@@ -110,8 +115,8 @@ def erase_decode_quantum(
     back-substitution, and are not peeled again.  Every eager-mode solve
     hits it: the envelope is the whole code.
     """
-    cols = tuple(envelope.to_indices(code))
-    flagged = set(sigma.to_indices(code))
+    cols = tuple(sorted(envelope._same(code).indices))
+    flagged = sigma._same(code).indices
     cached = getattr(code, "_erasure_solver", None)
     if cached is not None and cached[0] == cols:
         rows, solution, solver = _complete(None, flagged, cached[1:])
@@ -122,12 +127,12 @@ def erase_decode_quantum(
     rows_touched = len(rows) + len(flagged.difference(rows))
     if solution is None:
         return DecodeVerdict(QubitSet(code.n, code.m), "no-solution", rows_touched)
-    correction = QubitSet.from_indices(code, (cols[p] for p in solution))
+    correction = QubitSet(code.n, code.m, frozenset([cols[p] for p in solution]))
     status = "success"
     if detect_ambiguity and solver is not None:
         span = code.generator_basis()
         for k in solver.iter_kernel():
-            if not span.contains(cols[p] for p in k.support()):
+            if not span.contains(cols[p] for p in bit_positions(k)):
                 status = "ambiguous-logical"
                 break
     return DecodeVerdict(correction, status, rows_touched)
@@ -135,7 +140,7 @@ def erase_decode_quantum(
 
 def _complete(
     col_checks: list[list[int]] | None,
-    flagged: set[int],
+    flagged: set[int] | frozenset[int],
     factored: tuple[dict[int, int], RestrictedSolver] | None = None,
 ) -> tuple[dict[int, int], list[int] | None, RestrictedSolver | None]:
     """(rows, solution, solver): the erasure system of the columns whose
@@ -167,7 +172,7 @@ def _complete(
         if not unknown:
             # The forced values are the only candidate: a solution exactly
             # when their syndrome is the flagged set.
-            solution = BitVector(len(col_checks), values).support()
+            solution = bit_positions(values)
             odd: set[int] = set()
             for p in solution:
                 odd.symmetric_difference_update(col_checks[p])
@@ -178,11 +183,13 @@ def _complete(
     b_bits = 0
     for x in flagged:
         b_bits |= 1 << rows[x]
-    solution = solver.solve(BitVector(len(rows), b_bits))
-    return rows, None if solution is None else solution.support(), solver
+    solution = solver.solve(b_bits)
+    return rows, None if solution is None else bit_positions(solution), solver
 
 
-def _peel(rows: dict[int, int], col_checks: list[list[int]], flagged: set[int]) -> tuple[int, int]:
+def _peel(
+    rows: dict[int, int], col_checks: list[list[int]], flagged: set[int] | frozenset[int]
+) -> tuple[int, int]:
     """(values, unknown): the column values peeling forces, and the columns
     it leaves unforced, as bit masks over column positions.
 
@@ -215,5 +222,4 @@ def _factorize(rows: dict[int, int], num_cols: int) -> tuple[dict[int, int], Res
     the factorization of the checks x columns matrix.  ``rows`` maps each
     check to its columns as a bit mask, its matrix row."""
     order = sorted(rows)
-    sub = BitMatrix(len(order), num_cols, [rows[x] for x in order])
-    return {x: r for r, x in enumerate(order)}, RestrictedSolver(sub)
+    return {x: r for r, x in enumerate(order)}, RestrictedSolver([rows[x] for x in order], num_cols)

@@ -1,10 +1,13 @@
-"""Dense GF(2) linear algebra on bit-packed rows.
+"""Dense GF(2) linear algebra on Python ints used as bit sets.
 
-Rows live in Python integers used as bit sets (bit ``j`` = column ``j``), so a
-row elimination step is a single big-int XOR.  That keeps Gaussian elimination
-cache-linear and fast enough for the matrices this package meets (up to a few
-thousand rows and ~20,000 columns); nothing here attempts sparse or
-asymptotically fast algebra.
+A vector, or a matrix row, is a plain int whose bit ``j`` is coordinate
+``j``, so a row elimination step is a single big-int XOR.  That keeps
+Gaussian elimination cache-linear and fast enough for the matrices this
+package meets (up to a few thousand rows and ~20,000 columns); nothing here
+attempts sparse or asymptotically fast algebra.  A matrix is a list of rows
+and its column count; ``RestrictedSolver`` checks, once, that its rows and
+each right-hand side fit their declared lengths, and ``bit_positions`` walks
+the set bits of a result.
 
 Solutions of underdetermined systems are canonical: the reduced row echelon
 form is unique, pivots sit on the lowest-index columns, and free variables are
@@ -13,156 +16,57 @@ set to 0, so decoder outputs are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = [
-    "BitVector",
-    "BitMatrix",
     "Gf2DimensionError",
     "RestrictedSolver",
+    "bit_positions",
 ]
 
 
 class Gf2DimensionError(ValueError):
-    """Raised when operand dimensions do not match, or an index is out of range."""
+    """Raised when a row or a right-hand side does not fit its declared length."""
 
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """A length-checked GF(2) vector; ``bits`` holds bit ``j`` for coordinate ``j``."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise Gf2DimensionError(f"negative length {self.length}")
-        if self.bits < 0 or self.bits >> self.length:
-            raise Gf2DimensionError("bits outside the declared length")
-
-    @classmethod
-    def from_support(cls, length: int, support) -> BitVector:
-        bits = 0
-        for j in support:
-            if not 0 <= j < length:
-                raise Gf2DimensionError(f"coordinate {j} out of range [0, {length})")
-            bits |= 1 << j
-        return cls(length, bits)
-
-    @classmethod
-    def from_dense(cls, values) -> BitVector:
-        values = list(values)
-        bits = 0
-        for j, v in enumerate(values):
-            if v & 1:
-                bits |= 1 << j
-        return cls(len(values), bits)
-
-    def get(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise Gf2DimensionError(f"coordinate {j} out of range [0, {self.length})")
-        return (self.bits >> j) & 1
-
-    def support(self) -> list[int]:
-        out, bits = [], self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
-
-    def __xor__(self, other: BitVector) -> BitVector:
-        if self.length != other.length:
-            raise Gf2DimensionError("length mismatch in xor")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-
-class BitMatrix:
-    """Row-major packed GF(2) matrix: ``row_bits[i]`` holds row ``i`` as an int."""
-
-    __slots__ = ("rows", "cols", "row_bits")
-
-    def __init__(self, rows: int, cols: int, row_bits: list[int] | None = None):
-        if rows < 0 or cols < 0:
-            raise Gf2DimensionError("negative dimension")
-        if row_bits is None:
-            row_bits = [0] * rows
-        if len(row_bits) != rows:
-            raise Gf2DimensionError("row count does not match row_bits")
-        for r in row_bits:
-            if r < 0 or r >> cols:
-                raise Gf2DimensionError("row bits outside the declared column count")
-        self.rows = rows
-        self.cols = cols
-        self.row_bits = list(row_bits)
-
-    @classmethod
-    def from_dense(cls, dense) -> BitMatrix:
-        dense = [list(row) for row in dense]
-        cols = len(dense[0]) if dense else 0
-        bits = []
-        for row in dense:
-            if len(row) != cols:
-                raise Gf2DimensionError("ragged rows")
-            acc = 0
-            for j, v in enumerate(row):
-                if v & 1:
-                    acc |= 1 << j
-            bits.append(acc)
-        return cls(len(dense), cols, bits)
-
-    @classmethod
-    def from_row_supports(cls, rows: int, cols: int, supports) -> BitMatrix:
-        bits = []
-        for support in supports:
-            acc = 0
-            for j in support:
-                if not 0 <= j < cols:
-                    raise Gf2DimensionError(f"column {j} out of range [0, {cols})")
-                acc |= 1 << j
-            bits.append(acc)
-        if len(bits) != rows:
-            raise Gf2DimensionError("row count does not match supports")
-        return cls(rows, cols, bits)
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise Gf2DimensionError(f"index ({i}, {j}) out of range")
-        return (self.row_bits[i] >> j) & 1
-
-    def transpose(self) -> BitMatrix:
-        out = [0] * self.cols
-        for i, bits in enumerate(self.row_bits):
-            while bits:
-                low = bits & -bits
-                out[low.bit_length() - 1] |= 1 << i
-                bits ^= low
-        return BitMatrix(self.cols, self.rows, out)
+def bit_positions(x: int) -> list[int]:
+    """The positions of the set bits of ``x`` (not negative), ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 class RestrictedSolver:
     """Factor ``A``, then solve many ``A·x = b``.
 
-    The factorization records, for every echelon row, which original rows were
-    combined into it, so each later ``solve`` only has to fold a new right-hand
-    side through those combinations: no re-elimination.  Free variables are 0
-    and pivots take the lowest available column, so the returned solution is
-    the canonical one (the unique-RREF solution).
+    ``A`` is given as its rows, each an int over ``cols`` columns; ``b`` and
+    the solutions are ints over the rows and the columns.  The factorization
+    records, for every echelon row, which original rows were combined into
+    it, so each later ``solve`` only has to fold a new right-hand side
+    through those combinations: no re-elimination.  Free variables are 0 and
+    pivots take the lowest available column, so the returned solution is the
+    canonical one (the unique-RREF solution).
     """
 
-    def __init__(self, a: BitMatrix) -> None:
-        self.cols = a.cols
-        self.rows = a.rows
+    def __init__(self, rows: list[int], cols: int) -> None:
+        if cols < 0:
+            raise Gf2DimensionError(f"negative column count {cols}")
+        self.cols = cols
+        self.rows = len(rows)
         # Echelon rows: pivot column -> (row bits, combination over input rows).
         self._pivots: dict[int, tuple[int, int]] = {}
         # Combinations that eliminated to zero: consistency constraints on b.
         self._null_combos: list[int] = []
-        for i, bits in enumerate(a.row_bits):
+        for i, bits in enumerate(rows):
+            if bits < 0 or bits >> cols:
+                raise Gf2DimensionError(f"row {i} has bits outside the {cols} columns")
             combo = 1 << i
             while bits:
                 low = (bits & -bits).bit_length() - 1
@@ -180,22 +84,21 @@ class RestrictedSolver:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def solve(self, b: BitVector) -> BitVector | None:
+    def solve(self, b: int) -> int | None:
         """Return the canonical solution of ``A·x = b``, or None if the system
         is inconsistent."""
-        if b.length != self.rows:
-            raise Gf2DimensionError("right-hand side length does not match row count")
-        bb = b.bits
+        if b < 0 or b >> self.rows:
+            raise Gf2DimensionError(f"right-hand side has bits outside the {self.rows} rows")
         for combo in self._null_combos:
-            if _parity(combo & bb):
+            if _parity(combo & b):
                 return None
         x = 0
         for col in self._pivot_cols_desc:
             bits, combo = self._pivots[col]
-            val = _parity(combo & bb) ^ _parity((bits ^ (1 << col)) & x)
+            val = _parity(combo & b) ^ _parity((bits ^ (1 << col)) & x)
             if val:
                 x |= 1 << col
-        return BitVector(self.cols, x)
+        return x
 
     def free_columns(self) -> list[int]:
         """The columns that carry no pivot, ascending.
@@ -206,9 +109,9 @@ class RestrictedSolver:
         frees = (1 << self.cols) - 1
         for col in self._pivots:
             frees &= ~(1 << col)
-        return BitVector(self.cols, frees).support()
+        return bit_positions(frees)
 
-    def iter_kernel(self) -> Iterator[BitVector]:
+    def iter_kernel(self) -> Iterator[int]:
         """The vectors of ``kernel_basis()``, in order, each built only when
         asked for: a caller that stops early skips the back-substitution of
         the rest."""
@@ -218,7 +121,7 @@ class RestrictedSolver:
                 bits, _ = self._pivots[col]
                 if _parity((bits ^ (1 << col)) & x):
                     x |= 1 << col
-            yield BitVector(self.cols, x)
+            yield x
 
     def kernel_words(self) -> list[int]:
         """The ``kernel_basis()`` vectors bit-sliced by column: bit t of
@@ -241,7 +144,7 @@ class RestrictedSolver:
             words[col] = acc
         return words
 
-    def kernel_basis(self) -> list[BitVector]:
+    def kernel_basis(self) -> list[int]:
         """A basis of ``{x : A·x = 0}``.
 
         One vector per free column (that column set to 1, other frees 0),

@@ -32,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from itertools import starmap
 
-from .gf2 import BitMatrix, RestrictedSolver
+from .gf2 import RestrictedSolver
 from .graphs import BipartiteGraph, LineParseError, content_lines
 
 __all__ = [
@@ -52,11 +52,17 @@ __all__ = [
 class _IndexSet:
     """A set of one code's qubit or check indices, with the code's base sizes.
 
-    ``n`` and ``m`` name the code the indices belong to: the set operators
-    refuse a set with other base sizes, and ``to_indices`` a code with
-    them (``ValueError``).  ``from_indices`` and ``of`` check the range,
-    which a subclass names in ``_count`` (the code attribute counting its
-    indices); the constructor and the operators trust their indices.
+    ``n`` and ``m`` name the code the indices belong to, and ``_same``
+    refuses other base sizes (``ValueError``): the set operators check the
+    other operand, and ``to_indices`` and every decode stage that reads a
+    set (``syndrome``, ``reduce_error``, ``ssfind``,
+    ``erase_decode_quantum``, ``verify_coset``) check the code, once,
+    before reading ``indices``.  The range is checked only where indices
+    come in from outside: in ``from_indices`` and ``of`` (``from_indices``
+    reads it from the code attribute a subclass names in ``_count``), and
+    in the file parser.  The constructor and the operators trust their
+    indices, so a stage builds its result sets, whose indices it computed
+    from the code, with the constructor.
 
     The class is frozen, hashable and equal by its fields, but its
     constructor writes the fields straight into the instance ``__dict__``
@@ -83,32 +89,31 @@ class _IndexSet:
         return cls(code.n, code.m, s)
 
     def _same(self, other):
-        """``other`` (a set or a code), once its base sizes match this set's."""
+        """This set, once ``other`` (a set or a code) has its base sizes."""
         if (other.n, other.m) != (self.n, self.m):
             raise ValueError(f"(n, m) = ({other.n}, {other.m}) met a {type(self).__name__} of ({self.n}, {self.m})")
-        return other
+        return self
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __or__(self, other):
-        return type(self)(self.n, self.m, self.indices | self._same(other).indices)
+        return type(self)(self.n, self.m, self._same(other).indices | other.indices)
 
     def __xor__(self, other):
-        return type(self)(self.n, self.m, self.indices ^ self._same(other).indices)
+        return type(self)(self.n, self.m, self._same(other).indices ^ other.indices)
 
     def __and__(self, other):
-        return type(self)(self.n, self.m, self.indices & self._same(other).indices)
+        return type(self)(self.n, self.m, self._same(other).indices & other.indices)
 
     def __le__(self, other) -> bool:
-        return self.indices <= self._same(other).indices
+        return self._same(other).indices <= other.indices
 
     def isdisjoint(self, other) -> bool:
-        return self.indices.isdisjoint(self._same(other).indices)
+        return self._same(other).indices.isdisjoint(other.indices)
 
     def to_indices(self, code: HgpCode) -> list[int]:
-        self._same(code)
-        return sorted(self.indices)
+        return sorted(self._same(code).indices)
 
 
 @dataclass(frozen=True, init=False)
@@ -324,14 +329,12 @@ class StabilizerSpan:
 
     def __init__(self, code: HgpCode):
         base = code.base
-        h = BitMatrix.from_row_supports(base.m, base.n, base.adj_c)
         self._code = code
-        vv = RestrictedSolver(h)
+        vv = RestrictedSolver([sum(1 << v for v in bits) for bits in base.adj_c], base.n)
         self._vv_words, vv_free = vv.kernel_words(), vv.free_columns()
         self._cc_words, cc_free = [0] * base.m, []
         if base.m > vv.rank:
-            ht = BitMatrix.from_row_supports(base.n, base.m, base.adj_v)
-            cc = RestrictedSolver(ht)
+            cc = RestrictedSolver([sum(1 << c for c in checks) for checks in base.adj_v], base.m)
             self._cc_words, cc_free = cc.kernel_words(), cc.free_columns()
         self._vv_free = frozenset(vv_free)
         self._cc_free = frozenset(cc_free)
@@ -374,7 +377,7 @@ def syndrome(code: HgpCode, error: QubitSet) -> CheckSet:
     adj_c, adj_v = code.base.adj_c, code.base.adj_v
     flagged: set[int] = set()
     add, remove = flagged.add, flagged.remove
-    for q in error.to_indices(code):
+    for q in error._same(code).indices:
         # VV qubit (nu, v): checks nu*m + zeta, zeta in adj_v[v].  CC qubit
         # (c, zeta): checks nu*m + zeta, nu in adj_c[c].
         if q < nn:

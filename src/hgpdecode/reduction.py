@@ -69,7 +69,7 @@ def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitS
     n, m, nn = code.n, code.m, code.n * code.n
     bit_slots, check_slots = code._bit_slots, code._check_slots
     width = code.delta_v + code.delta_c
-    err = set(error.to_indices(code))
+    err = set(error._same(code).indices)
     while True:
         hits: dict[int, int] = {}
         get = hits.get
@@ -87,5 +87,5 @@ def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitS
                 hits[g] = get(g, 0) + 1
         improving = [g for g, h in hits.items() if 2 * h > width]
         if not improving:
-            return QubitSet.from_indices(code, err)
+            return QubitSet(code.n, code.m, frozenset(err))
         err.symmetric_difference_update(code.gen_qubits(min(improving)))

@@ -415,9 +415,8 @@ class SsfindState:
         eager = self.min_need <= 0
         self.mode = "eager" if eager else "lazy"
         g_count = code.num_gens
-        sigma_idx = sigma.to_indices(code)
         self.envelope_set: set[int] = set()
-        self.syndrome_set = frozenset(sigma_idx)
+        self.syndrome_set = sigma._same(code).indices
         self.suspicious_set = set(self.syndrome_set)
         self.trace: list[TraceEntry] = []
         self.words: dict[int, int] | list[int] = [0] * g_count if eager else {}
@@ -432,7 +431,7 @@ class SsfindState:
             self._key_view = np.frombuffer(self.best_key, dtype=np.intc)
         else:
             self.qualifiers: dict[int, int] = {}
-        self._seed(sigma_idx)
+        self._seed()
 
     # -- inspection --
 
@@ -475,16 +474,16 @@ class SsfindState:
 
     # -- bookkeeping --
 
-    def _cell_keys(self, chks: Iterable[int]) -> np.ndarray:
+    def _cell_keys(self, chks: frozenset[int]) -> np.ndarray:
         """The slot key ``generator << cell_shift | cell`` of every
         (generator, grid cell) pair of the checks, ascending."""
         code = self.code
-        nu, zeta = np.divmod(np.fromiter(chks, dtype=np.intp), code.m)
+        nu, zeta = np.divmod(np.fromiter(chks, dtype=np.intp, count=len(chks)), code.m)
         keys = (code._bit_keys[nu][:, :, None] + code._check_keys[zeta][:, None, :]).ravel()
         keys.sort()
         return keys
 
-    def _seed(self, chks: list[int]) -> None:
+    def _seed(self) -> None:
         """Mark the syndrome's cells in one numpy pass over the code's slot
         keys.  Eager: every seeded generator's word is written.  Lazy: only
         the generators that reach min_need are entered.
@@ -493,10 +492,10 @@ class SsfindState:
         and sorted by generator.  A generator meets each check in one cell,
         so ORing its cell bits, per 64-bit word of the grid, gives its
         suspicious-cell mask."""
-        if not chks:
+        if not self.syndrome_set:
             return
         code, t = self.code, self.tables
-        keys = self._cell_keys(chks)
+        keys = self._cell_keys(self.syndrome_set)
         gens = keys >> code._cell_shift
         first = np.empty(len(gens), dtype=bool)
         first[0] = True
@@ -673,8 +672,8 @@ class SsfindState:
                 )
             )
         return SsfindResult(
-            envelope=QubitSet.from_indices(code, envelope),
-            suspicious=CheckSet.from_indices(code, suspicious),
+            envelope=QubitSet(code.n, code.m, frozenset(envelope)),
+            suspicious=CheckSet(code.n, code.m, frozenset(suspicious)),
             trace=tuple(trace),
             iterations=len(trace),
             mode=self.mode,

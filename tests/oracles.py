@@ -51,7 +51,7 @@ from typing import Iterator
 
 import numpy as np
 
-from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver
+from hgpdecode.gf2 import RestrictedSolver, bit_positions
 from hgpdecode.graphs import BipartiteGraph, _side_data
 from hgpdecode.hgp import CheckSet, HgpCode, QubitSet
 from hgpdecode.reduction import check_view_width
@@ -64,14 +64,14 @@ class RowBasis:
     """Incremental row-echelon basis over GF(2), keyed by lowest-bit pivots.
 
     Supports rank queries and repeated span-membership tests without
-    re-eliminating the source matrix each time.
+    re-eliminating the source matrix each time.  ``rows`` are the matrix's
+    rows, as ints.
     """
 
-    def __init__(self, matrix: BitMatrix | None = None):
+    def __init__(self, rows=()):
         self._pivots: dict[int, int] = {}
-        if matrix is not None:
-            for bits in matrix.row_bits:
-                self.add(bits)
+        for bits in rows:
+            self.add(bits)
 
     def add(self, bits: int) -> bool:
         """Insert a row; returns True if it enlarged the span."""
@@ -107,7 +107,7 @@ def kernel_words(solver: RestrictedSolver) -> list[int]:
     whose bit t says the t-th ``kernel_basis()`` vector holds it."""
     words = [0] * solver.cols
     for t, x in enumerate(solver.kernel_basis()):
-        for col in x.support():
+        for col in bit_positions(x):
             words[col] |= 1 << t
     return words
 
@@ -311,16 +311,21 @@ def brute_reduce(code: HgpCode, error: QubitSet) -> QubitSet:
     return best[1]
 
 
-def x_check_matrix(code: HgpCode) -> BitMatrix:
-    """Checks-by-qubits parity matrix."""
-    supports = (supp_check(code, x).to_indices(code) for x in range(code.num_checks))
-    return BitMatrix.from_row_supports(code.num_checks, code.num_qubits, supports)
+def _rows(code: HgpCode, supports) -> list[int]:
+    """Each qubit set of ``code`` as a row: an int with the bits of its
+    qubit indices."""
+    return [sum(1 << q for q in s.to_indices(code)) for s in supports]
 
 
-def generator_matrix(code: HgpCode) -> BitMatrix:
-    """Generators-by-qubits support matrix; its row space is the stabilizer span."""
-    supports = (supp_generator(code, g).to_indices(code) for g in range(code.num_gens))
-    return BitMatrix.from_row_supports(code.num_gens, code.num_qubits, supports)
+def x_check_matrix(code: HgpCode) -> list[int]:
+    """Checks-by-qubits parity matrix, as rows over ``num_qubits`` columns."""
+    return _rows(code, (supp_check(code, x) for x in range(code.num_checks)))
+
+
+def generator_matrix(code: HgpCode) -> list[int]:
+    """Generators-by-qubits support matrix, as rows over ``num_qubits``
+    columns; its row space is the stabilizer span."""
+    return _rows(code, (supp_generator(code, g) for g in range(code.num_gens)))
 
 
 def solve_by_elimination(code: HgpCode, sigma: CheckSet, envelope: QubitSet, detect_ambiguity: bool = False):
@@ -338,22 +343,22 @@ def solve_by_elimination(code: HgpCode, sigma: CheckSet, envelope: QubitSet, det
     rows_touched = len(rows) + len(outside)
     solution = None
     if not outside:
-        supports = (
-            [col_pos[q] for q in supp_check(code, x).to_indices(code) if q in col_pos] for x in rows
-        )
-        solver = RestrictedSolver(BitMatrix.from_row_supports(len(rows), len(cols), supports))
+        matrix = [
+            sum(1 << col_pos[q] for q in supp_check(code, x).to_indices(code) if q in col_pos) for x in rows
+        ]
+        solver = RestrictedSolver(matrix, len(cols))
         row_pos = {x: r for r, x in enumerate(rows)}
-        solution = solver.solve(BitVector.from_support(len(rows), [row_pos[x] for x in flagged]))
+        solution = solver.solve(sum(1 << row_pos[x] for x in flagged))
     if solution is None:
         return QubitSet.of(code), "no-solution", rows_touched
     status = "success"
     if detect_ambiguity:
         span = RowBasis(generator_matrix(code))
         for k in solver.kernel_basis():
-            if not span.contains(sum(1 << cols[p] for p in k.support())):
+            if not span.contains(sum(1 << cols[p] for p in bit_positions(k))):
                 status = "ambiguous-logical"
                 break
-    return QubitSet.from_indices(code, [cols[p] for p in solution.support()]), status, rows_touched
+    return QubitSet.from_indices(code, [cols[p] for p in bit_positions(solution)]), status, rows_touched
 
 
 # --- candidates ---

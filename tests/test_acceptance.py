@@ -28,7 +28,6 @@ import pytest
 from hgpdecode.classical import ClassicalCode, classical_syndrome, find_classical
 from hgpdecode.cli import main
 from hgpdecode.erasure import erase_decode_quantum, verify_coset
-from hgpdecode.gf2 import BitVector
 from hgpdecode.graphs import BipartiteGraph, audit_expansion, gen_biregular
 from hgpdecode.harness import CampaignConfig, campaign_to_text, montecarlo
 from hgpdecode.hgp import CheckSet, QubitSet, build_hgp, syndrome
@@ -410,7 +409,7 @@ def test_classical_find_covers_admissible_errors_on_audited_expanders(
                 bits = 0
                 for i in combo:
                     bits |= 1 << i
-                sigma = classical_syndrome(code, BitVector(code.n, bits))
+                sigma = classical_syndrome(code, bits)
                 res = find_classical(code, sigma, eps_v)
                 assert set(combo) <= res.envelope, (graph.n, combo, res.envelope)
                 assert Fraction(len(res.envelope)) <= Fraction(w) / (1 - 3 * eps_v), (

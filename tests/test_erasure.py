@@ -11,7 +11,7 @@ import pytest
 
 from hgpdecode import erasure
 from hgpdecode.erasure import DecodeVerdict, erase_decode_quantum, verify_coset
-from hgpdecode.gf2 import BitMatrix, RestrictedSolver
+from hgpdecode.gf2 import RestrictedSolver, bit_positions
 from hgpdecode.graphs import gen_biregular
 from hgpdecode.hgp import CheckSet, QubitSet, build_hgp, syndrome
 from hgpdecode.ssfind import DecoderConfig, ssfind
@@ -223,15 +223,15 @@ def test_ambiguity_matches_logical_count(path_code, single_edge_code, k33_code):
 
 def test_coset_and_ambiguity_build_no_full_matrix(monkeypatch):
     # N = 18,000: k, coset checks and ambiguity detection come from the base
-    # code alone; no matrix with N columns is built.
+    # code alone; no matrix with N columns is factorized.
     shapes = []
-    init = BitMatrix.__init__
+    init = RestrictedSolver.__init__
 
-    def recording_init(self, rows, cols, row_bits=None):
-        shapes.append((rows, cols))
-        init(self, rows, cols, row_bits)
+    def recording_init(self, rows, cols):
+        shapes.append((len(rows), cols))
+        init(self, rows, cols)
 
-    monkeypatch.setattr(BitMatrix, "__init__", recording_init)
+    monkeypatch.setattr(RestrictedSolver, "__init__", recording_init)
     code = build_hgp(gen_biregular(120, 3, 6, seed=7))
     assert code.k == 60 ** 2  # full-rank base: k = n - m = 60, k^T = 0
     rng = random.Random(71)
@@ -251,14 +251,11 @@ def _kernel_in_span(code, sigma, envelope):
     cols = tuple(envelope.to_indices(code))
     sigma_rows = set(sigma.to_indices(code))
     rows = tuple(sorted(sigma_rows.union(*map(code.qubit_checks, cols))))
-    sub = BitMatrix.from_row_supports(
-        len(rows), len(cols),
-        ([cols.index(q) for q in code.check_qubits(x) if q in cols] for x in rows),
-    )
+    sub = [sum(1 << cols.index(q) for q in code.check_qubits(x) if q in cols) for x in rows]
     span = code.generator_basis()
     return [
-        span.contains(cols[p] for p in k.support())
-        for k in RestrictedSolver(sub).kernel_basis()
+        span.contains(cols[p] for p in bit_positions(k))
+        for k in RestrictedSolver(sub, len(cols)).kernel_basis()
     ]
 
 
@@ -323,9 +320,9 @@ def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
     built = []
 
     class Recording(RestrictedSolver):
-        def __init__(self, a):
-            built.append(list(a.row_bits))
-            super().__init__(a)
+        def __init__(self, rows, cols):
+            built.append(list(rows))
+            super().__init__(rows, cols)
 
     monkeypatch.setattr(erasure, "RestrictedSolver", Recording)
     monkeypatch.setattr(mid_code, "_erasure_solver", None, raising=False)

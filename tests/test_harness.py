@@ -3,9 +3,13 @@
 import dataclasses
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +253,19 @@ def test_montecarlo_parallel_run_matches_sequential(small_config):
         parallel.reports, include_wall=False
     )
     assert sequential.summary == parallel.summary
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """Only a parallel campaign imports the process pool: a fresh interpreter
+    that imports the package has not loaded ``concurrent.futures.process``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, hgpdecode; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_worker_count_comes_from_environment(monkeypatch):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgpdecode import hgp
-from hgpdecode.erasure import verify_coset
-from hgpdecode.gf2 import BitMatrix, BitVector, RestrictedSolver
+from hgpdecode.erasure import erase_decode_quantum, verify_coset
+from hgpdecode.gf2 import RestrictedSolver, bit_positions
 from hgpdecode.graphs import audit_expansion, gen_biregular
 from hgpdecode.hgp import (
     CheckSet,
@@ -21,6 +21,8 @@ from hgpdecode.hgp import (
     qubitset_to_text,
     syndrome,
 )
+from hgpdecode.reduction import reduce_error
+from hgpdecode.ssfind import DecoderConfig, ssfind
 
 from oracles import (
     RowBasis,
@@ -42,6 +44,16 @@ from oracles import (
     x_check_matrix,
 )
 from conftest import make_k44_incidence
+
+
+def _h_rows(code):
+    """The rows of the base parity matrix H (checks x bits), as ints."""
+    return [sum(1 << v for v in bits) for bits in code.base.adj_c]
+
+
+def _ht_rows(code):
+    """The rows of Hᵀ (bits x checks), as ints."""
+    return [sum(1 << c for c in checks) for checks in code.base.adj_v]
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +110,7 @@ def test_k_matches_base_rank_identity(single_edge_code, path_code, k33_code, mid
     for code in (single_edge_code, path_code, k33_code, mid_code, *extra):
         assert code.num_qubits <= 4500
         ranks = RowBasis(x_check_matrix(code)).rank + RowBasis(generator_matrix(code)).rank
-        r = RowBasis(BitMatrix.from_row_supports(code.m, code.n, code.base.adj_c)).rank
+        r = RowBasis(_h_rows(code)).rank
         assert code.k == code.num_qubits - ranks == (code.n - r) ** 2 + (code.m - r) ** 2
 
 
@@ -266,25 +278,23 @@ def test_stabilizer_span_matches_row_basis_oracle(name, flip, monkeypatch):
     factored = []
 
     class Counting(RestrictedSolver):
-        def __init__(self, a):
-            factored.append((a.rows, a.cols))
-            super().__init__(a)
+        def __init__(self, rows, cols):
+            factored.append((len(rows), cols))
+            super().__init__(rows, cols)
 
     monkeypatch.setattr(hgp, "RestrictedSolver", Counting)
     span = code.generator_basis()
     monkeypatch.undo()
-    k_ht = code.m - RowBasis(BitMatrix.from_row_supports(code.m, code.n, code.base.adj_c)).rank
+    k_ht = code.m - RowBasis(_h_rows(code)).rank
     assert (k_ht == 0) == ((name, flip) in SPAN_KT_ZERO)
     assert factored == [(code.m, code.n)] + ([(code.n, code.m)] if k_ht else [])
-    gen_matrix, checks = generator_matrix(code), x_check_matrix(code)
-    gens = gen_matrix.row_bits
-    oracle = RowBasis(gen_matrix)
+    gens, checks = generator_matrix(code), x_check_matrix(code)
+    oracle = RowBasis(gens)
     assert span.rank == oracle.rank
     assert span.num_logicals == code.num_qubits - RowBasis(checks).rank - oracle.rank
-    kernel = RestrictedSolver(checks).kernel_basis()
-    h = BitMatrix.from_row_supports(code.m, code.n, code.base.adj_c)
-    ker_h = RestrictedSolver(h).kernel_basis()
-    ker_ht = RestrictedSolver(h.transpose()).kernel_basis()
+    kernel = RestrictedSolver(checks, code.num_qubits).kernel_basis()
+    ker_h = RestrictedSolver(_h_rows(code), code.n).kernel_basis()
+    ker_ht = RestrictedSolver(_ht_rows(code), code.m).kernel_basis()
     rng = random.Random(f"{name}-{flip}")
 
     def random_sum(rows):
@@ -298,18 +308,18 @@ def test_stabilizer_span_matches_row_basis_oracle(name, flip, monkeypatch):
     for t in range(240):
         kind = t % 4
         if kind == 2:
-            bits = random_sum(v.bits for v in kernel)
+            bits = random_sum(kernel)
         else:
             bits = random_sum(gens)
             if kind == 1:
                 bits ^= 1 << rng.randrange(code.num_qubits)
             elif kind == 3 and rng.random() < 0.5:
                 i = rng.randrange(code.n)
-                for nu in BitVector(code.n, random_sum(x.bits for x in ker_h)).support():
+                for nu in bit_positions(random_sum(ker_h)):
                     bits ^= 1 << code.vv_index(i, nu)
             elif kind == 3:
                 j = rng.randrange(code.m)
-                for zeta in BitVector(code.m, random_sum(z.bits for z in ker_ht)).support():
+                for zeta in bit_positions(random_sum(ker_ht)):
                     bits ^= 1 << code.cc_index(zeta, j)
         want = oracle.contains(bits)
         qubits = [q for q in range(code.num_qubits) if bits >> q & 1]
@@ -331,9 +341,9 @@ def test_generator_basis_builds_no_kernel_vector(monkeypatch):
     monkeypatch.setattr(RestrictedSolver, "kernel_basis", refuse)
     span = code.generator_basis()
     monkeypatch.undo()
-    h = BitMatrix.from_row_supports(code.m, code.n, code.base.adj_c)
-    for words, matrix in ((span._vv_words, h), (span._cc_words, h.transpose())):
-        assert words == kernel_words(RestrictedSolver(matrix))
+    h = _h_rows(code)
+    for words, rows, cols in ((span._vv_words, h, code.n), (span._cc_words, _ht_rows(code), code.m)):
+        assert words == kernel_words(RestrictedSolver(rows, cols))
     r = RowBasis(h).rank
     assert span.rank == code.num_gens - (code.n - r) * (code.m - r)
 
@@ -483,8 +493,10 @@ def test_qubitset_reader_refuses_a_repeated_qubit(mid_code):
 
 
 def test_sets_of_another_code_do_not_combine(mid_code, path_code):
-    """Every binary set operation, ``to_indices``, ``syndrome`` and
-    ``verify_coset`` refuse a set whose base sizes (n, m) differ from the
+    """Every binary set operation, ``to_indices``, and each decode stage
+    that reads a set's indices unsorted (``syndrome``, ``reduce_error``,
+    ``ssfind``, ``erase_decode_quantum`` for its syndrome and its envelope,
+    ``verify_coset``) refuse a set whose base sizes (n, m) differ from the
     other operand's or the code's."""
     mine, theirs = QubitSet.of(mid_code, [(0, 0)]), QubitSet.of(path_code, [(0, 0)])
     checks, other_checks = CheckSet.of(mid_code, [(0, 0)]), CheckSet.of(path_code, [(0, 0)])
@@ -494,6 +506,10 @@ def test_sets_of_another_code_do_not_combine(mid_code, path_code):
         lambda: checks | other_checks, lambda: checks <= other_checks,
         lambda: mine.to_indices(path_code), lambda: checks.to_indices(path_code),
         lambda: syndrome(path_code, mine),
+        lambda: reduce_error(path_code, mine),
+        lambda: ssfind(path_code, checks, DecoderConfig(epsilon=Fraction(1, 20))),
+        lambda: erase_decode_quantum(mid_code, other_checks, mine),
+        lambda: erase_decode_quantum(mid_code, checks, theirs),
         lambda: verify_coset(mid_code, mine, theirs),
         lambda: verify_coset(path_code, mine, mine),
     ]
