@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from hgpdecode import BipartiteGraph, audit_expansion
-from hgpdecode.classical import ClassicalCode, classical_syndrome, find_classical
+from hgpdecode.classical import ClassicalCode, classical_syndrome, erase_decode_classical, find_classical
 
 NUM_VERTICES = 20
 edges = list(itertools.combinations(range(NUM_VERTICES), 2))
@@ -40,5 +40,9 @@ for combo in [(4,), (4, 17), (0, 9, 13)]:
     cap = Fraction(len(combo)) / (1 - 3 * eps_v)
     print(f"error {combo}: |sigma|={len(sigma)}, envelope {sorted(res.envelope)} "
           f"(|L|={len(res.envelope)} <= {cap} = |E|/(1-3e))")
-print("\nEvery admissible error is covered by its envelope; erasure-solving "
-      "the envelope\nthen finishes the decode (see erase_decode_classical).")
+    # The sent codeword is 0, so the received word is the error itself.
+    word = erase_decode_classical(code, bits, res.envelope)
+    print("  erasure completion: "
+          + ("several completions" if word is None else f"codeword {word:#x} (sent 0x0)"))
+print("\nEach admissible error is covered by its envelope; erasing the envelope "
+      "and\nsolving for it finishes the decode (Viderman's two-stage decoder).")

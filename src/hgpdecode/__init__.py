@@ -36,7 +36,6 @@ from .graphs import (
     graph_from_text,
     graph_to_text,
     read_graph,
-    write_graph,
 )
 from .harness import (
     CampaignConfig,
@@ -72,10 +71,8 @@ from .ssfind import (
     SsfindIterationError,
     SsfindResult,
     TraceEntry,
-    TraceParseError,
     min_untouched_score,
     ssfind,
-    trace_from_text,
     trace_to_text,
 )
 

@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="run a trial campaign from a key=value config file")
     p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--workers", type=int, help="worker processes (default: HGPDECODE_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1, sequential)")
     p.add_argument("--out", type=Path, help="write the campaign report here instead of stdout")
     p.add_argument("--no-wall", action="store_true", help="omit wall-clock columns (reproducible output)")
 

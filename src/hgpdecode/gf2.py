@@ -112,9 +112,10 @@ class RestrictedSolver:
         return bit_positions(frees)
 
     def iter_kernel(self) -> Iterator[int]:
-        """The vectors of ``kernel_basis()``, in order, each built only when
-        asked for: a caller that stops early skips the back-substitution of
-        the rest."""
+        """A basis of ``{x : A·x = 0}``, one vector per free column (that
+        column set to 1, other frees 0), so the basis size is the column
+        count minus rank.  Each vector is built only when asked for: a
+        caller that stops early skips the back-substitution of the rest."""
         for free in self.free_columns():
             x = 1 << free
             for col in self._pivot_cols_desc:
@@ -124,7 +125,7 @@ class RestrictedSolver:
             yield x
 
     def kernel_words(self) -> list[int]:
-        """The ``kernel_basis()`` vectors bit-sliced by column: bit t of
+        """The ``iter_kernel()`` vectors bit-sliced by column: bit t of
         ``words[j]`` is coordinate j of the t-th kernel vector.
 
         All vectors are back-substituted at once.  Free column t gets the
@@ -143,10 +144,3 @@ class RestrictedSolver:
                 rest ^= low
             words[col] = acc
         return words
-
-    def kernel_basis(self) -> list[int]:
-        """A basis of ``{x : A·x = 0}``.
-
-        One vector per free column (that column set to 1, other frees 0),
-        so the basis size is the column count minus rank."""
-        return list(self.iter_kernel())

@@ -27,7 +27,6 @@ __all__ = [
     "audit_expansion",
     "graph_to_text",
     "graph_from_text",
-    "write_graph",
     "read_graph",
 ]
 
@@ -132,25 +131,6 @@ class BipartiteGraph:
         delta_c = len(adj_c[0]) if adj_c else 0
         return cls(len(adj_v), m, delta_v, delta_c, adj_v, adj_c)
 
-    def left_masks(self) -> list[int]:
-        """Per-left-vertex neighbor sets as bit masks over right vertices."""
-        out = []
-        for nbrs in self.adj_v:
-            acc = 0
-            for c in nbrs:
-                acc |= 1 << c
-            out.append(acc)
-        return out
-
-    def right_masks(self) -> list[int]:
-        out = []
-        for nbrs in self.adj_c:
-            acc = 0
-            for v in nbrs:
-                acc |= 1 << v
-            out.append(acc)
-        return out
-
 
 @dataclass(frozen=True)
 class ExpansionProfile:
@@ -167,10 +147,9 @@ class ExpansionProfile:
     worst_epsilon_by_size: dict[int, Fraction]
     certified: bool
 
-    def worst_up_to(self, s_max: int | None = None) -> Fraction:
-        s_max = self.max_set_size if s_max is None else s_max
-        eps = [e for s, e in self.worst_epsilon_by_size.items() if s <= s_max]
-        return max(eps) if eps else Fraction(0)
+    def worst_up_to(self) -> Fraction:
+        """The worst epsilon over the audited sizes; 0 if none was audited."""
+        return max(self.worst_epsilon_by_size.values(), default=Fraction(0))
 
 
 def _side_data(graph: BipartiteGraph, side: str):
@@ -197,14 +176,14 @@ def audit_expansion(
     size are drawn from a generator seeded with ``sample_seed``, the
     smallest |Γ(S)| among them is taken, and the profile is an estimate.
     """
-    size, degree, _ = _side_data(graph, side)
+    size, degree, adj = _side_data(graph, side)
     if s_max < 1:
         raise ValueError("s_max must be at least 1")
     if s_max > size:
         raise ValueError(f"s_max {s_max} exceeds {side}-side cardinality {size}")
     if samples is not None and samples < 1:
         raise ValueError("samples must be at least 1")
-    masks = graph.left_masks() if side == "left" else graph.right_masks()
+    masks = [sum(1 << x for x in nbrs) for nbrs in adj]
     rng = random.Random(sample_seed)
     worst: dict[int, Fraction] = {}
     min_gamma = 0
@@ -384,11 +363,6 @@ def graph_from_text(text: str) -> BipartiteGraph:
         if line.strip():
             raise GraphParseError(line_no, f"unexpected content after the {n} adjacency lines")
     return BipartiteGraph.from_left_adjacency(m, adj_v)
-
-
-def write_graph(graph: BipartiteGraph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(graph_to_text(graph))
 
 
 def read_graph(path) -> BipartiteGraph:

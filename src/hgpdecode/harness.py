@@ -14,7 +14,6 @@ trials and ``decode_once`` run that pipeline through one function.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -98,7 +97,12 @@ def radius_table(r: Fraction, epsilon: Fraction, delta_c: int) -> list[RadiusRow
     Rows: the small-set-flip bound of Leverrier–Tillich–Zémor, the improved
     small-set-flip analysis of Grospellier et al., and the envelope decoder
     implemented here.  Out-of-validity rows are marked, never suppressed.
+    ``r`` and ``epsilon`` must be exact: a float would round them through
+    binary, and each row's validity would be judged on the rounded value.
     """
+    for name, value in (("r", r), ("epsilon", epsilon)):
+        if isinstance(value, float):
+            raise TypeError(f"{name} must be exact (Fraction, int, or 'p/q' string), not float")
     r = Fraction(r)
     epsilon = Fraction(epsilon)
     if not 0 < r <= 1:
@@ -332,20 +336,6 @@ def _mix64(seed: int, k: int) -> int:
     return x ^ (x >> 31)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("HGPDECODE_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise CampaignConfigError(
-                f"HGPDECODE_WORKERS must be an integer, got {raw!r}"
-            ) from None
-    if workers < 1:
-        raise CampaignConfigError(f"worker count must be at least 1, got {workers}")
-    return workers
-
-
 def _decode(code: HgpCode, error: QubitSet, reduction: str, decoder: DecoderConfig, detect_ambiguity=False):
     """Reduce, take the syndrome, search, solve, then judge the correction
     against the reduced error: (reduced, search, verdict, coset), the coset
@@ -399,14 +389,15 @@ def _run_trials(code: HgpCode, config: CampaignConfig, epsilon: Fraction, audite
     return [_one_trial(code, config, decoder, audited, k) for k in ks]
 
 
-def montecarlo(config: CampaignConfig, workers: int | None = None) -> CampaignResult:
+def montecarlo(config: CampaignConfig, workers: int = 1) -> CampaignResult:
     """Run a campaign: sample, reduce, search, solve, judge — per trial.
 
     Deterministic for a fixed config regardless of the worker count; reports
-    come back ordered by trial index.  Worker count defaults to the
-    HGPDECODE_WORKERS environment variable, else 1 (sequential).
+    come back ordered by trial index.  ``workers`` processes share the
+    trials; 1, the default, runs them in this process.
     """
-    workers = _resolve_workers(workers)
+    if workers < 1:
+        raise CampaignConfigError(f"worker count must be at least 1, got {workers}")
     graph = gen_biregular(config.n, config.delta_v, config.delta_c, seed=config.graph_seed)
     code = build_hgp(graph)
     heaviest = max(config.weights)

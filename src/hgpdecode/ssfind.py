@@ -83,7 +83,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import LineParseError, content_lines
 from .hgp import CheckSet, HgpCode, QubitSet
 from .reduction import check_view_width
 
@@ -93,10 +92,8 @@ __all__ = [
     "SsfindResult",
     "SsfindState",
     "TraceEntry",
-    "TraceParseError",
     "min_untouched_score",
     "ssfind",
-    "trace_from_text",
     "trace_to_text",
 ]
 
@@ -165,10 +162,6 @@ class TraceEntry(NamedTuple):
     suspicious_size: int
 
 
-class TraceParseError(LineParseError):
-    """Raised on malformed trace files."""
-
-
 def trace_to_text(trace: Iterable[TraceEntry]) -> str:
     lines = [
         f"{t.iteration} {t.generator} {t.mask} {t.score_num} {t.score_den} "
@@ -176,20 +169,6 @@ def trace_to_text(trace: Iterable[TraceEntry]) -> str:
         for t in trace
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def trace_from_text(text: str) -> tuple[TraceEntry, ...]:
-    out = []
-    for line_no, raw, line in content_lines(text):
-        parts = line.split()
-        if len(parts) != 7:
-            raise TraceParseError(line_no, f"expected 7 fields, got {len(parts)}")
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise TraceParseError(line_no, f"non-integer field in {raw!r}") from None
-        out.append(TraceEntry(*vals))
-    return tuple(out)
 
 
 # --- per-degree-pair local view tables ---

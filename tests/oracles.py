@@ -104,9 +104,9 @@ class RowBasis:
 
 def kernel_words(solver: RestrictedSolver) -> list[int]:
     """``solver.kernel_words()`` one vector at a time: per column, the word
-    whose bit t says the t-th ``kernel_basis()`` vector holds it."""
+    whose bit t says the t-th ``iter_kernel()`` vector holds it."""
     words = [0] * solver.cols
-    for t, x in enumerate(solver.kernel_basis()):
+    for t, x in enumerate(solver.iter_kernel()):
         for col in bit_positions(x):
             words[col] |= 1 << t
     return words
@@ -129,8 +129,8 @@ def neighbors(graph: BipartiteGraph, side: str, vertices) -> set[int]:
 def expansion_by_enumeration(graph: BipartiteGraph, side: str, s_max: int) -> dict[int, Fraction]:
     """``audit_expansion(graph, side, s_max).worst_epsilon_by_size`` by
     enumerating every subset of each size with ``itertools.combinations``."""
-    size, degree, _ = _side_data(graph, side)
-    masks = graph.left_masks() if side == "left" else graph.right_masks()
+    size, degree, adj = _side_data(graph, side)
+    masks = [sum(1 << x for x in nbrs) for nbrs in adj]
     worst = {}
     for s in range(1, s_max + 1):
         min_gamma = degree * s
@@ -354,7 +354,7 @@ def solve_by_elimination(code: HgpCode, sigma: CheckSet, envelope: QubitSet, det
     status = "success"
     if detect_ambiguity:
         span = RowBasis(generator_matrix(code))
-        for k in solver.kernel_basis():
+        for k in solver.iter_kernel():
             if not span.contains(sum(1 << cols[p] for p in bit_positions(k))):
                 status = "ambiguous-logical"
                 break

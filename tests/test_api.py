@@ -1,15 +1,17 @@
 """The package exports what the decoder, CLI and bench run; the set-level
 references the tests compare against live in ``tests/oracles.py``."""
 
+import ast
 import importlib
 import inspect
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import hgpdecode
 from hgpdecode.classical import ClassicalCode
 from hgpdecode.gf2 import RestrictedSolver
-from hgpdecode.graphs import gen_biregular
+from hgpdecode.graphs import BipartiteGraph, gen_biregular
 from hgpdecode.hgp import QubitSet, build_hgp, syndrome
 from hgpdecode.ssfind import DecoderConfig, SsfindState, ssfind
 
@@ -29,7 +31,10 @@ MODULES = [
 # oracles; then the classical decode's parity matrix and matrix-vector
 # product, and the solver's column restriction, which lost their callers
 # when both codes came to share one erasure completion; then the bit vector
-# and bit matrix wrappers, since the GF(2) layer takes and returns plain ints.
+# and bit matrix wrappers, since the GF(2) layer takes and returns plain ints;
+# then the trace reader, the graph writer, the solver's kernel list and the
+# graph's mask lists, which only tests called, and the worker count's
+# environment fallback.
 REMOVED = {
     "RowBasis", "rank", "in_rowspace", "solve_restricted", "neighbors", "unique_neighbors",
     "supp_generator", "supp_check", "qnbhd", "qnbhd_unique", "project", "weighted_norm", "dual",
@@ -45,7 +50,37 @@ REMOVED = {
     "verify_exit", "_verify_exit", "_qualifying", "locally_reduced_masks", "part_sizes",
     "parity_matrix", "mul_vector", "support_mask",
     "BitVector", "BitMatrix",
+    "trace_from_text", "TraceParseError", "write_graph", "kernel_basis", "left_masks", "right_masks",
+    "_resolve_workers",
 }
+ROOT = Path(__file__).resolve().parent.parent
+# The code the export rule counts callers in: the package, the demos and the
+# bench, but not the package's re-exports or any test.
+PROGRAM_FILES = [
+    *(p for p in sorted((ROOT / "src" / "hgpdecode").glob("*.py")) if p.name != "__init__.py"),
+    *sorted((ROOT / "demos").glob("*.py")),
+    *(ROOT / "perfbench" / f"{name}.py" for name in ("run", "pipeline", "checks", "workloads")),
+]
+
+
+def _program_names() -> set[str]:
+    """Every name program code uses, as a bare name or an attribute, outside
+    the body of the function of that name."""
+    used: set[str] = set()
+
+    def visit(node, inside: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in PROGRAM_FILES:
+        visit(ast.parse(path.read_text(), str(path)), frozenset())
+    return used
 
 
 def test_module_exports_are_defined_there():
@@ -65,15 +100,27 @@ def test_package_names_are_module_exports():
     assert public <= exported, sorted(public - exported)
 
 
+def test_every_exported_function_has_a_program_caller():
+    """A function in a module's ``__all__`` is named somewhere in the
+    package, the demos or the bench other than its own body: an export only
+    tests call is dead surface."""
+    used = _program_names()
+    uncalled = {
+        f"{mod.__name__}.{attr}" for mod in MODULES for attr in mod.__all__
+        if inspect.isfunction(getattr(mod, attr)) and attr not in used
+    }
+    assert not uncalled, sorted(uncalled)
+
+
 def test_removed_names_stay_out_of_the_package():
     """Also checked on a finished lazy search and its view tables, whose
     instance attributes a class does not show, on the decoder config, on
-    the classical code class, and on a solver instance."""
+    the classical code and base graph classes, and on a solver instance."""
     code = build_hgp(gen_biregular(2, 1, 2, seed=0))
     sigma = syndrome(code, QubitSet.from_indices(code, [0]))
     state = ssfind(code, sigma, DecoderConfig(epsilon=Fraction(1, 20))).state
     assert state.mode == "lazy"
-    classes = (SsfindState, DecoderConfig, ClassicalCode)
+    classes = (SsfindState, DecoderConfig, ClassicalCode, BipartiteGraph)
     for owner in (hgpdecode, *MODULES, code, state, state.tables, *classes):
         assert not {attr for attr in REMOVED if hasattr(owner, attr)}, owner
     # A solver's rank is its own; the deleted name is gf2's rank function.

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hgpdecode.cli import main
-from hgpdecode.graphs import audit_expansion, gen_biregular, graph_from_text, write_graph
+from hgpdecode.graphs import audit_expansion, gen_biregular, graph_from_text, graph_to_text
 from hgpdecode.harness import CampaignConfig, montecarlo
 from hgpdecode.hgp import QubitSet, build_hgp, qubitset_to_text
 
@@ -18,7 +18,7 @@ def mid_graph():
 @pytest.fixture()
 def graph_file(tmp_path, mid_graph):
     path = tmp_path / "graph.txt"
-    write_graph(mid_graph, path)
+    path.write_text(graph_to_text(mid_graph))
     return path
 
 
@@ -108,7 +108,7 @@ def test_build_hgp_prints_k_at_n240(tmp_path, capsys):
     # N = 72,000.  K = (n - r)^2 + (m - r)^2 with r the base rank; this
     # (3,6) base has full rank m = 120.
     path = tmp_path / "g240.txt"
-    write_graph(gen_biregular(240, 3, 6, seed=7), path)
+    path.write_text(graph_to_text(gen_biregular(240, 3, 6, seed=7)))
     assert main(["build-hgp", "--graph", str(path)]) == 0
     out = capsys.readouterr().out
     assert "qubits N=72000" in out
@@ -138,7 +138,7 @@ def test_decode_exit_one_when_recovery_is_ambiguous(tmp_path, capsys):
     graph = gen_biregular(2, 1, 2, seed=0)
     code = build_hgp(graph)
     graph_path = tmp_path / "path.txt"
-    write_graph(graph, graph_path)
+    graph_path.write_text(graph_to_text(graph))
     error_path = tmp_path / "error.txt"
     error_path.write_text(qubitset_to_text(QubitSet.from_indices(code, [0])))
     argv = [
@@ -237,7 +237,7 @@ def test_montecarlo_exit_code_tracks_trial_failures(tmp_path):
     assert code == expected
 
 
-def test_montecarlo_bad_config_exits_two(tmp_path, capsys, monkeypatch):
+def test_montecarlo_bad_config_exits_two(tmp_path, capsys):
     config_path = tmp_path / "campaign.txt"
     config_path.write_text("nonsense\n")
     assert main(["montecarlo", "--config", str(config_path)]) == 2
@@ -247,9 +247,8 @@ def test_montecarlo_bad_config_exits_two(tmp_path, capsys, monkeypatch):
     assert "error: line 2: " in capsys.readouterr().err
     config = CampaignConfig(n=12, delta_v=3, delta_c=6, graph_seed=5, trials=1, weights=(1,), epsilon="1/20")
     config_path.write_text(config.to_text())
-    monkeypatch.setenv("HGPDECODE_WORKERS", "two")
-    assert main(["montecarlo", "--config", str(config_path)]) == 2
-    assert "error: HGPDECODE_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
+    assert main(["montecarlo", "--config", str(config_path), "--workers", "0"]) == 2
+    assert "error: worker count must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_montecarlo_weight_above_the_qubit_count_exits_two(tmp_path, capsys):

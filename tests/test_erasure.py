@@ -255,7 +255,7 @@ def _kernel_in_span(code, sigma, envelope):
     span = code.generator_basis()
     return [
         span.contains(cols[p] for p in bit_positions(k))
-        for k in RestrictedSolver(sub, len(cols)).kernel_basis()
+        for k in RestrictedSolver(sub, len(cols)).iter_kernel()
     ]
 
 

@@ -245,7 +245,7 @@ def test_kernel_basis_small_matrix_matches_brute_force():
     # 3x4 over columns {0,1,2,3}: rows x0+x1, x1+x2, x0+x2 -> rank 2, kernel dim 2.
     rows = [0b0011, 0b0110, 0b0101]
     solver = RestrictedSolver(rows, 4)
-    basis = solver.kernel_basis()
+    basis = list(solver.iter_kernel())
     assert len(basis) == 2
     spanned = set()
     for combo in range(1 << len(basis)):
@@ -267,7 +267,7 @@ def test_kernel_basis_properties(m, rng):
     rows, cols = m
     support = sorted(rng.sample(range(cols), rng.randint(0, cols)))
     sub = _columns(rows, support)
-    basis = RestrictedSolver(sub, len(support)).kernel_basis()
+    basis = list(RestrictedSolver(sub, len(support)).iter_kernel())
     assert len(basis) == len(support) - RowBasis(sub).rank
     span = RowBasis()
     for k in basis:

@@ -17,7 +17,7 @@ from hgpdecode.graphs import (
     GraphParseError,
     audit_expansion,
     gen_biregular,
-    write_graph,
+    graph_to_text,
 )
 from hgpdecode.erasure import erase_decode_quantum, verify_coset
 from hgpdecode import harness
@@ -26,7 +26,6 @@ from hgpdecode.harness import (
     CampaignConfigError,
     _mix64,
     _one_trial,
-    _resolve_workers,
     _run_trials,
     campaign_to_text,
     decode_once,
@@ -46,7 +45,7 @@ from hgpdecode.hgp import (
     qubitset_to_text,
     syndrome,
 )
-from hgpdecode.ssfind import DecoderConfig, trace_from_text
+from hgpdecode.ssfind import DecoderConfig, trace_to_text
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +132,14 @@ def test_radius_validity_flags_mark_rows_without_dropping_them(epsilon, flags):
 def test_radius_table_rejects_out_of_range_parameters(r, epsilon, delta_c):
     with pytest.raises(ValueError):
         radius_table(r, epsilon, delta_c)
+
+
+@pytest.mark.parametrize("r, epsilon, name", [(0.5, Fraction(1, 20), "r"), (Fraction(1, 2), 0.05, "epsilon")])
+def test_radius_table_refuses_float_parameters(r, epsilon, name):
+    """A float would be rounded through binary: 0.05 becomes
+    3602879701896397/72057594037927936, printed and judged in every row."""
+    with pytest.raises(TypeError, match=f"^{name} must be exact"):
+        radius_table(r, epsilon, 6)
 
 
 # --------------------------------------------------------------------------
@@ -268,17 +275,14 @@ def test_importing_the_package_loads_no_process_pool():
     assert proc.stdout.strip() == "False"
 
 
-def test_worker_count_comes_from_environment(monkeypatch):
-    monkeypatch.delenv("HGPDECODE_WORKERS", raising=False)
-    assert _resolve_workers(None) == 1
-    monkeypatch.setenv("HGPDECODE_WORKERS", "3")
-    assert _resolve_workers(None) == 3
-    assert _resolve_workers(2) == 2
-    with pytest.raises(CampaignConfigError):
-        _resolve_workers(0)
+def test_worker_count_comes_only_from_the_argument(monkeypatch, small_config):
+    """``workers`` is the one way to set the count: 0 is refused, and an
+    environment variable of the old name is not read."""
+    with pytest.raises(CampaignConfigError, match="at least 1, got 0"):
+        montecarlo(small_config, workers=0)
     monkeypatch.setenv("HGPDECODE_WORKERS", "two")
-    with pytest.raises(CampaignConfigError, match="HGPDECODE_WORKERS.*'two'"):
-        _resolve_workers(None)
+    result = montecarlo(small_config)
+    assert [r.trial for r in result.reports] == list(range(small_config.trials))
 
 
 def test_weight_zero_trials_trivially_succeed(small_config):
@@ -335,7 +339,7 @@ def test_decode_once_writes_parseable_artifacts(tmp_path, mid_graph):
     code = build_hgp(mid_graph)
     graph_path = tmp_path / "graph.txt"
     error_path = tmp_path / "error.txt"
-    write_graph(mid_graph, graph_path)
+    graph_path.write_text(graph_to_text(mid_graph))
     error_path.write_text(qubitset_to_text(QubitSet.from_indices(code, [0, 100])))
 
     out_dir = tmp_path / "out"
@@ -350,7 +354,7 @@ def test_decode_once_writes_parseable_artifacts(tmp_path, mid_graph):
 
     envelope = qubitset_from_text((out_dir / "envelope.txt").read_text(), outcome.code)
     assert envelope == outcome.search.envelope
-    assert trace_from_text((out_dir / "trace.txt").read_text()) == outcome.search.trace
+    assert (out_dir / "trace.txt").read_text() == trace_to_text(outcome.search.trace)
     verdict_lines = (out_dir / "verdict.txt").read_text().splitlines()
     fields = dict(ln.split("=", 1) for ln in itertools.takewhile(lambda l: "=" in l, verdict_lines))
     assert fields["status"] == "success"
@@ -365,7 +369,7 @@ def test_decode_once_writes_parseable_artifacts(tmp_path, mid_graph):
 def test_decode_once_rejects_malformed_inputs(tmp_path, mid_graph):
     graph_path = tmp_path / "graph.txt"
     error_path = tmp_path / "error.txt"
-    write_graph(mid_graph, graph_path)
+    graph_path.write_text(graph_to_text(mid_graph))
 
     error_path.write_text("VV 0 0\nXX 1 1\n")
     with pytest.raises(QubitParseError, match="line 2"):

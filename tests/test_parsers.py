@@ -1,5 +1,5 @@
-"""Fuzzing the four text parsers (graph, qubit set, trace and campaign
-config) and the ASCII file reader.
+"""Fuzzing the three text parsers (graph, qubit set and campaign config)
+and the ASCII file reader.
 
 Each parser may raise only its documented error, and an error that names a
 line names one the text has.  Header integers stay small: a graph header
@@ -24,7 +24,6 @@ from hgpdecode.graphs import (
 )
 from hgpdecode.harness import CampaignConfig, CampaignConfigError
 from hgpdecode.hgp import QubitParseError, build_hgp, qubitset_from_text
-from hgpdecode.ssfind import TraceParseError, trace_from_text
 
 _SMALL_INT = st.integers(-3, 40)
 _TOKEN = st.one_of(
@@ -125,13 +124,6 @@ def test_failed_handshake_is_refused_before_building(monkeypatch):
                           .map(lambda t: " ".join(map(str, t)))), max_size=8).map("\n".join))
 def test_qubit_reader_raises_only_qubit_parse_errors(text):
     _parse(lambda t: qubitset_from_text(t, _CODE), QubitParseError, text)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(_LINE, st.lists(_SMALL_INT, min_size=6, max_size=8)
-                          .map(lambda xs: " ".join(map(str, xs)))), max_size=8).map("\n".join))
-def test_trace_reader_raises_only_trace_parse_errors(text):
-    _parse(trace_from_text, TraceParseError, text)
 
 
 _KEY = st.sampled_from(["n", "delta_v", "delta_c", "graph_seed", "seed", "trials", "weights",
