@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from hgpdecode import BipartiteGraph, audit_expansion
-from hgpdecode.classical import ClassicalCode, classical_syndrome, erase_decode_classical, find_classical
+from hgpdecode.classical import classical_syndrome, erase_decode_classical, find_classical
 
 NUM_VERTICES = 20
 edges = list(itertools.combinations(range(NUM_VERTICES), 2))
@@ -30,18 +30,17 @@ print(f"exhaustive audit up to size 6: worst defect {eps_v} "
 admissible = int((1 - 3 * eps_v) * (6 - 1))
 print(f"admissible error weight under the guarantee: {admissible}\n")
 
-code = ClassicalCode(graph)
 for combo in [(4,), (4, 17), (0, 9, 13)]:
     bits = 0
     for i in combo:
         bits |= 1 << i
-    sigma = classical_syndrome(code, bits)
-    res = find_classical(code, sigma, eps_v)
+    sigma = classical_syndrome(graph, bits)
+    res = find_classical(graph, sigma, eps_v)
     cap = Fraction(len(combo)) / (1 - 3 * eps_v)
     print(f"error {combo}: |sigma|={len(sigma)}, envelope {sorted(res.envelope)} "
           f"(|L|={len(res.envelope)} <= {cap} = |E|/(1-3e))")
     # The sent codeword is 0, so the received word is the error itself.
-    word = erase_decode_classical(code, bits, res.envelope)
+    word = erase_decode_classical(graph, bits, res.envelope)
     print("  erasure completion: "
           + ("several completions" if word is None else f"codeword {word:#x} (sent 0x0)"))
 print("\nEach admissible error is covered by its envelope; erasing the envelope "

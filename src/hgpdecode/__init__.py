@@ -9,15 +9,14 @@ then finish with a restricted linear solve over the envelope.  Sub-packages:
 - ``gf2``        — linear algebra on int bit sets, factor-once solves, kernels
 - ``classical``  — the classical-expander analogue of the search stage
 - ``hgp``        — the product construction, its integer incidence, syndromes
-- ``reduction``  — error reduction and the cap on the local view
-- ``ssfind``     — the envelope search itself
+- ``reduction``  — error reduction
+- ``ssfind``     — the envelope search itself and the cap on the local view
 - ``erasure``    — the completion solve and coset judgement
 - ``harness``    — radius tables, Monte Carlo campaigns, one-shot decodes
 - ``cli``        — the ``hgpdecode`` command
 """
 
 from .classical import (
-    ClassicalCode,
     DecodeFailure,
     FindResult,
     classical_syndrome,
@@ -62,15 +61,13 @@ from .hgp import (
     qubitset_to_text,
     syndrome,
 )
-from .reduction import (
-    ReductionConfigError,
-    reduce_error,
-)
+from .reduction import reduce_error
 from .ssfind import (
     DecoderConfig,
     SsfindIterationError,
     SsfindResult,
     TraceEntry,
+    ViewWidthError,
     min_untouched_score,
     ssfind,
     trace_to_text,

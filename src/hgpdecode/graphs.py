@@ -138,12 +138,11 @@ class ExpansionProfile:
 
     ``worst_epsilon_by_size[s]`` is the largest ``1 - |Γ(S)|/(Δ·s)`` seen over
     the audited size-``s`` subsets, never negative since |Γ(S)| ≤ Δ·s.
-    ``certified`` is True only when every subset up to ``max_set_size`` was
+    ``certified`` is True only when every subset of every audited size was
     enumerated.
     """
 
     side: str
-    max_set_size: int
     worst_epsilon_by_size: dict[int, Fraction]
     certified: bool
 
@@ -207,7 +206,7 @@ def audit_expansion(
                     acc |= masks[v]
                 min_gamma = min(min_gamma, acc.bit_count())
         worst[s] = 1 - Fraction(min_gamma, degree * s)
-    return ExpansionProfile(side, s_max, worst, samples is None)
+    return ExpansionProfile(side, worst, samples is None)
 
 
 def _min_gamma(masks: list[int], s: int, bound: int, floor: int) -> int:

@@ -18,19 +18,19 @@ the logical count come from the base code's kernels too
 (``StabilizerSpan``), so no N-column matrix is built.  ``QubitSet``/
 ``CheckSet``, which carry sets between the stages, hold the code's integer
 indices as well, and ``syndrome`` toggles each error qubit's checks on the
-base graph's adjacency.  Coordinate pairs appear only in the sets' views
-(``vv_part``, ``cc_part``, ``members``), in ``QubitSet.of``/``CheckSet.of``
-and in the qubit-set file format.  The set-level model the integer
-incidence is tested against, by coordinate pairs, is ``tests/oracles.py``,
-which also holds the generator and check coordinate accessors and the
-per-qubit and per-check generator lists the decoder never builds.
+base graph's adjacency.  Coordinate pairs appear only in the qubit sets'
+views (``vv_part``, ``cc_part``) and in the qubit-set file format.  The
+set-level model the integer incidence is tested against, by coordinate
+pairs, is ``tests/oracles.py``, which also builds sets from coordinate
+pairs, reads a check set's pairs, and holds the generator and check
+coordinate accessors and the per-qubit and per-check generator lists the
+decoder never builds.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import starmap
 
 from .gf2 import RestrictedSolver
 from .graphs import BipartiteGraph, LineParseError, content_lines
@@ -58,11 +58,11 @@ class _IndexSet:
     set (``syndrome``, ``reduce_error``, ``ssfind``,
     ``erase_decode_quantum``, ``verify_coset``) check the code, once,
     before reading ``indices``.  The range is checked only where indices
-    come in from outside: in ``from_indices`` and ``of`` (``from_indices``
-    reads it from the code attribute a subclass names in ``_count``), and
-    in the file parser.  The constructor and the operators trust their
-    indices, so a stage builds its result sets, whose indices it computed
-    from the code, with the constructor.
+    come in from outside: in ``from_indices``, which reads it from the code
+    attribute a subclass names in ``_count``, and in the file parser.  The
+    constructor and the operators trust their indices, so a stage builds
+    its result sets, whose indices it computed from the code, with the
+    constructor.
 
     The class is frozen, hashable and equal by its fields, but its
     constructor writes the fields straight into the instance ``__dict__``
@@ -109,9 +109,6 @@ class _IndexSet:
     def __le__(self, other) -> bool:
         return self._same(other).indices <= other.indices
 
-    def isdisjoint(self, other) -> bool:
-        return self._same(other).indices.isdisjoint(other.indices)
-
     def to_indices(self, code: HgpCode) -> list[int]:
         return sorted(self._same(code).indices)
 
@@ -128,11 +125,6 @@ class QubitSet(_IndexSet):
 
     _count = "num_qubits"
 
-    @classmethod
-    def of(cls, code: HgpCode, vv=(), cc=()) -> QubitSet:
-        """The set of these VV and CC coordinate pairs of ``code``."""
-        return cls(code.n, code.m, frozenset([*starmap(code.vv_index, vv), *starmap(code.cc_index, cc)]))
-
     @property
     def weight(self) -> int:
         return len(self.indices)
@@ -148,21 +140,10 @@ class QubitSet(_IndexSet):
 
 @dataclass(frozen=True, init=False)
 class CheckSet(_IndexSet):
-    """A set of X-type parity checks of one code, held as check indices.
-
-    ``members`` is the coordinate view, (left, right) base-vertex pairs,
-    computed on first use; the decoder never reads it."""
+    """A set of X-type parity checks of one code, held as check indices
+    (check (left, right) is index left*m + right)."""
 
     _count = "num_checks"
-
-    @classmethod
-    def of(cls, code: HgpCode, members=()) -> CheckSet:
-        """The set of these (left, right) check pairs of ``code``."""
-        return cls(code.n, code.m, frozenset(starmap(code.check_index, members)))
-
-    @functools.cached_property
-    def members(self) -> frozenset[tuple[int, int]]:
-        return frozenset(divmod(x, self.m) for x in self.indices)
 
 
 class HgpCode:
@@ -254,11 +235,6 @@ class HgpCode:
             r = q - nn
             return "CC", r // self.m, r % self.m
         raise IndexError(f"qubit index {q} out of range [0, {self.num_qubits})")
-
-    def check_index(self, left: int, right: int) -> int:
-        if not (0 <= left < self.n and 0 <= right < self.m):
-            raise IndexError(f"check ({left}, {right}) out of range")
-        return left * self.m + right
 
     # --- integer incidence (indices must be in range; nothing is cached) ---
 

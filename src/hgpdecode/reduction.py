@@ -1,4 +1,4 @@
-"""Reduced error representatives and the cap on the local view.
+"""Reduced error representatives.
 
 A generator's support is a fixed-size local view: delta_c VV qubits (one per
 base neighbor of its right vertex) plus delta_v CC qubits (one per neighbor of
@@ -6,8 +6,7 @@ its left vertex).  Subsets of one view are packed into (delta_v + delta_c)-bit
 masks — low bits the VV part in base-adjacency order, high bits the CC part.
 A mask is locally reduced when it keeps at most half the view; the search
 scores those masks without listing them, and their catalog is a test oracle
-in ``tests/oracles.py``.  ``check_view_width`` refuses a view wider than
-``MAX_VIEW_WIDTH``.
+in ``tests/oracles.py``.
 
 Toggling a generator's support never changes the syndrome.  Greedy
 reduction toggles until no toggle lowers the weight; at that fixpoint every
@@ -27,29 +26,12 @@ from .hgp import HgpCode, QubitSet
 
 __all__ = [
     "REDUCTIONS",
-    "ReductionConfigError",
     "reduce_error",
 ]
 
 
 # The reduction modes, as campaigns, ``decode_once`` and ``--reduce`` accept them.
 REDUCTIONS = ("none", "greedy")
-
-# Widest local view the search accepts.  It bounds the per-degree-pair grid
-# tables, 2^delta_c rows and 2^delta_v columns, and the 2^delta_v * delta_c
-# steps of scoring one state; at a 20-qubit view the grid has up to 100 cells.
-MAX_VIEW_WIDTH = 20
-
-
-class ReductionConfigError(ValueError):
-    """Local view wider than MAX_VIEW_WIDTH (time and memory guard)."""
-
-
-def check_view_width(width: int) -> None:
-    if width > MAX_VIEW_WIDTH:
-        raise ReductionConfigError(
-            f"local view has {width} qubits, above the cap {MAX_VIEW_WIDTH}"
-        )
 
 
 def reduce_error(code: HgpCode, error: QubitSet, mode: str = "greedy") -> QubitSet:

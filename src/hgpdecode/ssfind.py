@@ -84,7 +84,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .hgp import CheckSet, HgpCode, QubitSet
-from .reduction import check_view_width
 
 __all__ = [
     "DecoderConfig",
@@ -92,6 +91,7 @@ __all__ = [
     "SsfindResult",
     "SsfindState",
     "TraceEntry",
+    "ViewWidthError",
     "min_untouched_score",
     "ssfind",
     "trace_to_text",
@@ -106,6 +106,10 @@ _NO_BEST = _NO_KEY << 64
 _LOW32 = (1 << 32) - 1
 # Entries one best-candidate memo holds before it is cleared.
 _MEMO_CAP = 1 << 16
+# Widest local view the search accepts.  It bounds the per-degree-pair grid
+# tables, 2^delta_c rows and 2^delta_v columns, and the 2^delta_v * delta_c
+# steps of scoring one state; at a 20-qubit view the grid has up to 100 cells.
+MAX_VIEW_WIDTH = 20
 
 
 @dataclass(frozen=True)
@@ -174,6 +178,15 @@ def trace_to_text(trace: Iterable[TraceEntry]) -> str:
 # --- per-degree-pair local view tables ---
 
 
+class ViewWidthError(ValueError):
+    """Local view wider than MAX_VIEW_WIDTH (time and memory guard)."""
+
+
+def check_view_width(width: int) -> None:
+    if width > MAX_VIEW_WIDTH:
+        raise ViewWidthError(f"local view has {width} qubits, above the cap {MAX_VIEW_WIDTH}")
+
+
 class _ViewTables:
     """Candidate geometry for one degree pair, shared across codes.
 
@@ -194,9 +207,14 @@ class _ViewTables:
     the integer num*(scale/den), so scores sort and hash as small ints and
     compare exactly as the fractions do; every possible score is sorted once
     into ``scores`` (scaled), and a score's rank is its index there.
+
+    A view wider than MAX_VIEW_WIDTH raises ``ViewWidthError`` before any
+    table is built; the tables' cache keeps no exception, so every decode
+    and ``min_untouched_score`` call on such a degree pair raises.
     """
 
     def __init__(self, delta_v: int, delta_c: int):
+        check_view_width(delta_v + delta_c)
         self.delta_v = delta_v
         self.delta_c = delta_c
         self.width = delta_v + delta_c
@@ -335,7 +353,8 @@ def _view_tables(delta_v: int, delta_c: int) -> _ViewTables:
 
 
 def min_untouched_score(delta_v: int, delta_c: int) -> Fraction:
-    """Lowest possible score of a candidate none of whose checks is suspicious."""
+    """Lowest possible score of a candidate none of whose checks is
+    suspicious; ``ViewWidthError`` on a view wider than MAX_VIEW_WIDTH."""
     return _view_tables(delta_v, delta_c).min_untouched
 
 
@@ -368,8 +387,8 @@ class SsfindResult:
 class SsfindState:
     """One decode's search: ``SsfindState(code, sigma, config)`` builds it
     with the syndrome's cells marked, and ``run()`` advances it to the exit.
-    The finished search is the result's ``state``: ``seeded``, ``rmask(g)``
-    and ``retired(g)`` read its per-generator state.
+    The finished search is the result's ``state``: ``seeded`` flags its
+    seeded generators, and ``_word(g)`` reads one generator's word.
 
     A generator's state is one word, ``rmask << width | retired``: its
     suspicious grid cells and the view bits of its envelope qubits, which is
@@ -383,7 +402,6 @@ class SsfindState:
     grid's checks is suspicious, or from the start in eager mode."""
 
     def __init__(self, code: HgpCode, sigma: CheckSet, config: DecoderConfig):
-        check_view_width(code.delta_v + code.delta_c)
         self.code = code
         self.config = config
         self.tables = _view_tables(code.delta_v, code.delta_c)
@@ -428,14 +446,6 @@ class SsfindState:
             if chk in checks:
                 cells |= 1 << cell
         return cells
-
-    def rmask(self, g: int) -> int:
-        """Generator g's suspicious grid cells."""
-        return self._word(g) >> self.tables.width
-
-    def retired(self, g: int) -> int:
-        """The view bits of generator g's envelope qubits."""
-        return self._word(g) & ((1 << self.tables.width) - 1)
 
     @property
     def seeded(self) -> bytearray:

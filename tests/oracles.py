@@ -11,22 +11,24 @@ mask) pairs scored with Fractions, and span membership by row echelon
 elimination.
 
 Each oracle computes from the base graph's adjacency lists and from
-coordinates (``gen_coords``, ``check_coords`` and ``gen_index`` here,
-``vv_index``/``cc_index`` on the code), never from the integer incidence or
-the view tables it is compared against; ``qubit_gens``/``check_gens`` list
-the generators holding a qubit or a check that way, where the decoder walks
-the slot tables.
-Sets enter through ``QubitSet.of``/``CheckSet.of`` and are read through
-their coordinate views (``vv_part``, ``cc_part``, ``members``); the check
-incidences of a set are counted over those pairs (``_incidences``), and
-``score`` counts a candidate's pairs without building a set.
+coordinates (``gen_coords``, ``gen_index``, ``check_coords`` and
+``check_index`` here, ``vv_index``/``cc_index`` on the code), never from the
+integer incidence or the view tables it is compared against;
+``qubit_gens``/``check_gens`` list the generators holding a qubit or a check
+that way, where the decoder walks the slot tables.
+Sets enter through ``qubits_of``/``checks_of``, which refuse a pair out of
+range, and are read through their coordinate views (``vv_part`` and
+``cc_part`` on a qubit set, ``check_pairs`` here for a check set); the
+check incidences of a set are counted over those pairs (``_incidences``),
+and ``score`` counts a candidate's pairs without building a set.
 Candidates come from the mask catalog ``locally_reduced_masks``, which
 ``test_reduction`` checks against its definition of ``part_sizes``; the
 package scores masks without listing them, so the catalog lives only here.
 ``unique_cells`` gives each mask's unique grid cells and weight from the
 per-cell definition, and ``brute_best`` a state's best candidate over them
 in Fractions.  ``alive_masks`` and ``cached_scores`` are the other side of
-the comparison: they read a finished search's incremental state.
+the comparison: they read a finished search's incremental state, whose
+per-generator parts ``rmask`` and ``retired`` split from its word.
 ``exit_audit`` checks a finished search from scratch: it rebuilds every
 seeded generator's suspicious cells and retired bits from the code's
 incidence (``gen_checks``, ``gen_qubits``), and sweeps the catalog over
@@ -54,7 +56,7 @@ import numpy as np
 from hgpdecode.gf2 import RestrictedSolver, bit_positions
 from hgpdecode.graphs import BipartiteGraph, _side_data
 from hgpdecode.hgp import CheckSet, HgpCode, QubitSet
-from hgpdecode.reduction import check_view_width
+from hgpdecode.ssfind import check_view_width
 
 
 # --- GF(2) ---
@@ -184,6 +186,29 @@ def check_coords(code: HgpCode, x: int) -> tuple[int, int]:
     return divmod(x, code.m)
 
 
+def check_index(code: HgpCode, left: int, right: int) -> int:
+    """Index of check (left, right): left-major over the n x m pairs."""
+    if not (0 <= left < code.n and 0 <= right < code.m):
+        raise IndexError(f"check ({left}, {right}) out of range")
+    return left * code.m + right
+
+
+def qubits_of(code: HgpCode, vv=(), cc=()) -> QubitSet:
+    """The set of these VV and CC coordinate pairs of ``code``."""
+    indices = [code.vv_index(*p) for p in vv] + [code.cc_index(*p) for p in cc]
+    return QubitSet(code.n, code.m, frozenset(indices))
+
+
+def checks_of(code: HgpCode, pairs=()) -> CheckSet:
+    """The set of these (left, right) check pairs of ``code``."""
+    return CheckSet(code.n, code.m, frozenset(check_index(code, *p) for p in pairs))
+
+
+def check_pairs(checks: CheckSet) -> frozenset[tuple[int, int]]:
+    """The (left, right) pairs of a check set."""
+    return frozenset(divmod(x, checks.m) for x in checks.indices)
+
+
 def qubit_gens(code: HgpCode, q: int) -> list[tuple[int, int]]:
     """(generator, local-view bit) of every generator whose support holds
     qubit q, by ascending generator: VV qubit (nu, v) is bit i of generator
@@ -216,7 +241,7 @@ def supp_generator(code: HgpCode, g: int) -> QubitSet:
     c, v = gen_coords(code, g)
     vv = [(nu, v) for nu in code.base.adj_c[c]]
     cc = [(c, zeta) for zeta in code.base.adj_v[v]]
-    return QubitSet.of(code, vv, cc)
+    return qubits_of(code, vv, cc)
 
 
 def supp_check(code: HgpCode, x: int) -> QubitSet:
@@ -224,7 +249,7 @@ def supp_check(code: HgpCode, x: int) -> QubitSet:
     nu, zeta = check_coords(code, x)
     vv = [(nu, v) for v in code.base.adj_c[zeta]]
     cc = [(c, zeta) for c in code.base.adj_v[nu]]
-    return QubitSet.of(code, vv, cc)
+    return qubits_of(code, vv, cc)
 
 
 def _incidences(code: HgpCode, vv, cc) -> dict[tuple[int, int], int]:
@@ -243,19 +268,19 @@ def _incidences(code: HgpCode, vv, cc) -> dict[tuple[int, int], int]:
 
 def qnbhd(code: HgpCode, qubits: QubitSet) -> CheckSet:
     """All checks incident to the set."""
-    return CheckSet.of(code, _incidences(code, qubits.vv_part, qubits.cc_part))
+    return checks_of(code, _incidences(code, qubits.vv_part, qubits.cc_part))
 
 
 def qnbhd_unique(code: HgpCode, qubits: QubitSet) -> CheckSet:
     """Checks with exactly one incidence into the set."""
     counts = _incidences(code, qubits.vv_part, qubits.cc_part)
-    return CheckSet.of(code, (k for k, cnt in counts.items() if cnt == 1))
+    return checks_of(code, (k for k, cnt in counts.items() if cnt == 1))
 
 
 def syndrome_pairs(code: HgpCode, qubits: QubitSet) -> CheckSet:
     """Checks with an odd number of incidences into the set."""
     counts = _incidences(code, qubits.vv_part, qubits.cc_part)
-    return CheckSet.of(code, (k for k, cnt in counts.items() if cnt & 1))
+    return checks_of(code, (k for k, cnt in counts.items() if cnt & 1))
 
 
 def project(qubits: QubitSet, axis: str, index: int | None = None) -> set[int]:
@@ -350,7 +375,7 @@ def solve_by_elimination(code: HgpCode, sigma: CheckSet, envelope: QubitSet, det
         row_pos = {x: r for r, x in enumerate(rows)}
         solution = solver.solve(sum(1 << row_pos[x] for x in flagged))
     if solution is None:
-        return QubitSet.of(code), "no-solution", rows_touched
+        return qubits_of(code), "no-solution", rows_touched
     status = "success"
     if detect_ambiguity:
         span = RowBasis(generator_matrix(code))
@@ -431,14 +456,14 @@ def mask_pairs(code: HgpCode, generator: int, mask: int) -> tuple[list, list]:
 
 def mask_to_qubitset(code: HgpCode, generator: int, mask: int) -> QubitSet:
     """Unpack a local-view mask into the qubits it selects."""
-    return QubitSet.of(code, *mask_pairs(code, generator, mask))
+    return qubits_of(code, *mask_pairs(code, generator, mask))
 
 
 def score(code: HgpCode, candidate: Candidate, suspicious: CheckSet) -> Fraction:
     """|unique checks outside the suspicious set| / (delta * weighted norm),
     counted over the candidate's coordinate pairs."""
     counts = _incidences(code, *mask_pairs(code, candidate.generator, candidate.mask))
-    flagged = suspicious.members
+    flagged = check_pairs(suspicious)
     num = sum(1 for chk, cnt in counts.items() if cnt == 1 and chk not in flagged)
     den = candidate.a_v * code.delta_v + candidate.a_c * code.delta_c
     return Fraction(num, den)
@@ -451,7 +476,7 @@ def candidate_seeding(code: HgpCode, sigma: CheckSet) -> dict[int, list[Candidat
     adj_v, adj_c = code.base.adj_v, code.base.adj_c
     gens = {
         gen_index(code, c, v)
-        for nu, zeta in sigma.members
+        for nu, zeta in check_pairs(sigma)
         for c in adj_v[nu]
         for v in adj_c[zeta]
     }
@@ -546,11 +571,21 @@ def table_best(delta_v: int, delta_c: int, twoeps: Fraction, states) -> list:
 # --- a finished search's state ---
 
 
+def rmask(state, g: int) -> int:
+    """Generator g's suspicious grid cells, the high part of its word."""
+    return state._word(g) >> state.tables.width
+
+
+def retired(state, g: int) -> int:
+    """The view bits of generator g's envelope qubits, the low part of its word."""
+    return state._word(g) & ((1 << state.tables.width) - 1)
+
+
 def alive_masks(state, g: int) -> list[int]:
     """The masks of generator g that share no qubit with the envelope."""
-    retired = state.retired(g)
+    gone = retired(state, g)
     catalog = locally_reduced_masks(state.code.delta_v, state.code.delta_c)
-    return [m for m in catalog if not (m & retired)]
+    return [m for m in catalog if not (m & gone)]
 
 
 def score_ranks(delta_v: int, delta_c: int) -> tuple[list[Fraction], dict[tuple[int, int], int]]:
@@ -570,9 +605,9 @@ def cached_scores(state, g: int, masks) -> list[Fraction]:
     suspicious-cell mask, read once, over the masks' ``unique_cells``."""
     dv, dc = state.code.delta_v, state.code.delta_c
     cells, positions = unique_cells(dv, dc), mask_positions(dv, dc)
-    rmask = state.rmask(g)
+    marked = rmask(state, g)
     return [
-        Fraction((uq & ~rmask).bit_count(), den)
+        Fraction((uq & ~marked).bit_count(), den)
         for _, uq, den in (cells[positions[m]] for m in masks)
     ]
 
@@ -598,14 +633,14 @@ def exit_audit(state) -> None:
     for g, on in enumerate(state.seeded):
         if not on:
             continue
-        rmask = sum(1 << i for i, x in enumerate(code.gen_checks(g)) if x in state.suspicious_set)
-        if rmask != state.rmask(g):
+        marked = sum(1 << i for i, x in enumerate(code.gen_checks(g)) if x in state.suspicious_set)
+        if marked != rmask(state, g):
             raise AssertionError(f"incremental suspicious-cell mask diverged for generator {g}")
-        retired = sum(1 << i for i, x in enumerate(code.gen_qubits(g)) if x in state.envelope_set)
-        if retired != state.retired(g):
+        gone = sum(1 << i for i, x in enumerate(code.gen_qubits(g)) if x in state.envelope_set)
+        if gone != retired(state, g):
             raise AssertionError(f"retired view bits diverged for generator {g}")
         for mask, uq, den in cells:
-            if not mask & retired and (uq & ~rmask).bit_count() * q <= p * den:
+            if not mask & gone and (uq & ~marked).bit_count() * q <= p * den:
                 raise AssertionError(
                     f"candidate (generator {g}, mask {mask:#x}) still qualifies at exit"
                 )

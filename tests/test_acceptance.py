@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from hgpdecode.classical import ClassicalCode, classical_syndrome, find_classical
+from hgpdecode.classical import classical_syndrome, find_classical
 from hgpdecode.cli import main
 from hgpdecode.erasure import erase_decode_quantum, verify_coset
 from hgpdecode.graphs import BipartiteGraph, audit_expansion, gen_biregular
@@ -47,6 +47,8 @@ from oracles import (
     part_sizes,
     qnbhd,
     qnbhd_unique,
+    qubits_of,
+    rmask,
     score,
     supp_check,
     supp_generator,
@@ -234,7 +236,7 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
     exit_audit(st)
     for g in range(code.num_gens):
         if not seeded[g]:
-            assert st.rmask(g) == 0
+            assert rmask(st, g) == 0
 
     # (c) growth bound replayed from the trace with exact arithmetic, on the
     # envelope's coordinate pairs: |VV| / delta_c + |CC| / delta_v is its
@@ -249,7 +251,7 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
         norm = Fraction(len(vv), code.delta_c) + Fraction(len(cc), code.delta_v)
         bound = len(sigma_set) + (Fraction(1, 4) + twoeps) * delta * norm
         assert Fraction(len(_incidences(code, vv, cc))) <= bound, entry
-    assert QubitSet.of(code, vv, cc) == res.envelope
+    assert qubits_of(code, vv, cc) == res.envelope
 
     # (d) cached scores agree with a from-scratch recomputation: the cheapest
     # alive candidate of every seeded generator each trial, everything on
@@ -266,7 +268,7 @@ def _check_run_invariants(code, config, sigma_set, res, full_scan: bool) -> None
         masks = alive_masks(st, g)
         if not masks:
             continue
-        not_r = ~st.rmask(g)
+        not_r = ~rmask(st, g)
 
         def key(m):
             pos = positions[m]
@@ -403,14 +405,13 @@ def test_classical_find_covers_admissible_errors_on_audited_expanders(
         admissible = int((1 - 3 * eps_v) * (s_max - 1))
         assert admissible >= 1 and admissible <= s_max
 
-        code = ClassicalCode(graph)
         for w in range(1, admissible + 1):
-            for combo in itertools.combinations(range(code.n), w):
+            for combo in itertools.combinations(range(graph.n), w):
                 bits = 0
                 for i in combo:
                     bits |= 1 << i
-                sigma = classical_syndrome(code, bits)
-                res = find_classical(code, sigma, eps_v)
+                sigma = classical_syndrome(graph, bits)
+                res = find_classical(graph, sigma, eps_v)
                 assert set(combo) <= res.envelope, (graph.n, combo, res.envelope)
                 assert Fraction(len(res.envelope)) <= Fraction(w) / (1 - 3 * eps_v), (
                     graph.n,

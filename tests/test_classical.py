@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from hgpdecode.classical import (
-    ClassicalCode,
     DecodeFailure,
     classical_syndrome,
     erase_decode_classical,
@@ -21,59 +20,43 @@ from hgpdecode.graphs import BipartiteGraph, audit_expansion, gen_biregular
 from oracles import neighbors
 
 
-@pytest.fixture(scope="module")
-def path_code(path_graph):
-    return ClassicalCode(path_graph)
-
-
-@pytest.fixture(scope="module")
-def k33_code(k33_graph):
-    return ClassicalCode(k33_graph)
-
-
-@pytest.fixture(scope="module")
-def k44_code(k44_incidence_graph):
-    return ClassicalCode(k44_incidence_graph)
-
-
 # --- syndromes ---
 
-def test_syndrome_of_zero_word(k33_code):
-    assert classical_syndrome(k33_code, 0) == set()
+def test_syndrome_of_zero_word(k33_graph):
+    assert classical_syndrome(k33_graph, 0) == set()
 
 
-def test_syndrome_path_single_flip(path_code):
-    assert classical_syndrome(path_code, 0b01) == {0}
+def test_syndrome_path_single_flip(path_graph):
+    assert classical_syndrome(path_graph, 0b01) == {0}
 
 
-def test_syndrome_k33_two_flips_cancel(k33_code):
-    assert classical_syndrome(k33_code, 0b011) == set()
+def test_syndrome_k33_two_flips_cancel(k33_graph):
+    assert classical_syndrome(k33_graph, 0b011) == set()
 
 
 # --- envelope finder ---
 
-def test_find_empty_syndrome(path_code):
-    res = find_classical(path_code, set(), Fraction(0))
-    assert res.envelope == set() and res.iterations == 0
+def test_find_empty_syndrome(path_graph):
+    res = find_classical(path_graph, set(), Fraction(0))
+    assert res.envelope == set() and res.trace == []
 
 
-def test_find_path_hand_trace(path_code):
+def test_find_path_hand_trace(path_graph):
     # threshold h = 1; bit 0 qualifies first, its check is already suspicious,
     # then bit 1 qualifies too.
-    res = find_classical(path_code, {0}, Fraction(0))
+    res = find_classical(path_graph, {0}, Fraction(0))
     assert res.envelope == {0, 1}
     assert [t[0] for t in res.trace] == [0, 1]
-    assert res.iterations == 2
 
 
-def test_find_single_bit_error_on_audited_expander(k44_code):
-    profile = audit_expansion(k44_code.graph, "left", 3)
+def test_find_single_bit_error_on_audited_expander(k44_incidence_graph):
+    profile = audit_expansion(k44_incidence_graph, "left", 3)
     eps = profile.worst_up_to()
     assert eps == Fraction(1, 6) and eps < Fraction(1, 3)
     bound = 1 / (1 - 3 * eps)  # envelope-size claim for admissible errors
-    for v in range(k44_code.n):
+    for v in range(k44_incidence_graph.n):
         word = 1 << v
-        res = find_classical(k44_code, classical_syndrome(k44_code, word), eps)
+        res = find_classical(k44_incidence_graph, classical_syndrome(k44_incidence_graph, word), eps)
         assert v in res.envelope
         assert len(res.envelope) <= bound
         assert res.envelope == {v}  # h = 3 and distinct bits share at most 1 check
@@ -82,87 +65,85 @@ def test_find_single_bit_error_on_audited_expander(k44_code):
 def test_find_result_invariants():
     rng = random.Random(11)
     g = gen_biregular(20, 2, 4, seed=3)
-    code = ClassicalCode(g)
     for _ in range(40):
         word = rng.getrandbits(20)
-        syn = classical_syndrome(code, word)
-        res = find_classical(code, syn, Fraction(1, 5))
+        syn = classical_syndrome(g, word)
+        res = find_classical(g, syn, Fraction(1, 5))
         assert res.suspicious == syn | neighbors(g, "left", res.envelope)
-        assert res.iterations == len(res.envelope)
+        assert len(res.trace) == len(res.envelope)  # one adopted bit per step
         # monotone growth along the trace
         sizes = [(t[2], t[3]) for t in res.trace]
         assert sizes == sorted(sizes)
 
 
-def test_find_is_deterministic(k44_code):
-    syn = classical_syndrome(k44_code, 0b00000011)
-    a = find_classical(k44_code, syn, Fraction(1, 6))
-    b = find_classical(k44_code, syn, Fraction(1, 6))
+def test_find_is_deterministic(k44_incidence_graph):
+    syn = classical_syndrome(k44_incidence_graph, 0b00000011)
+    a = find_classical(k44_incidence_graph, syn, Fraction(1, 6))
+    b = find_classical(k44_incidence_graph, syn, Fraction(1, 6))
     assert a == b
 
 
-def test_find_rejects_bad_epsilon(path_code):
+def test_find_rejects_bad_epsilon(path_graph):
     with pytest.raises(ValueError):
-        find_classical(path_code, set(), Fraction(1, 2))
+        find_classical(path_graph, set(), Fraction(1, 2))
 
 
-def complete_graph_code(k: int) -> ClassicalCode:
+def complete_graph(k: int) -> BipartiteGraph:
     """Bits are the vertices of K_k (delta_v = k - 1), checks its edges."""
     edges = list(itertools.combinations(range(k), 2))
     adj_v = [[e for e, pair in enumerate(edges) if v in pair] for v in range(k)]
-    return ClassicalCode(BipartiteGraph.from_left_adjacency(len(edges), adj_v))
+    return BipartiteGraph.from_left_adjacency(len(edges), adj_v)
 
 
 def test_find_refuses_a_float_epsilon():
     """A float epsilon_v would round the threshold h = ceil((1 - 2 eps) dv)
     through binary: 0.3 and 1/6 as floats sit just below 3/10 and 1/6, so
     h comes out one too high and the envelope changes."""
-    k6 = complete_graph_code(6)
+    k6 = complete_graph(6)
     syn6 = classical_syndrome(k6, 0b000011)
     # h = ceil(2/5 * 5) = 2: every other vertex meets two flagged edges.
     assert find_classical(k6, syn6, Fraction(3, 10)).envelope == set(range(6))
     assert find_classical(k6, syn6, "3/10").envelope == set(range(6))
-    k4 = complete_graph_code(4)
+    k4 = complete_graph(4)
     syn4 = classical_syndrome(k4, 0b0011)
     # h = ceil(2/3 * 3) = 2: vertex 0 meets two flagged edges, 0-2 and 0-3.
     res = find_classical(k4, syn4, Fraction(1, 6))
     assert res.trace[0][:2] == (0, 2) and res.envelope == set(range(4))
-    for code, syn, eps in ((k6, syn6, 0.3), (k4, syn4, 1 / 6)):
+    for graph, syn, eps in ((k6, syn6, 0.3), (k4, syn4, 1 / 6)):
         with pytest.raises(TypeError, match="float"):
-            find_classical(code, syn, eps)
+            find_classical(graph, syn, eps)
 
 
 # --- erasure decoding ---
 
-def test_erase_nothing_returns_same_word(k33_code):
+def test_erase_nothing_returns_same_word(k33_graph):
     word = 0b011
-    assert erase_decode_classical(k33_code, word, set()) == word
+    assert erase_decode_classical(k33_graph, word, set()) == word
 
 
-def test_erase_path_single_bit_forced(path_code):
+def test_erase_path_single_bit_forced(path_graph):
     # codewords are {00, 11}; with w1 = 1 the erased w0 is forced to 1
     word = 0b10
-    out = erase_decode_classical(path_code, word, {0})
+    out = erase_decode_classical(path_graph, word, {0})
     assert out == 0b11
 
 
-def test_erase_underdetermined_returns_none(k33_code):
+def test_erase_underdetermined_returns_none(k33_graph):
     # codewords of the all-ones-check code: even weight; erasing two bits of a
     # codeword leaves two completions
-    out = erase_decode_classical(k33_code, 0b000, {0, 1})
+    out = erase_decode_classical(k33_graph, 0b000, {0, 1})
     assert out is None
 
 
-def test_erase_inconsistent_raises(path_code):
+def test_erase_inconsistent_raises(path_graph):
     with pytest.raises(DecodeFailure):
-        erase_decode_classical(path_code, 0b01, set())
+        erase_decode_classical(path_graph, 0b01, set())
 
 
 def test_erase_matches_brute_force_nearest_codeword():
     # On a small audited code, any erasure pattern with a unique completion
     # must be decoded back to the original codeword (brute-force oracle).
     g = gen_biregular(12, 3, 6, seed=4)
-    code = ClassicalCode(g)
     h = [sum(1 << v for v in bits) for bits in g.adj_c]
     codewords = [w for w in range(1 << 12) if all(
         ((row & w).bit_count() & 1) == 0 for row in h
@@ -175,7 +156,7 @@ def test_erase_matches_brute_force_nearest_codeword():
         visible_mask = ((1 << 12) - 1) ^ sum(1 << v for v in erased)
         completions = [cw for cw in codewords if (cw & visible_mask) == (w & visible_mask)]
         word = w & visible_mask
-        got = erase_decode_classical(code, word, erased)
+        got = erase_decode_classical(g, word, erased)
         if len(completions) == 1:
             tested_unique += 1
             assert got == w
@@ -197,9 +178,9 @@ def test_erase_matches_brute_force_nearest_codeword():
         if not completions:
             kinds["fail"] += 1
             with pytest.raises(DecodeFailure):
-                erase_decode_classical(code, word, erased)
+                erase_decode_classical(g, word, erased)
             continue
-        got = erase_decode_classical(code, word, erased)
+        got = erase_decode_classical(g, word, erased)
         if len(completions) == 1:
             kinds["unique"] += 1
             assert got == completions[0]
@@ -213,20 +194,19 @@ def test_erase_peeling_handles_chain():
     # A pure peeling cascade: checks of degree 2 form a path, erasures resolve
     # one by one from the known end.
     g = gen_biregular(2, 1, 2, seed=0)
-    code = ClassicalCode(g)
-    out = erase_decode_classical(code, 0b00, {1})
+    out = erase_decode_classical(g, 0b00, {1})
     assert out == 0b00
 
 
-def test_classical_functions_refuse_a_word_outside_the_code(path_code):
+def test_classical_functions_refuse_a_word_outside_the_code(path_graph):
     """A word is an int over the code's n bits: a negative one, or one with a
     bit at n or above, is refused by both entry points."""
-    assert path_code.n == 2
+    assert path_graph.n == 2
     for word in (-1, 0b100, 1 << 40):
         with pytest.raises(Gf2DimensionError):
-            classical_syndrome(path_code, word)
+            classical_syndrome(path_graph, word)
         with pytest.raises(Gf2DimensionError):
-            erase_decode_classical(path_code, word, set())
+            erase_decode_classical(path_graph, word, set())
         with pytest.raises(Gf2DimensionError):
-            erase_decode_classical(path_code, word, {0})
-    assert erase_decode_classical(path_code, 0b11, {0}) == 0b11
+            erase_decode_classical(path_graph, word, {0})
+    assert erase_decode_classical(path_graph, 0b11, {0}) == 0b11

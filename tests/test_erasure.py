@@ -16,7 +16,7 @@ from hgpdecode.graphs import gen_biregular
 from hgpdecode.hgp import CheckSet, QubitSet, build_hgp, syndrome
 from hgpdecode.ssfind import DecoderConfig, ssfind
 
-from oracles import RowBasis, generator_matrix, qnbhd, solve_by_elimination, supp_generator
+from oracles import RowBasis, checks_of, generator_matrix, qnbhd, qubits_of, solve_by_elimination, supp_generator
 
 
 @pytest.fixture(scope="module")
@@ -47,20 +47,20 @@ def _random_error(code, rng, weight):
             vv.add((rng.randrange(n), rng.randrange(n)))
         else:
             cc.add((rng.randrange(m), rng.randrange(m)))
-    return QubitSet.of(code, vv, cc)
+    return qubits_of(code, vv, cc)
 
 
 def test_empty_everything_succeeds(path_code):
-    empty = QubitSet.of(path_code)
+    empty = qubits_of(path_code)
     verdict = erase_decode_quantum(path_code, syndrome(path_code, empty), empty)
     assert verdict == DecodeVerdict(empty, "success", 0)
 
 
 def test_flagged_check_away_from_envelope_is_unsolvable(path_code):
-    sigma = CheckSet.of(path_code, [(0, 0)])
-    verdict = erase_decode_quantum(path_code, sigma, QubitSet.of(path_code))
+    sigma = checks_of(path_code, [(0, 0)])
+    verdict = erase_decode_quantum(path_code, sigma, qubits_of(path_code))
     assert verdict.status == "no-solution"
-    assert verdict.correction == QubitSet.of(path_code)
+    assert verdict.correction == qubits_of(path_code)
     assert verdict.rows_touched == 1
 
 
@@ -100,7 +100,7 @@ def test_solution_confined_to_strict_superset_envelope(mid_code):
 
 
 def test_verify_coset_examples(path_code, single_edge_code):
-    error = QubitSet.of(path_code, vv=[(0, 0), (1, 1)])
+    error = qubits_of(path_code, vv=[(0, 0), (1, 1)])
     assert verify_coset(path_code, error, error)
     for g in range(path_code.num_gens):
         toggled = error ^ supp_generator(path_code, g)
@@ -108,8 +108,8 @@ def test_verify_coset_examples(path_code, single_edge_code):
     # Single-edge code: the only generator support is both qubits at once, so
     # a one-qubit difference crosses cosets.
     code = single_edge_code
-    assert verify_coset(code, QubitSet.of(code, vv=[(0, 0)], cc=[(0, 0)]), QubitSet.of(code))
-    assert not verify_coset(code, QubitSet.of(code, vv=[(0, 0)]), QubitSet.of(code))
+    assert verify_coset(code, qubits_of(code, vv=[(0, 0)], cc=[(0, 0)]), qubits_of(code))
+    assert not verify_coset(code, qubits_of(code, vv=[(0, 0)]), qubits_of(code))
 
 
 def test_coset_equivalence_implies_equal_syndromes(mid_code):
@@ -154,7 +154,7 @@ def test_factorization_cache_and_determinism(mid_code):
     assert first == second
     assert mid_code._erasure_solver[2] is solver
     # A different syndrome against the same envelope reuses the factorization.
-    sub = QubitSet.of(mid_code, vv=list(error.vv_part)[:1])
+    sub = qubits_of(mid_code, vv=list(error.vv_part)[:1])
     erase_decode_quantum(mid_code, syndrome(mid_code, sub), envelope)
     assert mid_code._erasure_solver[2] is solver
     # A different envelope replaces the single cached factorization.
@@ -174,7 +174,7 @@ def test_factorization_cache_and_determinism(mid_code):
     sigma = CheckSet.from_indices(mid_code, [*syndrome(mid_code, sub).to_indices(mid_code), far])
     envelope = QubitSet.from_indices(mid_code, cols)
     verdict = erase_decode_quantum(mid_code, sigma, envelope)
-    assert verdict == DecodeVerdict(QubitSet.of(mid_code), "no-solution", len(row_pos) + 1)
+    assert verdict == DecodeVerdict(qubits_of(mid_code), "no-solution", len(row_pos) + 1)
     assert mid_code._erasure_solver[2] is solver
     # With nothing cached, the same solve gives the same verdict and
     # factorizes nothing.
@@ -186,22 +186,22 @@ def test_factorization_cache_and_determinism(mid_code):
 def test_full_envelope_ambiguity_split(path_code, single_edge_code):
     # Path-graph code keeps one logical qubit, so the all-qubits envelope
     # admits solutions from different cosets; the single-edge code does not.
-    everything = QubitSet.of(
+    everything = qubits_of(
         path_code,
         vv=[(i, j) for i in range(path_code.n) for j in range(path_code.n)],
         cc=[(i, j) for i in range(path_code.m) for j in range(path_code.m)],
     )
-    sigma = syndrome(path_code, QubitSet.of(path_code))
+    sigma = syndrome(path_code, qubits_of(path_code))
     flagged = erase_decode_quantum(path_code, sigma, everything, detect_ambiguity=True)
     assert flagged.status == "ambiguous-logical"
-    assert flagged.correction == QubitSet.of(path_code)
+    assert flagged.correction == qubits_of(path_code)
 
     silent = erase_decode_quantum(path_code, sigma, everything)
     assert silent.status == "success"
 
-    both = QubitSet.of(single_edge_code, vv=[(0, 0)], cc=[(0, 0)])
+    both = qubits_of(single_edge_code, vv=[(0, 0)], cc=[(0, 0)])
     tiny = erase_decode_quantum(
-        single_edge_code, syndrome(single_edge_code, QubitSet.of(single_edge_code)), both,
+        single_edge_code, syndrome(single_edge_code, qubits_of(single_edge_code)), both,
         detect_ambiguity=True,
     )
     assert tiny.status == "success"
@@ -210,13 +210,13 @@ def test_full_envelope_ambiguity_split(path_code, single_edge_code):
 def test_ambiguity_matches_logical_count(path_code, single_edge_code, k33_code):
     # With every qubit erased, ambiguity is exactly "k > 0".
     for code in (path_code, single_edge_code, k33_code):
-        everything = QubitSet.of(
+        everything = qubits_of(
             code,
             vv=[(i, j) for i in range(code.n) for j in range(code.n)],
             cc=[(i, j) for i in range(code.m) for j in range(code.m)],
         )
         verdict = erase_decode_quantum(
-            code, syndrome(code, QubitSet.of(code)), everything, detect_ambiguity=True
+            code, syndrome(code, qubits_of(code)), everything, detect_ambiguity=True
         )
         assert (verdict.status == "ambiguous-logical") == (code.k > 0)
 
@@ -241,7 +241,7 @@ def test_coset_and_ambiguity_build_no_full_matrix(monkeypatch):
     assert verdict.status == "success" and verify_coset(code, verdict.correction, error)
     g = supp_generator(code, 5)
     assert verify_coset(code, error ^ g, error)
-    assert not verify_coset(code, error ^ QubitSet.of(code, vv=[(0, 0)]), error)
+    assert not verify_coset(code, error ^ qubits_of(code, vv=[(0, 0)]), error)
     assert shapes and max(cols for _, cols in shapes) < code.num_qubits
 
 
@@ -273,7 +273,7 @@ def test_ambiguity_verdicts_match_list_route(path_code, k33_code, mid_code):
     late = 0
     for code in codes:
         everything = QubitSet.from_indices(code, range(code.num_qubits))
-        cases = [(QubitSet.of(code), everything)]
+        cases = [(qubits_of(code), everything)]
         for _ in range(12):
             error = _random_error(code, rng, rng.randint(1, 4))
             extra = rng.sample(range(code.num_qubits), rng.randint(0, code.num_qubits // 3))
@@ -286,9 +286,9 @@ def test_ambiguity_verdicts_match_list_route(path_code, k33_code, mid_code):
         beside = [
             supp_generator(code, g)
             for g in range(code.num_gens)
-            if column.isdisjoint(supp_generator(code, g))
+            if column.indices.isdisjoint(supp_generator(code, g).indices)
         ][:3]
-        cases.append((QubitSet.of(code), functools.reduce(QubitSet.__or__, beside, column)))
+        cases.append((qubits_of(code), functools.reduce(QubitSet.__or__, beside, column)))
         for error, envelope in cases:
             sigma = syndrome(code, error)
             verdict = erase_decode_quantum(code, sigma, envelope, detect_ambiguity=True)
@@ -329,7 +329,7 @@ def test_restricted_matrix_matches_row_driven_build(mid_code, monkeypatch):
     rng = random.Random(101)
     code = mid_code
     everything = QubitSet.from_indices(code, range(code.num_qubits))
-    cases = [(QubitSet.of(code), everything)]
+    cases = [(qubits_of(code), everything)]
     for _ in range(15):
         error = _random_error(code, rng, rng.randint(1, 5))
         extra = rng.sample(range(code.num_qubits), rng.randint(0, 20))

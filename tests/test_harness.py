@@ -448,7 +448,7 @@ def test_trial_path_calls_no_coordinate_accessor(monkeypatch):
         return texts, verdict, verify_coset(code, verdict.correction, error)
 
     with monkeypatch.context() as patched:
-        for name in ("qubit_coords", "vv_index", "cc_index", "check_index"):
+        for name in ("qubit_coords", "vv_index", "cc_index"):
             patched.setattr(HgpCode, name, _refusing(name))
         got = run_all()
     assert got == run_all()

@@ -27,6 +27,9 @@ from hgpdecode.ssfind import DecoderConfig, ssfind
 from oracles import (
     RowBasis,
     check_gens,
+    check_index,
+    check_pairs,
+    checks_of,
     dual,
     gen_coords,
     gen_index,
@@ -37,6 +40,7 @@ from oracles import (
     qnbhd,
     qnbhd_unique,
     qubit_gens,
+    qubits_of,
     supp_check,
     supp_generator,
     syndrome_pairs,
@@ -81,7 +85,7 @@ def test_build_single_edge(single_edge_code):
     assert code.num_qubits == 2
     assert code.num_checks == 1
     assert code.num_gens == 1
-    assert supp_generator(code, 0) == QubitSet.of(code, [(0, 0)], [(0, 0)])
+    assert supp_generator(code, 0) == qubits_of(code, [(0, 0)], [(0, 0)])
     assert code.k == 0
 
 
@@ -117,9 +121,9 @@ def test_k_matches_base_rank_identity(single_edge_code, path_code, k33_code, mid
 def test_supp_examples_on_path(path_code):
     code = path_code
     z = gen_index(code, 0, 0)
-    assert supp_generator(code, z) == QubitSet.of(code, [(0, 0), (1, 0)], [(0, 0)])
-    x = code.check_index(0, 0)
-    assert supp_check(code, x) == QubitSet.of(code, [(0, 0), (0, 1)], [(0, 0)])
+    assert supp_generator(code, z) == qubits_of(code, [(0, 0), (1, 0)], [(0, 0)])
+    x = check_index(code, 0, 0)
+    assert supp_check(code, x) == qubits_of(code, [(0, 0), (0, 1)], [(0, 0)])
 
 
 def test_supp_sizes(k33_code, mid_code):
@@ -138,7 +142,7 @@ def test_index_conventions(mid_code):
     code = mid_code  # n=12, m=6
     assert code.vv_index(3, 5) == 3 * 12 + 5
     assert code.cc_index(2, 4) == 144 + 2 * 6 + 4
-    assert code.check_index(3, 2) == 3 * 6 + 2
+    assert check_index(code, 3, 2) == 3 * 6 + 2
     assert gen_index(code, 4, 7) == 4 * 12 + 7
     assert code.qubit_coords(41) == ("VV", 3, 5)
     assert code.qubit_coords(160) == ("CC", 2, 4)
@@ -157,10 +161,10 @@ def test_index_errors(path_code):
 
 
 def test_qnbhd_examples(path_code, k33_code):
-    empty = QubitSet.of(path_code)
-    assert qnbhd(path_code, QubitSet.of(path_code, [(0, 0)])) == CheckSet.of(path_code, [(0, 0)])
-    assert qnbhd(path_code, empty) == CheckSet.of(path_code)
-    assert qnbhd_unique(path_code, empty) == CheckSet.of(path_code)
+    empty = qubits_of(path_code)
+    assert qnbhd(path_code, qubits_of(path_code, [(0, 0)])) == checks_of(path_code, [(0, 0)])
+    assert qnbhd(path_code, empty) == checks_of(path_code)
+    assert qnbhd_unique(path_code, empty) == checks_of(path_code)
     # A full generator support has no unique neighbors inside its own
     # check grid: every grid check sees exactly two of its qubits.
     code = k33_code
@@ -170,7 +174,7 @@ def test_qnbhd_examples(path_code, k33_code):
             (nu, zeta) for nu in code.base.adj_c[c] for zeta in code.base.adj_v[v]
         }
         uniq = qnbhd_unique(code, supp_generator(code, g))
-        assert not (uniq.members & grid)
+        assert not (check_pairs(uniq) & grid)
 
 
 def test_unique_nbhd_closed_form(mid_code):
@@ -187,7 +191,7 @@ def test_unique_nbhd_closed_form(mid_code):
         cc = sorted(supp.cc_part)
         a = rng.randint(0, len(vv))
         b = rng.randint(0, len(cc))
-        sub = QubitSet.of(code, rng.sample(vv, a), rng.sample(cc, b))
+        sub = qubits_of(code, rng.sample(vv, a), rng.sample(cc, b))
         assert len(qnbhd_unique(code, sub)) == a * dv + b * dc - 2 * a * b
         assert len(qnbhd(code, sub)) == a * dv + b * dc - a * b
 
@@ -348,12 +352,12 @@ def test_generator_basis_builds_no_kernel_vector(monkeypatch):
 
 
 def test_project_examples(path_code):
-    s = QubitSet.of(path_code, [(0, 0), (1, 0)])
+    s = qubits_of(path_code, [(0, 0), (1, 0)])
     assert project(s, "V2") == {0}
     assert project(s, "V1") == {0, 1}
     assert project(s, "V1", index=0) == {0}
-    assert project(QubitSet.of(path_code), "C1") == set()
-    assert project(QubitSet.of(path_code), "C2", index=3) == set()
+    assert project(qubits_of(path_code), "C1") == set()
+    assert project(qubits_of(path_code), "C2", index=3) == set()
     with pytest.raises(ValueError):
         project(s, "Q1")
 
@@ -362,28 +366,28 @@ def test_project_slices_partition(mid_code):
     rng = random.Random(3)
     vv = [(rng.randrange(12), rng.randrange(12)) for _ in range(20)]
     cc = [(rng.randrange(6), rng.randrange(6)) for _ in range(10)]
-    s = QubitSet.of(mid_code, vv, cc)
+    s = qubits_of(mid_code, vv, cc)
     assert sum(len(project(s, "V1", index=i)) for i in project(s, "V1")) == len(s.vv_part)
     assert sum(len(project(s, "C2", index=j)) for j in project(s, "C2")) == len(s.cc_part)
 
 
 def test_weighted_norm(mid_code):
     code = mid_code  # (delta_v, delta_c) = (3, 6)
-    s = QubitSet.of(code, [(0, 0), (0, 1)], [(0, 0), (0, 1), (1, 0)])
+    s = qubits_of(code, [(0, 0), (0, 1)], [(0, 0), (0, 1), (1, 0)])
     norm = weighted_norm(code, s)
     assert norm == Fraction(4, 3)
     delta = code.delta_v * code.delta_c
     assert delta * norm == 24 == 2 * code.delta_v + 3 * code.delta_c
-    assert weighted_norm(code, QubitSet.of(code)) == 0
-    assert weighted_norm(code, QubitSet.of(code, [(5, 5)])) == Fraction(1, 6)
+    assert weighted_norm(code, qubits_of(code)) == 0
+    assert weighted_norm(code, qubits_of(code, [(5, 5)])) == Fraction(1, 6)
 
 
 def test_syndrome_examples(path_code, k33_code):
-    assert syndrome(path_code, QubitSet.of(path_code)) == CheckSet.of(path_code)
-    assert syndrome(path_code, QubitSet.of(path_code, [(0, 0)])) == CheckSet.of(path_code, [(0, 0)])
+    assert syndrome(path_code, qubits_of(path_code)) == checks_of(path_code)
+    assert syndrome(path_code, qubits_of(path_code, [(0, 0)])) == checks_of(path_code, [(0, 0)])
     for code in (path_code, k33_code):
         for g in range(code.num_gens):
-            assert syndrome(code, supp_generator(code, g)) == CheckSet.of(code)
+            assert syndrome(code, supp_generator(code, g)) == checks_of(code)
 
 
 def test_syndrome_invariant_under_generator_toggle(mid_code):
@@ -392,7 +396,7 @@ def test_syndrome_invariant_under_generator_toggle(mid_code):
     for _ in range(25):
         vv = {(rng.randrange(12), rng.randrange(12)) for _ in range(6)}
         cc = {(rng.randrange(6), rng.randrange(6)) for _ in range(3)}
-        e = QubitSet.of(code, vv, cc)
+        e = qubits_of(code, vv, cc)
         g = rng.randrange(code.num_gens)
         assert syndrome(code, e ^ supp_generator(code, g)) == syndrome(code, e)
 
@@ -424,10 +428,10 @@ def test_minimally_expanding_sets(k33_code, mid_code):
             v_prime = set(rng.sample(range(code.n), rng.randint(1, 3)))
             gamma_c = {nu for c in c_prime for nu in code.base.adj_c[c]}
             gamma_v = {zeta for v in v_prime for zeta in code.base.adj_v[v]}
-            s_v = QubitSet.of(code, ((nu, v) for nu in gamma_c for v in v_prime))
-            s_c = QubitSet.of(code, (), ((c, zeta) for c in c_prime for zeta in gamma_v))
+            s_v = qubits_of(code, ((nu, v) for nu in gamma_c for v in v_prime))
+            s_c = qubits_of(code, (), ((c, zeta) for c in c_prime for zeta in gamma_v))
             assert qnbhd(code, s_v) == qnbhd(code, s_c)
-            assert qnbhd(code, s_v) == CheckSet.of(
+            assert qnbhd(code, s_v) == checks_of(
                 code, ((nu, zeta) for nu in gamma_c for zeta in gamma_v)
             )
 
@@ -447,7 +451,7 @@ def test_max_expanding_lower_bound(k33_code, mid_code):
             cc = set()
             for c in rng.sample(range(code.m), rng.randint(0, 2)):
                 cc |= {(c, zeta) for zeta in rng.sample(range(code.m), rng.randint(1, 3))}
-            s = QubitSet.of(code, vv, cc)
+            s = qubits_of(code, vv, cc)
             if s.weight == 0:
                 continue
             eps_hat = Fraction(0)
@@ -460,13 +464,13 @@ def test_max_expanding_lower_bound(k33_code, mid_code):
 
 
 def test_qubitset_text_roundtrip(mid_code):
-    s = QubitSet.of(mid_code, [(3, 5), (0, 0)], [(2, 4)])
+    s = qubits_of(mid_code, [(3, 5), (0, 0)], [(2, 4)])
     text = qubitset_to_text(s)
     assert text == "VV 0 0\nVV 3 5\nCC 2 4\n"
     assert qubitset_from_text(text, mid_code) == s
-    assert qubitset_to_text(QubitSet.of(mid_code)) == ""
-    assert qubitset_from_text("", mid_code) == QubitSet.of(mid_code)
-    assert qubitset_from_text("# comment\n\nVV 1 1\n", mid_code) == QubitSet.of(mid_code, [(1, 1)])
+    assert qubitset_to_text(qubits_of(mid_code)) == ""
+    assert qubitset_from_text("", mid_code) == qubits_of(mid_code)
+    assert qubitset_from_text("# comment\n\nVV 1 1\n", mid_code) == qubits_of(mid_code, [(1, 1)])
 
 
 def test_qubitset_parse_errors(mid_code):
@@ -497,11 +501,11 @@ def test_sets_of_another_code_do_not_combine(mid_code, path_code):
     ``ssfind``, ``erase_decode_quantum`` for its syndrome and its envelope,
     ``verify_coset``) refuse a set whose base sizes (n, m) differ from the
     other operand's or the code's."""
-    mine, theirs = QubitSet.of(mid_code, [(0, 0)]), QubitSet.of(path_code, [(0, 0)])
-    checks, other_checks = CheckSet.of(mid_code, [(0, 0)]), CheckSet.of(path_code, [(0, 0)])
+    mine, theirs = qubits_of(mid_code, [(0, 0)]), qubits_of(path_code, [(0, 0)])
+    checks, other_checks = checks_of(mid_code, [(0, 0)]), checks_of(path_code, [(0, 0)])
     refused = [
         lambda: mine | theirs, lambda: mine ^ theirs, lambda: mine & theirs,
-        lambda: mine <= theirs, lambda: mine.isdisjoint(theirs),
+        lambda: mine <= theirs,
         lambda: checks | other_checks, lambda: checks <= other_checks,
         lambda: mine.to_indices(path_code), lambda: checks.to_indices(path_code),
         lambda: syndrome(path_code, mine),
@@ -526,14 +530,15 @@ def test_sets_of_another_code_do_not_combine(mid_code, path_code):
 
 def test_index_sets_share_one_constructor(mid_code):
     """``QubitSet``/``CheckSet`` inherit ``_IndexSet``'s constructor, and stay
-    frozen, hashable and equal by class and fields, with their cached views."""
+    frozen, hashable and equal by class and fields, a qubit set with its
+    cached views; check index 7 of a code with m = 6 is the pair (1, 1)."""
     assert QubitSet.__init__ is _IndexSet.__init__ is CheckSet.__init__
     a = QubitSet(mid_code.n, mid_code.m, frozenset({0, 150}))
-    b = QubitSet.of(mid_code, [(0, 0)], [(1, 0)])
+    b = qubits_of(mid_code, [(0, 0)], [(1, 0)])
     assert a == b and hash(a) == hash(b)
-    assert a != CheckSet(a.n, a.m, a.indices) and QubitSet(a.n, a.m) == QubitSet.of(mid_code)
+    assert a != CheckSet(a.n, a.m, a.indices) and QubitSet(a.n, a.m) == qubits_of(mid_code)
     assert (a.vv_part, a.cc_part) == ({(0, 0)}, {(1, 0)})
-    assert CheckSet(a.n, a.m, frozenset({7})).members == {(1, 1)}
+    assert check_pairs(CheckSet(a.n, a.m, frozenset({7}))) == {(1, 1)}
     with pytest.raises(AttributeError):
         a.indices = frozenset()
     with pytest.raises(AttributeError):
@@ -560,7 +565,7 @@ def test_syndrome_matches_pair_counting_oracle(graph):
         assert syndrome(code, error) == want, (kind, sorted(error.indices))
         assert syndrome(code, error ^ supp_generator(code, t % code.num_gens)) == want
     for g in range(0, code.num_gens, 7):
-        assert syndrome_pairs(code, supp_generator(code, g)) == CheckSet.of(code)
+        assert syndrome_pairs(code, supp_generator(code, g)) == checks_of(code)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=179), max_size=25))

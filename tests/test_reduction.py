@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hgpdecode.graphs import BipartiteGraph, gen_biregular
 from hgpdecode.hgp import QubitSet, build_hgp, syndrome
-from hgpdecode.reduction import ReductionConfigError, reduce_error
+from hgpdecode.reduction import reduce_error
+from hgpdecode.ssfind import ViewWidthError
 
 from oracles import (
     Candidate,
@@ -23,6 +24,7 @@ from oracles import (
     qnbhd,
     qnbhd_unique,
     qubit_gens,
+    qubits_of,
     supp_generator,
     weighted_norm,
 )
@@ -117,13 +119,13 @@ def test_locally_reduced_masks_match_part_sizes_definition():
 def test_enumerate_minsets_cap():
     # Complete bipartite 11 x 10: a 21-qubit local view, one above the cap.
     wide = build_hgp(BipartiteGraph.from_left_adjacency(10, [range(10)] * 11))
-    with pytest.raises(ReductionConfigError):
+    with pytest.raises(ViewWidthError):
         list(enumerate_minsets(wide, 0))
 
 
 def test_mask_to_qubitset(path_code, mid_code):
-    assert mask_to_qubitset(path_code, 0, 1) == QubitSet.of(path_code, [(0, 0)])
-    assert mask_to_qubitset(path_code, 0, 4) == QubitSet.of(path_code, (), [(0, 0)])
+    assert mask_to_qubitset(path_code, 0, 1) == qubits_of(path_code, [(0, 0)])
+    assert mask_to_qubitset(path_code, 0, 4) == qubits_of(path_code, (), [(0, 0)])
     rng = random.Random(9)
     for _ in range(30):
         g = rng.randrange(mid_code.num_gens)
@@ -164,7 +166,7 @@ def test_reduced_nbhd_bound_via_set_route(mid_code):
         g = rng.randrange(code.num_gens)
         mask = rng.choice(locally_reduced_masks(3, 6))
         sub = mask_to_qubitset(code, g, mask)
-        mirrors = len(qnbhd(code, sub).members) - len(qnbhd_unique(code, sub).members)
+        mirrors = len(qnbhd(code, sub)) - len(qnbhd_unique(code, sub))
         assert mirrors <= Fraction(1, 4) * delta * weighted_norm(code, sub)
 
 
@@ -174,8 +176,8 @@ def test_reduce_error_exact_examples(path_code, k33_code):
     for code in (path_code, k33_code):
         for g in range(code.num_gens):
             supp = supp_generator(code, g)
-            assert brute_reduce(code, supp) == QubitSet.of(code)
-            assert reduce_error(code, supp, "greedy") == QubitSet.of(code)
+            assert brute_reduce(code, supp) == qubits_of(code)
+            assert reduce_error(code, supp, "greedy") == qubits_of(code)
         for q in range(code.num_qubits):
             single = QubitSet.from_indices(code, [q])
             assert brute_reduce(code, single) == single
@@ -186,8 +188,8 @@ def test_reduce_error_exact_tie_breaking(single_edge_code):
     # Both cosets of weight 1: the brute-force representative is the
     # lex-smaller index.
     code = single_edge_code
-    vv = QubitSet.of(code, [(0, 0)])
-    cc = QubitSet.of(code, (), [(0, 0)])
+    vv = qubits_of(code, [(0, 0)])
+    cc = qubits_of(code, (), [(0, 0)])
     assert brute_reduce(code, vv) == vv
     assert brute_reduce(code, cc) == vv
 
@@ -277,7 +279,7 @@ def test_reduce_error_errors(mid_code):
     # Exact reduction is the oracle brute_reduce, not a mode.
     for mode in ("exact", "best"):
         with pytest.raises(ValueError, match=r"mode must be one of \('none', 'greedy'\)"):
-            reduce_error(mid_code, QubitSet.of(mid_code), mode)
+            reduce_error(mid_code, qubits_of(mid_code), mode)
 
 
 @given(st.integers(min_value=1, max_value=511))

@@ -12,7 +12,7 @@ import pytest
 
 from hgpdecode.graphs import BipartiteGraph, gen_biregular
 from hgpdecode.hgp import CheckSet, HgpCode, QubitSet, build_hgp, syndrome
-from hgpdecode.reduction import ReductionConfigError, reduce_error
+from hgpdecode.reduction import reduce_error
 from hgpdecode.ssfind import (
     _NO_BEST,
     _NO_KEY,
@@ -20,6 +20,7 @@ from hgpdecode.ssfind import (
     SsfindIterationError,
     SsfindState,
     TraceEntry,
+    ViewWidthError,
     min_untouched_score,
     ssfind,
     trace_to_text,
@@ -33,12 +34,17 @@ from oracles import (
     cached_scores,
     candidate_seeding,
     check_gens,
+    check_pairs,
+    checks_of,
     enumerate_minsets,
     exit_audit,
     mask_to_qubitset,
     part_sizes,
     qnbhd,
     qubit_gens,
+    qubits_of,
+    retired,
+    rmask,
     score,
     score_ranks,
     supp_generator,
@@ -100,6 +106,15 @@ def test_min_untouched_score():
     assert min_untouched_score(1, 1) == 1
 
 
+def test_min_untouched_score_refuses_a_view_past_the_cap():
+    """The cap guards the view tables wherever they are built: a 21-qubit
+    view raises, on every call, as it does in a decode."""
+    assert min_untouched_score(10, 10) == Fraction(1, 2)
+    for _ in range(2):
+        with pytest.raises(ViewWidthError, match="21 qubits, above the cap 20"):
+            min_untouched_score(10, 11)
+
+
 @pytest.mark.parametrize(
     "degrees", [(3, 6), (4, 4), (2, 5), (8, 9)], ids=lambda d: f"{d[0]}-{d[1]}"
 )
@@ -159,7 +174,7 @@ def test_score_examples(mid_code):
     covered = qnbhd(mid_code, mask_to_qubitset(mid_code, 7, cand.mask))
     assert score(mid_code, cand, covered) == 0
     single_vv = Candidate.build(mid_code, 7, 1)
-    assert score(mid_code, single_vv, CheckSet.of(mid_code)) == 1
+    assert score(mid_code, single_vv, checks_of(mid_code)) == 1
 
 
 def test_score_balanced_pair_unique_equals_syndrome():
@@ -172,20 +187,20 @@ def test_score_balanced_pair_unique_equals_syndrome():
 
 
 def test_ssfind_empty_syndrome(mid_code):
-    res = ssfind(mid_code, CheckSet.of(mid_code), lazy_config())
+    res = ssfind(mid_code, checks_of(mid_code), lazy_config())
     exit_audit(res.state)
-    assert res.envelope == QubitSet.of(mid_code)
+    assert res.envelope == qubits_of(mid_code)
     assert res.trace == ()
     assert res.mode == "lazy"
     # A full generator support is syndrome-free, so it finds nothing either.
     e = supp_generator(mid_code, 13)
     res = ssfind(mid_code, syndrome(mid_code, e), lazy_config())
-    assert res.envelope == QubitSet.of(mid_code)
+    assert res.envelope == qubits_of(mid_code)
 
 
 def test_ssfind_single_qubit_lazy_covers():
     code = build_hgp(gen_biregular(60, 3, 6, seed=1))
-    e = QubitSet.of(code, [(7, 31)])
+    e = qubits_of(code, [(7, 31)])
     sig = syndrome(code, e)
     res = ssfind(code, sig, lazy_config())
     exit_audit(res.state)
@@ -193,13 +208,13 @@ def test_ssfind_single_qubit_lazy_covers():
     assert e <= res.envelope
     assert res.envelope.weight < code.num_qubits // 10
     assert res.iterations == len(res.trace) <= res.envelope.weight
-    assert res.suspicious.members == sig.members | qnbhd(code, res.envelope).members
+    assert check_pairs(res.suspicious) == check_pairs(sig) | check_pairs(qnbhd(code, res.envelope))
 
 
 def test_ssfind_eager_explosion(mid_code):
     # With 2*eps at or above every untouched score, qualification never stops
     # until every candidate is retired: the envelope is the full qubit set.
-    e = QubitSet.of(mid_code, [(3, 4)])
+    e = qubits_of(mid_code, [(3, 4)])
     res = ssfind(mid_code, syndrome(mid_code, e), eager_config())
     exit_audit(res.state)
     assert res.mode == "eager"
@@ -224,7 +239,7 @@ def test_ssfind_iteration_cap(mid_code):
     """The cap can fire for the fault it names: with retirement switched off
     a pick stays alive and is taken again without adding a qubit, so the
     search runs into the cap after exactly num_qubits picks."""
-    sig = syndrome(mid_code, QubitSet.of(mid_code, [(3, 4)]))
+    sig = syndrome(mid_code, qubits_of(mid_code, [(3, 4)]))
     for cfg, mode in ((lazy_config(), "lazy"), (eager_config(), "eager")):
         st = SsfindState(mid_code, sig, cfg)
         assert st.mode == mode
@@ -249,18 +264,18 @@ def test_verify_exit_audits_retired(mid_code):
         st = SsfindState(mid_code, sig, cfg)
         assert st.run().trace
         exit_audit(st)
-        retired = {g: st.retired(g) for g, on in enumerate(st.seeded) if on}
-        g = min(g for g, bits in retired.items() if bits)
-        flips = [(g, retired[g] & -retired[g])]
+        gone = {g: retired(st, g) for g, on in enumerate(st.seeded) if on}
+        g = min(g for g, bits in gone.items() if bits)
+        flips = [(g, gone[g] & -gone[g])]
         if st.mode == "lazy":
             full = (1 << st.tables.width) - 1
-            g = min(g for g, bits in retired.items() if bits != full)
-            free = full & ~retired[g]
+            g = min(g for g, bits in gone.items() if bits != full)
+            free = full & ~gone[g]
             flips.append((g, free & -free))
-            flips.append((min(set(range(mid_code.num_gens)) - set(retired)), 1))
+            flips.append((min(set(range(mid_code.num_gens)) - set(gone)), 1))
         for g, bit in flips:
             saved = copy.copy(st.words)
-            st.words[g] = (st.rmask(g) << st.tables.width | st.retired(g)) ^ bit
+            st.words[g] = st._word(g) ^ bit
             with pytest.raises(AssertionError, match="retired"):
                 exit_audit(st)
             st.words = saved
@@ -321,19 +336,20 @@ def test_pick_walk_builds_no_incidence_lists(mid_code, monkeypatch):
 def test_ssfind_degree_cap():
     # Complete bipartite 11 x 10: a 21-qubit local view, one above the cap.
     wide = build_hgp(BipartiteGraph.from_left_adjacency(10, [range(10)] * 11))
-    with pytest.raises(ReductionConfigError):
-        ssfind(wide, CheckSet.of(wide), lazy_config())
+    for _ in range(2):
+        with pytest.raises(ViewWidthError):
+            ssfind(wide, checks_of(wide), lazy_config())
 
 
 def test_candidate_seeding(path_code, mid_code):
-    assert candidate_seeding(path_code, CheckSet.of(path_code)) == {}
-    e = QubitSet.of(path_code, [(0, 0)])
+    assert candidate_seeding(path_code, checks_of(path_code)) == {}
+    e = qubits_of(path_code, [(0, 0)])
     sig = syndrome(path_code, e)
     seeded = candidate_seeding(path_code, sig)
     expected = {
         g
         for g in range(path_code.num_gens)
-        if qnbhd(path_code, supp_generator(path_code, g)).members & sig.members
+        if check_pairs(qnbhd(path_code, supp_generator(path_code, g))) & check_pairs(sig)
     }
     assert set(seeded) == expected
     for g, cands in seeded.items():
@@ -355,7 +371,7 @@ def test_determinism(mid_code):
 
 
 def test_mode_threshold(mid_code):
-    sig = syndrome(mid_code, QubitSet.of(mid_code, [(0, 0)]))
+    sig = syndrome(mid_code, qubits_of(mid_code, [(0, 0)]))
     with pytest.warns(UserWarning):
         boundary = DecoderConfig(epsilon=Fraction(5, 18))  # 2*eps == 5/9
     assert ssfind(mid_code, sig, boundary).mode == "eager"
@@ -381,8 +397,9 @@ def test_cached_scores_match_slow_route(mid_code):
 
 
 def test_state_reads_per_generator(mid_code):
-    # seeded holds one flag per generator, and rmask(g)/retired(g) read one
-    # generator: its grid's suspicious cells, untouched generators as 0;
+    # seeded holds one flag per generator, and a word read through the
+    # rmask/retired oracles gives one generator's grid's suspicious cells,
+    # untouched generators as 0;
     # reading enters nothing into the state's words.  At 1/20 some generators
     # stay untouched; at 1/6 a pick enters one whose grid holds no syndrome
     # check.
@@ -395,11 +412,11 @@ def test_state_reads_per_generator(mid_code):
         res = ssfind(mid_code, sig, cfg)
         st = res.state
         size = len(st.words)
-        suspicious = res.suspicious.members
+        suspicious = check_pairs(res.suspicious)
         touched = {
             g
             for g in range(mid_code.num_gens)
-            if qnbhd(mid_code, supp_generator(mid_code, g)).members & suspicious
+            if check_pairs(qnbhd(mid_code, supp_generator(mid_code, g))) & suspicious
         }
         everything = set(range(mid_code.num_gens))
         expected = everything if res.mode == "eager" else touched
@@ -412,37 +429,37 @@ def test_state_reads_per_generator(mid_code):
             entered += bool(st.words.keys() - marked.keys())
         cells = marked_by_checks(mid_code, res.suspicious.to_indices(mid_code))
         gens = range(mid_code.num_gens)
-        assert [st.rmask(g) for g in gens] == [cells.get(g, 0) for g in gens]
+        assert [rmask(st, g) for g in gens] == [cells.get(g, 0) for g in gens]
         for g in everything - touched:
-            assert st.retired(g) == 0
+            assert retired(st, g) == 0
         assert len(st.words) == size
     assert partial and entered
 
 
 def replay(code, sigma, res, twoeps):
     """Re-derive every per-iteration quantity via the set machinery."""
-    env = QubitSet.of(code)
-    reach = set(sigma.members)
+    env = qubits_of(code)
+    reach = set(check_pairs(sigma))
     gamma = set()
     dv, dc = code.delta_v, code.delta_c
     norm_scaled = 0  # delta * ||L|| accumulated exactly as dv*|L_V| + dc*|L_C|
     for t in res.trace:
         chosen = mask_to_qubitset(code, t.generator, t.mask)
-        assert env.isdisjoint(chosen)
-        before = CheckSet.of(code, reach)
+        assert env.indices.isdisjoint(chosen.indices)
+        before = checks_of(code, reach)
         cand = Candidate.build(code, t.generator, t.mask)
         assert score(code, cand, before) == Fraction(t.score_num, t.score_den)
         assert Fraction(t.score_num, t.score_den) <= twoeps
         env = env | chosen
-        covered = qnbhd(code, chosen).members
+        covered = check_pairs(qnbhd(code, chosen))
         gamma |= covered
         reach |= covered
         assert t.envelope_size == env.weight
         assert t.suspicious_size == len(reach)
         norm_scaled += dv * len(chosen.vv_part) + dc * len(chosen.cc_part)
-        assert len(gamma) <= len(sigma.members) + (Fraction(1, 4) + twoeps) * norm_scaled
+        assert len(gamma) <= len(sigma) + (Fraction(1, 4) + twoeps) * norm_scaled
     assert env == res.envelope
-    assert reach == res.suspicious.members
+    assert reach == check_pairs(res.suspicious)
 
 
 def test_trace_replay_invariants(mid_code):
@@ -492,7 +509,7 @@ def test_rescore_scope(mid_code):
     e = QubitSet.from_indices(mid_code, rng.sample(range(mid_code.num_qubits), 3))
     sig = syndrome(mid_code, e)
     grid = {
-        g: qnbhd(mid_code, supp_generator(mid_code, g)).members
+        g: check_pairs(qnbhd(mid_code, supp_generator(mid_code, g)))
         for g in range(mid_code.num_gens)
     }
     catalog = set(candidate_seeding(mid_code, sig))
@@ -512,19 +529,19 @@ def test_rescore_scope(mid_code):
         else:
             # The seeded catalog's generators with at least min_need
             # suspicious cells, and the cut leaves some out.
-            assert set(res.rescored[0]) == reaching(catalog, sig.members)
-            assert reaching(catalog, sig.members) < catalog
+            assert set(res.rescored[0]) == reaching(catalog, check_pairs(sig))
+            assert reaching(catalog, check_pairs(sig)) < catalog
         # Later batches: the generators the pick touched, through a retired
         # qubit or a freshly suspicious check.
-        suspicious = set(sig.members)
+        suspicious = set(check_pairs(sig))
         for k, entry in enumerate(res.trace):
             chosen = mask_to_qubitset(mid_code, entry.generator, entry.mask)
-            fresh = qnbhd(mid_code, chosen).members - suspicious
+            fresh = check_pairs(qnbhd(mid_code, chosen)) - suspicious
             suspicious |= fresh
             touched = {
                 g
                 for g in range(mid_code.num_gens)
-                if grid[g] & fresh or not supp_generator(mid_code, g).isdisjoint(chosen)
+                if grid[g] & fresh or not supp_generator(mid_code, g).indices.isdisjoint(chosen.indices)
             }
             want = touched if eager else reaching(touched, suspicious)
             assert list(res.rescored[k + 1]) == sorted(want)
@@ -568,7 +585,7 @@ def test_engine_matches_exact_oracle(
         floor_gens = {
             g
             for g in candidate_seeding(code, sig)
-            if len(qnbhd(code, supp_generator(code, g)).members & sig.members) == need
+            if len(check_pairs(qnbhd(code, supp_generator(code, g))) & check_pairs(sig)) == need
         }
         assert floor_gens and res.trace and res.trace[0].generator in floor_gens
     state = res.state
@@ -633,7 +650,7 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
     t = _view_tables(*degrees)
     width, gens = t.width, range(code.num_gens)
     rng = random.Random(73)
-    sigmas = [CheckSet.of(code)]
+    sigmas = [checks_of(code)]
     for w in (1, 2, 4):
         e = QubitSet.from_indices(code, rng.sample(range(code.num_qubits), w))
         sigmas.append(syndrome(code, e))
@@ -647,8 +664,8 @@ def test_syndrome_seeding_matches_per_check_marking(degrees, n, graph_seed):
             assert st.mode == mode
             want = marked_by_checks(code, sig.to_indices(code))
             high_cells += any(r >> 64 for r in want.values())
-            assert [st.rmask(g) for g in gens] == [want.get(g, 0) for g in gens]
-            assert not any(st.retired(g) for g in gens)
+            assert [rmask(st, g) for g in gens] == [want.get(g, 0) for g in gens]
+            assert not any(retired(st, g) for g in gens)
             if st.mode == "lazy":
                 assert {g for g, on in enumerate(st.seeded) if on} == set(want)
                 candidates = want
