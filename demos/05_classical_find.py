@@ -19,7 +19,7 @@ adj_v = [[] for _ in range(NUM_VERTICES)]
 for idx, (u, v) in enumerate(edges):
     adj_v[u].append(idx)
     adj_v[v].append(idx)
-graph = BipartiteGraph.from_left_adjacency(len(edges), adj_v)
+graph = BipartiteGraph(len(edges), adj_v)
 print(f"graph: {graph.n} bits of degree {graph.delta_v}, "
       f"{graph.m} checks of degree {graph.delta_c}")
 
@@ -35,12 +35,12 @@ for combo in [(4,), (4, 17), (0, 9, 13)]:
     for i in combo:
         bits |= 1 << i
     sigma = classical_syndrome(graph, bits)
-    res = find_classical(graph, sigma, eps_v)
+    envelope = find_classical(graph, sigma, eps_v)
     cap = Fraction(len(combo)) / (1 - 3 * eps_v)
-    print(f"error {combo}: |sigma|={len(sigma)}, envelope {sorted(res.envelope)} "
-          f"(|L|={len(res.envelope)} <= {cap} = |E|/(1-3e))")
+    print(f"error {combo}: |sigma|={len(sigma)}, envelope {sorted(envelope)} "
+          f"(|L|={len(envelope)} <= {cap} = |E|/(1-3e))")
     # The sent codeword is 0, so the received word is the error itself.
-    word = erase_decode_classical(graph, bits, res.envelope)
+    word = erase_decode_classical(graph, bits, envelope)
     print("  erasure completion: "
           + ("several completions" if word is None else f"codeword {word:#x} (sent 0x0)"))
 print("\nEach admissible error is covered by its envelope; erasing the envelope "

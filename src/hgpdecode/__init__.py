@@ -18,7 +18,6 @@ then finish with a restricted linear solve over the envelope.  Sub-packages:
 
 from .classical import (
     DecodeFailure,
-    FindResult,
     classical_syndrome,
     erase_decode_classical,
     find_classical,

@@ -23,15 +23,14 @@ the graph's ``n`` or above (``Gf2DimensionError``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .erasure import _complete
 from .gf2 import Gf2DimensionError, bit_positions
 from .graphs import BipartiteGraph
 
 __all__ = [
-    "FindResult",
     "DecodeFailure",
     "classical_syndrome",
     "find_classical",
@@ -41,14 +40,6 @@ __all__ = [
 
 class DecodeFailure(Exception):
     """The erasure system is inconsistent with the code (no completion exists)."""
-
-
-@dataclass
-class FindResult:
-    envelope: set[int]
-    suspicious: set[int]
-    trace: list[tuple[int, int, int, int]]
-    """Per-iteration records ``(bit, suspicious_hits, |L|, |R|)``."""
 
 
 def _check_word(graph: BipartiteGraph, word: int) -> None:
@@ -66,13 +57,15 @@ def classical_syndrome(graph: BipartiteGraph, word: int) -> set[int]:
     return out
 
 
-def find_classical(graph: BipartiteGraph, syndrome: set[int], epsilon_v) -> FindResult:
-    """Grow an envelope of suspicious bits from a syndrome.
+def find_classical(graph: BipartiteGraph, syndrome: set[int], epsilon_v) -> set[int]:
+    """The envelope of suspicious bits grown from a syndrome.
 
     While some bit outside the envelope has at least
     ``h = ceil((1 - 2*eps_v) * delta_v)`` of its checks suspicious, adopt the
     smallest-index such bit and mark all its checks suspicious.  Always
     terminates: the envelope grows monotonically and is bounded by n.
+    Adoption only grows the suspicious set, so a bit that qualifies keeps
+    qualifying, and the envelope is the same in every adoption order.
     ``epsilon_v`` must be exact: a float would round h through binary.
     """
     if isinstance(epsilon_v, float):
@@ -84,24 +77,17 @@ def find_classical(graph: BipartiteGraph, syndrome: set[int], epsilon_v) -> Find
     h = -((-threshold_frac.numerator) // threshold_frac.denominator)  # ceil
     envelope: set[int] = set()
     suspicious: set[int] = set(syndrome)
-    trace: list[tuple[int, int, int, int]] = []
     adj_v = graph.adj_v
     while True:
         chosen = -1
-        hits = 0
         for v in range(graph.n):
-            if v in envelope:
-                continue
-            k = sum(1 for c in adj_v[v] if c in suspicious)
-            if k >= h:
-                chosen, hits = v, k
+            if v not in envelope and sum(1 for c in adj_v[v] if c in suspicious) >= h:
+                chosen = v
                 break
         if chosen < 0:
-            break
+            return envelope
         envelope.add(chosen)
         suspicious.update(adj_v[chosen])
-        trace.append((chosen, hits, len(envelope), len(suspicious)))
-    return FindResult(envelope, suspicious, trace)
 
 
 def erase_decode_classical(graph: BipartiteGraph, word: int, erasures) -> int | None:
@@ -112,11 +98,12 @@ def erase_decode_classical(graph: BipartiteGraph, word: int, erasures) -> int | 
     neighbor, and if a bit is left unforced, eliminates the system of all the
     erased bits.  Returns the completed codeword, or None when the system is
     underdetermined (several codeword completions).  Raises DecodeFailure
-    when no completion satisfies the code.
+    when no completion satisfies the code.  Each erased bit must be an
+    integer in [0, n): a float raises ``TypeError``.
     """
     _check_word(graph, word)
     erased = set()
-    for v in erasures:
+    for v in map(index, erasures):
         if not 0 <= v < graph.n:
             raise ValueError(f"erased bit {v} out of range [0, {graph.n})")
         erased.add(v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,62 +74,48 @@ def read_ascii(path) -> str:
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """A simple (delta_v, delta_c)-biregular bipartite graph.
+    """A simple (delta_v, delta_c)-biregular bipartite graph, built from its
+    left side: ``BipartiteGraph(m, adj_v)``.
 
+    The constructor sorts each row of ``adj_v`` and checks that there is at
+    least one row, that every row lists ``delta_v`` distinct neighbours in
+    [0, m), and that every check gets the same degree ``delta_c``; it then
+    derives ``n``, ``delta_v``, ``delta_c`` and ``adj_c``, the transpose.
     ``adj_v[v]`` lists the check neighbors of left vertex ``v`` ascending;
     ``adj_c[c]`` lists the bit neighbors of right vertex ``c`` ascending.
     Instances are immutable and safe to share across threads.
     """
 
-    n: int
     m: int
-    delta_v: int
-    delta_c: int
     adj_v: tuple[tuple[int, ...], ...]
-    adj_c: tuple[tuple[int, ...], ...]
+    n: int = field(init=False)
+    delta_v: int = field(init=False)
+    delta_c: int = field(init=False)
+    adj_c: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n * self.delta_v != self.m * self.delta_c:
-            raise GraphConstructionError(
-                f"handshake violated: {self.n}*{self.delta_v} != {self.m}*{self.delta_c}"
-            )
-        if len(self.adj_v) != self.n or len(self.adj_c) != self.m:
-            raise GraphConstructionError("adjacency list count does not match side size")
-        for v, nbrs in enumerate(self.adj_v):
-            if len(nbrs) != self.delta_v or len(set(nbrs)) != self.delta_v:
-                raise GraphConstructionError(f"left vertex {v} does not have {self.delta_v} distinct neighbors")
-            if list(nbrs) != sorted(nbrs) or (nbrs and not (0 <= nbrs[0] and nbrs[-1] < self.m)):
-                raise GraphConstructionError(f"left vertex {v} has unsorted or out-of-range neighbors")
-        edge_set = {(v, c) for v, nbrs in enumerate(self.adj_v) for c in nbrs}
-        count = 0
-        for c, nbrs in enumerate(self.adj_c):
-            if len(nbrs) != self.delta_c or len(set(nbrs)) != self.delta_c:
-                raise GraphConstructionError(f"right vertex {c} does not have {self.delta_c} distinct neighbors")
-            if list(nbrs) != sorted(nbrs):
-                raise GraphConstructionError(f"right vertex {c} has unsorted neighbors")
-            for v in nbrs:
-                if (v, c) not in edge_set:
-                    raise GraphConstructionError("adj_v and adj_c disagree on the edge set")
-                count += 1
-        if count != len(edge_set):
-            raise GraphConstructionError("adj_v and adj_c disagree on the edge set")
-
-    @classmethod
-    def from_left_adjacency(cls, m: int, adj_v) -> BipartiteGraph:
-        """Build from left-side lists alone; degrees are inferred and checked."""
-        adj_v = tuple(tuple(sorted(nbrs)) for nbrs in adj_v)
+        m = self.m
+        adj_v = tuple(tuple(sorted(nbrs)) for nbrs in self.adj_v)
         if not adj_v:
             raise GraphConstructionError("empty left side")
         delta_v = len(adj_v[0])
-        buckets: list[list[int]] = [[] for _ in range(m)]
+        # Rows are read in ascending v, so each check's list comes out sorted.
+        adj_c: list[list[int]] = [[] for _ in range(m)]
         for v, nbrs in enumerate(adj_v):
+            if len(nbrs) != delta_v or len(set(nbrs)) != delta_v:
+                raise GraphConstructionError(f"left vertex {v} does not have {delta_v} distinct neighbors")
+            if nbrs and not (0 <= nbrs[0] and nbrs[-1] < m):
+                raise GraphConstructionError(f"left vertex {v} has neighbors outside [0, {m})")
             for c in nbrs:
-                if not 0 <= c < m:
-                    raise GraphConstructionError(f"neighbor {c} of left vertex {v} out of range")
-                buckets[c].append(v)
-        adj_c = tuple(tuple(sorted(b)) for b in buckets)
+                adj_c[c].append(v)
         delta_c = len(adj_c[0]) if adj_c else 0
-        return cls(len(adj_v), m, delta_v, delta_c, adj_v, adj_c)
+        for c, nbrs in enumerate(adj_c):
+            if len(nbrs) != delta_c:
+                raise GraphConstructionError(f"right vertex {c} does not have {delta_c} neighbors")
+        derived = (("adj_v", adj_v), ("n", len(adj_v)), ("delta_v", delta_v),
+                   ("delta_c", delta_c), ("adj_c", tuple(map(tuple, adj_c))))
+        for name, value in derived:
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -142,7 +128,6 @@ class ExpansionProfile:
     enumerated.
     """
 
-    side: str
     worst_epsilon_by_size: dict[int, Fraction]
     certified: bool
 
@@ -206,7 +191,7 @@ def audit_expansion(
                     acc |= masks[v]
                 min_gamma = min(min_gamma, acc.bit_count())
         worst[s] = 1 - Fraction(min_gamma, degree * s)
-    return ExpansionProfile(side, worst, samples is None)
+    return ExpansionProfile(worst, samples is None)
 
 
 def _min_gamma(masks: list[int], s: int, bound: int, floor: int) -> int:
@@ -270,7 +255,7 @@ def gen_biregular(n: int, delta_v: int, delta_c: int, seed: int) -> BipartiteGra
     adj_v: list[list[int]] = [[] for _ in range(n)]
     for v, c in edges:
         adj_v[v].append(c)
-    return BipartiteGraph.from_left_adjacency(m, adj_v)
+    return BipartiteGraph(m, adj_v)
 
 
 def _make_simple(edges: list[tuple[int, int]], rng: random.Random) -> bool:
@@ -361,7 +346,7 @@ def graph_from_text(text: str) -> BipartiteGraph:
     for line_no, line in enumerate(lines[1 + n:], start=2 + n):
         if line.strip():
             raise GraphParseError(line_no, f"unexpected content after the {n} adjacency lines")
-    return BipartiteGraph.from_left_adjacency(m, adj_v)
+    return BipartiteGraph(m, adj_v)
 
 
 def read_graph(path) -> BipartiteGraph:

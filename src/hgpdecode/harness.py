@@ -279,7 +279,6 @@ class WeightSummary:
 @dataclass(frozen=True)
 class CampaignResult:
     config: CampaignConfig
-    n: int
     m: int
     epsilon: Fraction
     audited: tuple[tuple[str, int, Fraction], ...]
@@ -420,7 +419,6 @@ def montecarlo(config: CampaignConfig, workers: int = 1) -> CampaignResult:
             reports = tuple(r for chunk in chunks for r in chunk)
     return CampaignResult(
         config=config,
-        n=config.n,
         m=graph.m,
         epsilon=epsilon,
         audited=audited,
@@ -514,15 +512,12 @@ def campaign_to_text(result: CampaignResult, include_wall: bool = True) -> str:
 
 @dataclass(frozen=True)
 class DecodeOutcome:
-    """A single end-to-end decode plus everything needed to inspect it."""
+    """A single end-to-end decode: the search, the solve's verdict, the coset
+    judgement and the files written."""
 
-    code: HgpCode
-    error: QubitSet
-    reduced: QubitSet
     search: SsfindResult
     verdict: DecodeVerdict
     coset_equivalent: bool | None
-    epsilon: Fraction
     files: tuple[str, ...]
 
     @property
@@ -559,7 +554,7 @@ def decode_once(
         trace_file.write_text(trace_to_text(search.trace))
         verdict_file.write_text(_verdict_text(error, reduced, search, verdict, coset))
         files = (str(envelope_file), str(trace_file), str(verdict_file))
-    return DecodeOutcome(code, error, reduced, search, verdict, coset, eps_value, files)
+    return DecodeOutcome(search, verdict, coset, files)
 
 
 def _verdict_text(error, reduced, search, verdict, coset) -> str:

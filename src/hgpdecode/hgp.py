@@ -18,19 +18,20 @@ the logical count come from the base code's kernels too
 (``StabilizerSpan``), so no N-column matrix is built.  ``QubitSet``/
 ``CheckSet``, which carry sets between the stages, hold the code's integer
 indices as well, and ``syndrome`` toggles each error qubit's checks on the
-base graph's adjacency.  Coordinate pairs appear only in the qubit sets'
-views (``vv_part``, ``cc_part``) and in the qubit-set file format.  The
-set-level model the integer incidence is tested against, by coordinate
-pairs, is ``tests/oracles.py``, which also builds sets from coordinate
-pairs, reads a check set's pairs, and holds the generator and check
-coordinate accessors and the per-qubit and per-check generator lists the
-decoder never builds.
+base graph's adjacency, in the walk ``StabilizerSpan.contains`` shares.
+Coordinate pairs appear only in the qubit sets' views (``vv_part``,
+``cc_part``) and in the qubit-set file format.  The set-level model the
+integer incidence is tested against, by coordinate pairs, is
+``tests/oracles.py``, which also builds sets from coordinate pairs, reads a
+check set's pairs, and holds the generator and check coordinate accessors
+and the per-qubit and per-check generator lists the decoder never builds.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import index
 
 from .gf2 import RestrictedSolver
 from .graphs import BipartiteGraph, LineParseError, content_lines
@@ -59,10 +60,11 @@ class _IndexSet:
     ``erase_decode_quantum``, ``verify_coset``) check the code, once,
     before reading ``indices``.  The range is checked only where indices
     come in from outside: in ``from_indices``, which reads it from the code
-    attribute a subclass names in ``_count``, and in the file parser.  The
-    constructor and the operators trust their indices, so a stage builds
-    its result sets, whose indices it computed from the code, with the
-    constructor.
+    attribute a subclass names in ``_count`` and passes each index through
+    ``operator.index`` (a float raises ``TypeError``), and in the file
+    parser.  The constructor and the operators trust their indices, so a
+    stage builds its result sets, whose indices it computed from the code,
+    with the constructor.
 
     The class is frozen, hashable and equal by its fields, but its
     constructor writes the fields straight into the instance ``__dict__``
@@ -83,7 +85,7 @@ class _IndexSet:
 
     @classmethod
     def from_indices(cls, code: HgpCode, indices):
-        s = frozenset(indices)
+        s = frozenset(map(index, indices))
         if s and (min(s) < 0 or max(s) >= getattr(code, cls._count)):
             raise IndexError(f"{cls.__name__} index out of range for this code")
         return cls(code.n, code.m, s)
@@ -322,13 +324,14 @@ class StabilizerSpan:
         """True iff the indicator vector of these distinct qubit indices is a
         sum of generator supports."""
         code = self._code
+        qubits = list(qubits)
+        if _x_syndrome(code, qubits):
+            return False
         n, m, nn = code.n, code.m, code.n * code.n
         vv_words, vv_free = self._vv_words, self._vv_free
         cc_words, cc_free = self._cc_words, self._cc_free
-        flagged: set[int] = set()
         acc: dict[int, int] = {}
         for q in qubits:
-            flagged.symmetric_difference_update(code.qubit_checks(q))
             if q < nn:
                 nu, v = divmod(q, n)
                 if v in vv_free:
@@ -337,7 +340,7 @@ class StabilizerSpan:
                 c1, c2 = divmod(q - nn, m)
                 if c1 in cc_free:
                     acc[n + c1] = acc.get(n + c1, 0) ^ cc_words[c2]
-        return not flagged and not any(acc.values())
+        return not any(acc.values())
 
 
 def build_hgp(graph: BipartiteGraph) -> HgpCode:
@@ -346,14 +349,19 @@ def build_hgp(graph: BipartiteGraph) -> HgpCode:
 
 
 def syndrome(code: HgpCode, error: QubitSet) -> CheckSet:
-    """Checks with an odd number of incidences into the error: each error
-    qubit's checks, walked on the base graph's adjacency as ``qubit_checks``
-    lists them, are toggled in and out of the flagged set."""
+    """Checks with an odd number of incidences into the error."""
+    return CheckSet(code.n, code.m, frozenset(_x_syndrome(code, error._same(code).indices)))
+
+
+def _x_syndrome(code: HgpCode, qubits) -> set[int]:
+    """The checks with an odd number of incidences into these distinct qubit
+    indices: each qubit's checks, walked on the base graph's adjacency as
+    ``qubit_checks`` lists them, are toggled in and out of the set."""
     n, m, nn = code.n, code.m, code.n * code.n
     adj_c, adj_v = code.base.adj_c, code.base.adj_v
     flagged: set[int] = set()
     add, remove = flagged.add, flagged.remove
-    for q in error._same(code).indices:
+    for q in qubits:
         # VV qubit (nu, v): checks nu*m + zeta, zeta in adj_v[v].  CC qubit
         # (c, zeta): checks nu*m + zeta, nu in adj_c[c].
         if q < nn:
@@ -368,7 +376,7 @@ def syndrome(code: HgpCode, error: QubitSet) -> CheckSet:
                 remove(x)
             else:
                 add(x)
-    return CheckSet(code.n, code.m, frozenset(flagged))
+    return flagged
 
 
 # --- qubit-set file format: one qubit per line, "VV i j" or "CC i j" ---

@@ -373,10 +373,10 @@ def _join_words(words: list[np.ndarray]) -> list[int]:
 class SsfindResult:
     """``rescored`` (with ``record_rescored``) holds one ascending tuple per
     loop pass, ``iterations + 1`` in all: the generators whose best candidate
-    was refreshed, by memo hit or miss."""
+    was refreshed, by memo hit or miss.  The suspicious checks, σ ∪ Γ(envelope),
+    are the state's ``suspicious_set``."""
 
     envelope: QubitSet
-    suspicious: CheckSet
     trace: tuple[TraceEntry, ...]
     iterations: int
     mode: str
@@ -662,7 +662,6 @@ class SsfindState:
             )
         return SsfindResult(
             envelope=QubitSet(code.n, code.m, frozenset(envelope)),
-            suspicious=CheckSet(code.n, code.m, frozenset(suspicious)),
             trace=tuple(trace),
             iterations=len(trace),
             mode=self.mode,

@@ -37,7 +37,7 @@ def make_k44_incidence() -> BipartiteGraph:
         adj_v.append([4 * i + k for k in range(4)])
     for k in range(4):  # the other side
         adj_v.append([4 * i + k for i in range(4)])
-    return BipartiteGraph.from_left_adjacency(16, adj_v)
+    return BipartiteGraph(16, adj_v)
 
 
 @pytest.fixture(scope="session")

@@ -317,7 +317,7 @@ def dual(code: HgpCode) -> HgpCode:
 
     Decoding X errors on the original code is decoding Z errors here."""
     g = code.base
-    swapped = BipartiteGraph(g.m, g.n, g.delta_c, g.delta_v, g.adj_c, g.adj_v)
+    swapped = BipartiteGraph(g.n, g.adj_c)
     return HgpCode(swapped)
 
 

@@ -384,7 +384,7 @@ def _complete_graph_incidence(num_vertices: int) -> BipartiteGraph:
     for idx, (u, v) in enumerate(edges):
         adj_v[u].append(idx)
         adj_v[v].append(idx)
-    return BipartiteGraph.from_left_adjacency(len(edges), adj_v)
+    return BipartiteGraph(len(edges), adj_v)
 
 
 def test_classical_find_covers_admissible_errors_on_audited_expanders(
@@ -411,12 +411,12 @@ def test_classical_find_covers_admissible_errors_on_audited_expanders(
                 for i in combo:
                     bits |= 1 << i
                 sigma = classical_syndrome(graph, bits)
-                res = find_classical(graph, sigma, eps_v)
-                assert set(combo) <= res.envelope, (graph.n, combo, res.envelope)
-                assert Fraction(len(res.envelope)) <= Fraction(w) / (1 - 3 * eps_v), (
+                envelope = find_classical(graph, sigma, eps_v)
+                assert set(combo) <= envelope, (graph.n, combo, envelope)
+                assert Fraction(len(envelope)) <= Fraction(w) / (1 - 3 * eps_v), (
                     graph.n,
                     combo,
-                    res.envelope,
+                    envelope,
                 )
                 total += 1
     elapsed = time.perf_counter() - t0

@@ -4,20 +4,20 @@ references the tests compare against live in ``tests/oracles.py``."""
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 import types
 from fractions import Fraction
-from pathlib import Path
 
 import hgpdecode
 from hgpdecode.gf2 import RestrictedSolver
-from hgpdecode.graphs import BipartiteGraph, ExpansionProfile, gen_biregular
+from hgpdecode.graphs import BipartiteGraph, ExpansionProfile, audit_expansion, gen_biregular
 from hgpdecode.hgp import CheckSet, QubitSet, build_hgp, syndrome
-from hgpdecode.ssfind import DecoderConfig, SsfindState, ssfind
+from hgpdecode.ssfind import DecoderConfig, SsfindResult, SsfindState, ssfind
 
-MODULES = [
-    importlib.import_module(f"hgpdecode.{name}")
-    for name in ("classical", "cli", "erasure", "gf2", "graphs", "harness", "hgp", "reduction", "ssfind")
-]
+from member_reads import MODULE_NAMES, PROGRAM_FILES, ROOT
+
+MODULES = [importlib.import_module(f"hgpdecode.{name}") for name in MODULE_NAMES]
 # Names that moved to tests/oracles.py or were deleted as wrappers: from gf2,
 # graphs, hgp, reduction and ssfind, then HgpCode and SsfindState members;
 # then the ssfind and erasure helpers and the SsfindState steps that the
@@ -37,7 +37,10 @@ MODULES = [
 # sets' coordinate constructors, pair view and disjointness test, the code's
 # check index, the finished search's per-generator readers and the audit's
 # size cap), the classical code wrapper around its graph, and the view-width
-# error under its reduction name, now ``ViewWidthError`` in ssfind.
+# error under its reduction name, now ``ViewWidthError`` in ssfind; then the
+# graph's second constructor, the classical finder's result record, and the
+# audit profile's side and the search result's suspicious checks, which
+# program code never read on their owners.
 REMOVED = {
     "RowBasis", "rank", "in_rowspace", "solve_restricted", "neighbors", "unique_neighbors",
     "supp_generator", "supp_check", "qnbhd", "qnbhd_unique", "project", "weighted_norm", "dual",
@@ -57,19 +60,19 @@ REMOVED = {
     "_resolve_workers",
     "of", "members", "isdisjoint", "check_index", "rmask", "retired", "max_set_size",
     "ClassicalCode", "ReductionConfigError",
+    "from_left_adjacency", "FindResult", "side", "suspicious",
 }
-ROOT = Path(__file__).resolve().parent.parent
-# The code the export rule counts callers in: the package, the demos and the
-# bench, but not the package's re-exports or any test.
-PROGRAM_FILES = [
-    *(p for p in sorted((ROOT / "src" / "hgpdecode").glob("*.py")) if p.name != "__init__.py"),
-    *sorted((ROOT / "demos").glob("*.py")),
-    *(ROOT / "perfbench" / f"{name}.py" for name in ("run", "pipeline", "checks", "workloads")),
-]
-
-# Members that only a benchmark test calls, each with that test's file: the
-# bench's files change only with the benchmark itself.
-BENCH_ONLY = {"_IndexSet.to_indices": ROOT / "perfbench" / "test_perfbench.py"}
+# Members that only a bench file uses, each with that file: the bench's files
+# change only with the benchmark itself.  Only the bench's tests call
+# ``to_indices``; ``pipeline.as_report`` passes the six report fields as
+# keywords, and no program code reads them.
+BENCH_ONLY = {
+    "_IndexSet.to_indices": ROOT / "perfbench" / "test_perfbench.py",
+    **{
+        f"TrialReport.{name}": ROOT / "perfbench" / "pipeline.py"
+        for name in ("n", "m", "delta_v", "delta_c", "audited", "epsilon")
+    },
+}
 
 
 def _names_in(paths) -> tuple[set[str], set[str], set[str]]:
@@ -96,11 +99,11 @@ def _names_in(paths) -> tuple[set[str], set[str], set[str]]:
     return names, attributes, keywords
 
 
-def _public_members(cls) -> dict[str, str]:
-    """``Owner.member`` -> member for every public method, property,
+def _public_members(cls) -> dict[str, tuple[type, str]]:
+    """``Owner.member`` -> (owner, member) for every public method, property,
     classmethod and field of ``cls`` and of its package base classes."""
     return {
-        f"{owner.__name__}.{name}": name
+        f"{owner.__name__}.{name}": (owner, name)
         for owner in cls.__mro__ if owner.__module__.startswith("hgpdecode.")
         for name in [*vars(owner), *vars(owner).get("__annotations__", {})]
         if not name.startswith("_")
@@ -139,33 +142,53 @@ def test_every_exported_function_has_a_program_caller():
 
 def test_every_public_member_has_a_program_caller():
     """A public member of an exported class, inherited ones included, is
-    named as an attribute or a keyword argument somewhere in the package,
-    the demos or the bench other than its own body.  The bench-only
-    exemptions hold only while their test file still names them."""
-    _, attributes, keywords = _names_in(PROGRAM_FILES)
-    used = attributes | keywords
+    read by program code on an instance of its owner, as
+    ``tests/member_reads.py`` records by running the demos, the CLI and the
+    bench's trial path; another object's attribute of the same name does
+    not count.  A classmethod is called on its class, never read on an
+    instance, so it passes when program code names it as an attribute
+    outside its own body.  The bench-only exemptions hold only while their
+    file still names them."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "member_reads.py")], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    read = set(done.stdout.split())
+    attributes = _names_in(PROGRAM_FILES)[1]
     members = {
-        key: name for mod in MODULES for attr in mod.__all__
+        key: member for mod in MODULES for attr in mod.__all__
         if inspect.isclass(obj := getattr(mod, attr))
-        for key, name in _public_members(obj).items()
+        for key, member in _public_members(obj).items()
     }
-    uncalled = sorted(key for key, name in members.items() if name not in used and key not in BENCH_ONLY)
-    assert not uncalled, ", ".join(uncalled)
+
+    def used(key: str) -> bool:
+        owner, name = members[key]
+        if isinstance(vars(owner).get(name), (classmethod, staticmethod)):
+            return name in attributes
+        return key in read
+
+    unused = sorted(key for key in members if not used(key) and key not in BENCH_ONLY)
+    assert not unused, ", ".join(unused)
     for key, path in BENCH_ONLY.items():
-        assert key in members and members[key] in _names_in([path])[1], (key, path.name)
+        _, path_attributes, path_keywords = _names_in([path])
+        assert key in members and members[key][1] in path_attributes | path_keywords, (key, path.name)
 
 
 def test_removed_names_stay_out_of_the_package():
     """Also checked on a finished lazy search and its view tables, whose
-    instance attributes a class does not show, on the decoder config, on
-    the index set, audit profile and base graph classes, and on a solver
-    instance."""
-    code = build_hgp(gen_biregular(2, 1, 2, seed=0))
+    instance attributes a class does not show, on the search result and an
+    audit profile, whose fields without defaults a class does not show
+    either, on the decoder config, on the index set, audit profile, search
+    result and base graph classes, and on a solver instance."""
+    graph = gen_biregular(2, 1, 2, seed=0)
+    code = build_hgp(graph)
     sigma = syndrome(code, QubitSet.from_indices(code, [0]))
-    state = ssfind(code, sigma, DecoderConfig(epsilon=Fraction(1, 20))).state
+    found = ssfind(code, sigma, DecoderConfig(epsilon=Fraction(1, 20)))
+    state = found.state
     assert state.mode == "lazy"
-    classes = (SsfindState, DecoderConfig, QubitSet, CheckSet, ExpansionProfile, BipartiteGraph)
-    for owner in (hgpdecode, *MODULES, code, state, state.tables, *classes):
+    classes = (SsfindState, DecoderConfig, QubitSet, CheckSet, ExpansionProfile, SsfindResult, BipartiteGraph)
+    profile = audit_expansion(graph, "left", 1)
+    for owner in (hgpdecode, *MODULES, code, found, state, state.tables, profile, *classes):
         assert not {attr for attr in REMOVED if hasattr(owner, attr)}, owner
     # A solver's rank is its own; the deleted name is gf2's rank function.
     solver = RestrictedSolver([1], 1)

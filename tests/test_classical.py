@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hgpdecode.classical import (
@@ -37,16 +38,12 @@ def test_syndrome_k33_two_flips_cancel(k33_graph):
 # --- envelope finder ---
 
 def test_find_empty_syndrome(path_graph):
-    res = find_classical(path_graph, set(), Fraction(0))
-    assert res.envelope == set() and res.trace == []
+    assert find_classical(path_graph, set(), Fraction(0)) == set()
 
 
 def test_find_path_hand_trace(path_graph):
-    # threshold h = 1; bit 0 qualifies first, its check is already suspicious,
-    # then bit 1 qualifies too.
-    res = find_classical(path_graph, {0}, Fraction(0))
-    assert res.envelope == {0, 1}
-    assert [t[0] for t in res.trace] == [0, 1]
+    # threshold h = 1; both bits touch the one suspicious check.
+    assert find_classical(path_graph, {0}, Fraction(0)) == {0, 1}
 
 
 def test_find_single_bit_error_on_audited_expander(k44_incidence_graph):
@@ -56,24 +53,33 @@ def test_find_single_bit_error_on_audited_expander(k44_incidence_graph):
     bound = 1 / (1 - 3 * eps)  # envelope-size claim for admissible errors
     for v in range(k44_incidence_graph.n):
         word = 1 << v
-        res = find_classical(k44_incidence_graph, classical_syndrome(k44_incidence_graph, word), eps)
-        assert v in res.envelope
-        assert len(res.envelope) <= bound
-        assert res.envelope == {v}  # h = 3 and distinct bits share at most 1 check
+        envelope = find_classical(k44_incidence_graph, classical_syndrome(k44_incidence_graph, word), eps)
+        assert v in envelope
+        assert len(envelope) <= bound
+        assert envelope == {v}  # h = 3 and distinct bits share at most 1 check
 
 
 def test_find_result_invariants():
+    """At exit no bit outside the envelope has h of its checks in
+    σ ∪ Γ(envelope), and adopting qualifying bits highest index first
+    reaches the same envelope."""
     rng = random.Random(11)
     g = gen_biregular(20, 2, 4, seed=3)
+    h = 2  # ceil((1 - 2/5) * 2)
     for _ in range(40):
         word = rng.getrandbits(20)
         syn = classical_syndrome(g, word)
-        res = find_classical(g, syn, Fraction(1, 5))
-        assert res.suspicious == syn | neighbors(g, "left", res.envelope)
-        assert len(res.trace) == len(res.envelope)  # one adopted bit per step
-        # monotone growth along the trace
-        sizes = [(t[2], t[3]) for t in res.trace]
-        assert sizes == sorted(sizes)
+        envelope = find_classical(g, syn, Fraction(1, 5))
+        suspicious = syn | neighbors(g, "left", envelope)
+        for v in set(range(g.n)) - envelope:
+            assert len(suspicious.intersection(g.adj_v[v])) < h
+        reverse, marked = set(), set(syn)
+        while qualifying := [
+            v for v in range(g.n) if v not in reverse and len(marked.intersection(g.adj_v[v])) >= h
+        ]:
+            reverse.add(qualifying[-1])
+            marked.update(g.adj_v[qualifying[-1]])
+        assert reverse == envelope
 
 
 def test_find_is_deterministic(k44_incidence_graph):
@@ -92,7 +98,7 @@ def complete_graph(k: int) -> BipartiteGraph:
     """Bits are the vertices of K_k (delta_v = k - 1), checks its edges."""
     edges = list(itertools.combinations(range(k), 2))
     adj_v = [[e for e, pair in enumerate(edges) if v in pair] for v in range(k)]
-    return BipartiteGraph.from_left_adjacency(len(edges), adj_v)
+    return BipartiteGraph(len(edges), adj_v)
 
 
 def test_find_refuses_a_float_epsilon():
@@ -102,13 +108,12 @@ def test_find_refuses_a_float_epsilon():
     k6 = complete_graph(6)
     syn6 = classical_syndrome(k6, 0b000011)
     # h = ceil(2/5 * 5) = 2: every other vertex meets two flagged edges.
-    assert find_classical(k6, syn6, Fraction(3, 10)).envelope == set(range(6))
-    assert find_classical(k6, syn6, "3/10").envelope == set(range(6))
+    assert find_classical(k6, syn6, Fraction(3, 10)) == set(range(6))
+    assert find_classical(k6, syn6, "3/10") == set(range(6))
     k4 = complete_graph(4)
     syn4 = classical_syndrome(k4, 0b0011)
     # h = ceil(2/3 * 3) = 2: vertex 0 meets two flagged edges, 0-2 and 0-3.
-    res = find_classical(k4, syn4, Fraction(1, 6))
-    assert res.trace[0][:2] == (0, 2) and res.envelope == set(range(4))
+    assert find_classical(k4, syn4, Fraction(1, 6)) == set(range(4))
     for graph, syn, eps in ((k6, syn6, 0.3), (k4, syn4, 1 / 6)):
         with pytest.raises(TypeError, match="float"):
             find_classical(graph, syn, eps)
@@ -210,3 +215,13 @@ def test_classical_functions_refuse_a_word_outside_the_code(path_graph):
         with pytest.raises(Gf2DimensionError):
             erase_decode_classical(path_graph, word, {0})
     assert erase_decode_classical(path_graph, 0b11, {0}) == 0b11
+
+
+def test_erase_decode_refuses_non_integral_erasures(k33_graph):
+    """Each erased bit passes through ``operator.index``: a float raises
+    ``TypeError`` at the boundary, in range (2.5, 1.0) or not (7.5), and a
+    numpy integer is accepted."""
+    for bad in (2.5, 7.5, 1.0):
+        with pytest.raises(TypeError, match="integer"):
+            erase_decode_classical(k33_graph, 0, [bad])
+    assert erase_decode_classical(k33_graph, 0, [np.int64(1)]) == 0

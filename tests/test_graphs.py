@@ -50,8 +50,14 @@ def test_generation_is_deterministic():
 
 
 def test_invariants_hold_for_100_seeds():
+    """Each graph is simple and (3, 6)-biregular, and its derived check side
+    is the transpose of its bit side, each list ascending."""
     for seed in range(100):
-        gen_biregular(12, 3, 6, seed=seed)  # constructor enforces the invariants
+        g = gen_biregular(12, 3, 6, seed=seed)
+        assert all(len(set(nbrs)) == 3 for nbrs in g.adj_v) and len(g.adj_c) == g.m == 6
+        edges = sorted((c, v) for v, nbrs in enumerate(g.adj_v) for c in nbrs)
+        assert edges == [(c, v) for c, nbrs in enumerate(g.adj_c) for v in nbrs]
+        assert all(len(nbrs) == 6 for nbrs in g.adj_c)
 
 
 def test_construction_errors():
@@ -103,7 +109,7 @@ def complete_graph_incidence(vertices: int) -> BipartiteGraph:
     for idx, (u, v) in enumerate(edges):
         adj_v[u].append(idx)
         adj_v[v].append(idx)
-    return BipartiteGraph.from_left_adjacency(len(edges), adj_v)
+    return BipartiteGraph(len(edges), adj_v)
 
 
 # name -> (graph, left s_max, right s_max).  K3,3 and n=12 are audited up to
@@ -122,7 +128,7 @@ AUDIT_CASES = {
     # Bits 0 and 1 (and checks 0 and 1) are twins, the only pair with |Γ| = 2:
     # the minimum at s = 2 sits at the first index the last member can take.
     "twins-n6": (
-        lambda: BipartiteGraph.from_left_adjacency(6, [(0, 1), (0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]),
+        lambda: BipartiteGraph(6, [(0, 1), (0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]),
         6,
         6,
     ),
@@ -197,9 +203,23 @@ def test_parse_errors_name_the_line():
         graph_from_text("2 1 1 2\n0\nzebra\n")
 
 
-def test_from_left_adjacency_rejects_irregular():
-    with pytest.raises(GraphConstructionError):
-        BipartiteGraph.from_left_adjacency(2, [[0], [0], [0, 1]])
+def test_constructor_rejects_irregular():
+    """The one constructor takes the left side, sorts its rows and derives
+    the right side; it refuses no rows, rows of unequal length, a repeated
+    or out-of-range neighbour, and checks of unequal degree."""
+    g = BipartiteGraph(2, [[1, 0], [0, 1]])
+    assert (g.n, g.delta_v, g.delta_c) == (2, 2, 2)
+    assert g.adj_v == g.adj_c == ((0, 1), (0, 1))
+    for m, adj_v in [
+        (2, []),
+        (2, [[0], [0], [0, 1]]),
+        (2, [[0, 0], [1, 1]]),
+        (2, [[0], [2]]),
+        (2, [[-1], [0]]),
+        (2, [[0], [0]]),
+    ]:
+        with pytest.raises(GraphConstructionError):
+            BipartiteGraph(m, adj_v)
 
 
 def test_k44_incidence_shape(k44_incidence_graph):

@@ -234,7 +234,7 @@ def test_montecarlo_is_deterministic_and_reports_are_consistent(small_config):
     assert campaign_to_text(first, include_wall=False) == campaign_to_text(second, include_wall=False)
 
     assert first.epsilon == Fraction(1, 20)
-    assert (first.n, first.m) == (12, 6)
+    assert (first.config.n, first.m) == (12, 6)
     for k, report in enumerate(first.reports):
         assert report.trial == k
         assert report.seed == _mix64(small_config.seed, k)
@@ -345,14 +345,14 @@ def test_decode_once_writes_parseable_artifacts(tmp_path, mid_graph):
     out_dir = tmp_path / "out"
     outcome = decode_once(graph_path, error_path, "1/20", out_dir, reduction="greedy")
     assert outcome.succeeded
-    assert outcome.epsilon == Fraction(1, 20)
+    assert outcome.search.state.config.epsilon == Fraction(1, 20)
     assert sorted(p.rsplit("/", 1)[1] for p in outcome.files) == [
         "envelope.txt",
         "trace.txt",
         "verdict.txt",
     ]
 
-    envelope = qubitset_from_text((out_dir / "envelope.txt").read_text(), outcome.code)
+    envelope = qubitset_from_text((out_dir / "envelope.txt").read_text(), code)
     assert envelope == outcome.search.envelope
     assert (out_dir / "trace.txt").read_text() == trace_to_text(outcome.search.trace)
     verdict_lines = (out_dir / "verdict.txt").read_text().splitlines()
@@ -361,7 +361,7 @@ def test_decode_once_writes_parseable_artifacts(tmp_path, mid_graph):
     assert fields["coset_equivalent"] == "1"
     assert int(fields["envelope_size"]) == outcome.search.envelope.weight
     correction = qubitset_from_text(
-        "\n".join(verdict_lines[verdict_lines.index("# correction") + 1 :]), outcome.code
+        "\n".join(verdict_lines[verdict_lines.index("# correction") + 1 :]), code
     )
     assert correction == outcome.verdict.correction
 

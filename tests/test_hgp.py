@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -543,6 +544,19 @@ def test_index_sets_share_one_constructor(mid_code):
         a.indices = frozenset()
     with pytest.raises(AttributeError):
         a.other = 1
+
+
+def test_from_indices_refuses_non_integral_indices(mid_code):
+    """``from_indices`` passes each index through ``operator.index``: a
+    float raises ``TypeError`` at the boundary instead of passing the range
+    check (check 7.5 would decode as check 7, and qubit 1.0 would break
+    ``syndrome``), while a numpy integer is accepted and held as an int."""
+    for cls in (QubitSet, CheckSet):
+        for bad in (7.5, 1.0):
+            with pytest.raises(TypeError, match="integer"):
+                cls.from_indices(mid_code, [bad])
+        s = cls.from_indices(mid_code, np.array([7, 1]))
+        assert s.indices == {1, 7} and all(type(i) is int for i in s.indices)
 
 
 @pytest.mark.parametrize("graph", [(12, 3, 6, 5), (60, 3, 6, 1)], ids=["mid", "n60"])

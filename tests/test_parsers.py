@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgpdecode import graphs
 from hgpdecode.graphs import (
-    BipartiteGraph,
     GraphParseError,
     LineParseError,
     gen_biregular,
@@ -110,8 +110,7 @@ def test_ascii_reader_names_the_line_of_a_bad_byte(tmp_path_factory, data):
 
 def test_failed_handshake_is_refused_before_building(monkeypatch):
     calls = []
-    monkeypatch.setattr(BipartiteGraph, "from_left_adjacency",
-                        classmethod(lambda cls, m, adj_v: calls.append(m)))
+    monkeypatch.setattr(graphs, "BipartiteGraph", lambda m, adj_v: calls.append(m))
     for text in ("2 1000000000000 1 2\n0\n0\n", "3 1 1 2\n0\n0\n0\n", "0 0 1 1\n"):
         with pytest.raises(GraphParseError) as info:
             graph_from_text(text)

@@ -118,7 +118,7 @@ def test_locally_reduced_masks_match_part_sizes_definition():
 
 def test_enumerate_minsets_cap():
     # Complete bipartite 11 x 10: a 21-qubit local view, one above the cap.
-    wide = build_hgp(BipartiteGraph.from_left_adjacency(10, [range(10)] * 11))
+    wide = build_hgp(BipartiteGraph(10, [range(10)] * 11))
     with pytest.raises(ViewWidthError):
         list(enumerate_minsets(wide, 0))
 

@@ -53,6 +53,12 @@ from oracles import (
 )
 
 
+def suspicious_checks(res) -> CheckSet:
+    """A finished search's suspicious checks, σ ∪ Γ(envelope), from its state."""
+    code = res.state.code
+    return CheckSet(code.n, code.m, frozenset(res.state.suspicious_set))
+
+
 @pytest.fixture(scope="module")
 def mid_code():
     return build_hgp(gen_biregular(12, 3, 6, seed=5))
@@ -208,7 +214,7 @@ def test_ssfind_single_qubit_lazy_covers():
     assert e <= res.envelope
     assert res.envelope.weight < code.num_qubits // 10
     assert res.iterations == len(res.trace) <= res.envelope.weight
-    assert check_pairs(res.suspicious) == check_pairs(sig) | check_pairs(qnbhd(code, res.envelope))
+    assert check_pairs(suspicious_checks(res)) == check_pairs(sig) | check_pairs(qnbhd(code, res.envelope))
 
 
 def test_ssfind_eager_explosion(mid_code):
@@ -219,7 +225,7 @@ def test_ssfind_eager_explosion(mid_code):
     exit_audit(res.state)
     assert res.mode == "eager"
     assert res.envelope.weight == mid_code.num_qubits
-    assert len(res.suspicious) == mid_code.num_checks
+    assert len(res.state.suspicious_set) == mid_code.num_checks
     assert res.iterations <= mid_code.num_qubits
 
 
@@ -335,7 +341,7 @@ def test_pick_walk_builds_no_incidence_lists(mid_code, monkeypatch):
 
 def test_ssfind_degree_cap():
     # Complete bipartite 11 x 10: a 21-qubit local view, one above the cap.
-    wide = build_hgp(BipartiteGraph.from_left_adjacency(10, [range(10)] * 11))
+    wide = build_hgp(BipartiteGraph(10, [range(10)] * 11))
     for _ in range(2):
         with pytest.raises(ViewWidthError):
             ssfind(wide, checks_of(wide), lazy_config())
@@ -393,7 +399,7 @@ def test_cached_scores_match_slow_route(mid_code):
             masks = alive_masks(state, g)
             for mask, cached in zip(masks, cached_scores(state, g, masks)):
                 cand = Candidate.build(mid_code, g, mask)
-                assert cached == score(mid_code, cand, res.suspicious)
+                assert cached == score(mid_code, cand, suspicious_checks(res))
 
 
 def test_state_reads_per_generator(mid_code):
@@ -412,7 +418,7 @@ def test_state_reads_per_generator(mid_code):
         res = ssfind(mid_code, sig, cfg)
         st = res.state
         size = len(st.words)
-        suspicious = check_pairs(res.suspicious)
+        suspicious = check_pairs(suspicious_checks(res))
         touched = {
             g
             for g in range(mid_code.num_gens)
@@ -427,7 +433,7 @@ def test_state_reads_per_generator(mid_code):
         if res.mode == "lazy":
             partial += touched < everything
             entered += bool(st.words.keys() - marked.keys())
-        cells = marked_by_checks(mid_code, res.suspicious.to_indices(mid_code))
+        cells = marked_by_checks(mid_code, res.state.suspicious_set)
         gens = range(mid_code.num_gens)
         assert [rmask(st, g) for g in gens] == [cells.get(g, 0) for g in gens]
         for g in everything - touched:
@@ -459,7 +465,7 @@ def replay(code, sigma, res, twoeps):
         norm_scaled += dv * len(chosen.vv_part) + dc * len(chosen.cc_part)
         assert len(gamma) <= len(sigma) + (Fraction(1, 4) + twoeps) * norm_scaled
     assert env == res.envelope
-    assert reach == check_pairs(res.suspicious)
+    assert reach == check_pairs(suspicious_checks(res))
 
 
 def test_trace_replay_invariants(mid_code):
@@ -595,7 +601,7 @@ def test_engine_matches_exact_oracle(
         masks = rng.sample(alive, min(40, len(alive)))
         for mask, cached in zip(masks, cached_scores(state, g, masks)):
             cand = Candidate.build(code, g, mask)
-            assert cached == score(code, cand, res.suspicious)
+            assert cached == score(code, cand, suspicious_checks(res))
     # At exit nothing alive may still qualify.  A wide view has tens of
     # thousands of masks per generator, so there only a few are swept.
     if exit_gens is None:
